@@ -45,7 +45,7 @@ from .library import PhraseLibrary
 from .midi import write_midi
 from .phrase import Phrase, load_corpus, parse_phrase, serialize_phrase
 from .pitch import DEGREES
-from .rules import ProgressionGrammar, all_violations, reject
+from .rules import NO_READING, ProgressionGrammar, all_violations, reject
 from .sampler import GuidanceConfig, generate_library
 from .schedule import NoiseSchedule, marginals
 
@@ -161,7 +161,6 @@ def cmd_generate(config: RunConfig, checkpoint_path: Path, out_dir: Path) -> int
         rule_config=config.rules,
         flags=config.features,
     )
-    library, dropped = PhraseLibrary.build(phrases, config=config.rules)
     accepted_dir = out_dir / "accepted"
     rejected_dir = out_dir / "rejected"
     accepted_dir.mkdir(parents=True, exist_ok=True)
@@ -174,6 +173,8 @@ def cmd_generate(config: RunConfig, checkpoint_path: Path, out_dir: Path) -> int
             target = accepted_dir if res.accepted else rejected_dir
             (target / name).write_text(serialize_phrase(p))
             results[name] = {"accepted": res.accepted, "reasons": list(res.reasons)}
+            if res.accepted or res.reasons == (NO_READING,):
+                continue  # no hard-rule violation to list
             for v in all_violations(p, config.rules):
                 violations_fh.write(
                     json.dumps(
@@ -187,18 +188,19 @@ def cmd_generate(config: RunConfig, checkpoint_path: Path, out_dir: Path) -> int
                     )
                     + "\n"
                 )
-    rate = sum(1 for r in results.values() if not r["accepted"]) / len(results)
+    accepted = sum(1 for r in results.values() if r["accepted"])
+    rate = (len(results) - accepted) / len(results)
     report = {
         "B": config.B,
         "K": config.K,
         "master_seed": config.master_seed,
-        "accepted": len(library),
-        "rejected": len(dropped),
+        "accepted": accepted,
+        "rejected": len(results) - accepted,
         "rejection_rate": rate,
         "phrases": results,
     }
     (out_dir / "generation_report.json").write_text(json.dumps(report, indent=2) + "\n")
-    print(f"accepted {len(library)}/{config.B} phrases (rejection rate {rate:.1%})")
+    print(f"accepted {accepted}/{config.B} phrases (rejection rate {rate:.1%})")
     return EXIT_OK
 
 

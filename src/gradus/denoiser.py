@@ -58,7 +58,7 @@ class DenoiserHyperparams:
 @dataclass(frozen=True)
 class DenoiserOutput:
     logits: np.ndarray
-    p_hat: np.ndarray  # row-stochastic (n, |classes|)
+    p_hat: np.ndarray  # row-stochastic (n, |classes|), or (K, n, |classes|) for a stack
 
 
 def param_count(params: dict[str, np.ndarray]) -> int:
@@ -89,6 +89,19 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
     cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return cdf + x * pdf
+
+
+def _per_candidate(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
+    """x @ w over the (K*n, d) rows of K stacked candidates, one BLAS
+    product per candidate. BLAS picks its kernels, and so its summation
+    order, by matrix size (on OpenBLAS the (K*n, 32) @ (32, 18) output
+    projection rounds some rows differently from (n, 32) @ (32, 18)); per
+    candidate products give every candidate the bits of its own pass.
+    A single graph skips the stacked matmul's dispatch, which costs about
+    a microsecond a call and adds up over training."""
+    if K == 1:
+        return x @ w
+    return (x.reshape(K, -1, x.shape[1]) @ w).reshape(x.shape[0], w.shape[1])
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -154,14 +167,16 @@ class Denoiser:
     # -- forward -------------------------------------------------------
 
     def _input_features(self, graph: ScoreGraph) -> np.ndarray:
-        """[X || R] with duration/offset columns scaled by the bar length."""
+        """[X || R] rows, one per node of each candidate, with
+        duration/offset columns scaled by the bar length."""
+        x = graph.X.reshape(-1, graph.X.shape[-1])
         if graph.R.shape[1] == 0:
-            return graph.X.copy()
+            return x.copy()
         r = graph.R.copy()
         for col, name in enumerate(graph.r_names):
             if name in ("duration", "offset"):
                 r[:, col] /= graph.bar_length
-        return np.concatenate([graph.X, r], axis=1)
+        return np.concatenate([x, np.concatenate([r] * (len(x) // len(r)))], axis=1)
 
     def forward(
         self,
@@ -170,6 +185,14 @@ class Denoiser:
         params: dict[str, np.ndarray],
         want_cache: bool = False,
     ):
+        """Clean-class predictions for ``graph`` at step t.
+
+        ``graph.X`` is either one node matrix (n, C) or a stack (K, n, C)
+        of candidates sharing the graph's edges and rhythm columns; the
+        output has the same leading shape. Candidates never mix: each
+        one's rows equal a forward pass on it alone, bit for bit. The
+        cache that ``backward`` reads is kept for a single graph only.
+        """
         hp = self.hp
         if not 0 <= t <= hp.T:
             raise PhraseValidationError(f"step {t} outside 0..{hp.T}")
@@ -179,7 +202,8 @@ class Denoiser:
                 f"input width {x_in.shape[1]} does not match parameters "
                 f"({params['in.w'].shape[0]}); check rhythm feature flags"
             )
-        n = x_in.shape[0]
+        n = graph.X.shape[-2]
+        K = x_in.shape[0] // n
         h = hp.hidden_dim
         heads, dh = hp.heads, h // hp.heads
         scale = 1.0 / math.sqrt(dh)
@@ -187,46 +211,47 @@ class Denoiser:
 
         temb = time_embedding(t, hp.T, 2 * (h // 2))
         tvec = temb @ params["time.w"] + params["time.b"]
-        H = x_in @ params["in.w"] + params["in.b"]
+        H = _per_candidate(x_in, params["in.w"], K) + params["in.b"]
 
         cache = {"x_in": x_in, "temb": temb, "ec": ec, "layers": []} if want_cache else None
         for i in range(hp.layers):
             pre = f"l{i}."
             h_in = H + tvec
             z1, ln1_c = _layer_norm(h_in, params[pre + "ln1.g"], params[pre + "ln1.b"])
-            q = (z1 @ params[pre + "attn.wq"]).reshape(n, heads, dh)
-            k = (z1 @ params[pre + "attn.wk"]).reshape(n, heads, dh)
-            v = (z1 @ params[pre + "attn.wv"]).reshape(n, heads, dh)
-            scores = np.einsum("iad,jad->aij", q, k) * scale
+            q = _per_candidate(z1, params[pre + "attn.wq"], K).reshape(K, n, heads, dh)
+            k = _per_candidate(z1, params[pre + "attn.wk"], K).reshape(K, n, heads, dh)
+            v = _per_candidate(z1, params[pre + "attn.wv"], K).reshape(K, n, heads, dh)
+            scores = np.einsum("kiad,kjad->kaij", q, k) * scale
             scores = scores + params[pre + "attn.eb"][:, ec]
-            scores -= scores.max(axis=2, keepdims=True)
+            scores -= scores.max(axis=3, keepdims=True)
             exps = np.exp(scores)
-            attn = exps / exps.sum(axis=2, keepdims=True)
-            heads_out = np.einsum("aij,jad->iad", attn, v).reshape(n, h)
-            attn_out = heads_out @ params[pre + "attn.wo"]
+            attn = exps / exps.sum(axis=3, keepdims=True)
+            heads_out = np.einsum("kaij,kjad->kiad", attn, v).reshape(K * n, h)
+            attn_out = _per_candidate(heads_out, params[pre + "attn.wo"], K)
             h_mid = h_in + attn_out
 
             z2, ln2_c = _layer_norm(h_mid, params[pre + "ln2.g"], params[pre + "ln2.b"])
-            mlp_pre = z2 @ params[pre + "mlp.w1"] + params[pre + "mlp.b1"]
+            mlp_pre = _per_candidate(z2, params[pre + "mlp.w1"], K) + params[pre + "mlp.b1"]
             act = _gelu(mlp_pre)
-            mlp_out = act @ params[pre + "mlp.w2"] + params[pre + "mlp.b2"]
+            mlp_out = _per_candidate(act, params[pre + "mlp.w2"], K) + params[pre + "mlp.b2"]
             H = h_mid + mlp_out
 
             if want_cache:
                 cache["layers"].append(
                     {
-                        "z1": z1, "ln1": ln1_c, "q": q, "k": k, "v": v, "attn": attn,
+                        "z1": z1, "ln1": ln1_c, "q": q[0], "k": k[0], "v": v[0], "attn": attn[0],
                         "heads_out": heads_out, "z2": z2, "ln2": ln2_c,
                         "mlp_pre": mlp_pre, "act": act,
                     }
                 )
 
         zf, lnf_c = _layer_norm(H, params["out.ln.g"], params["out.ln.b"])
-        logits = zf @ params["out.w"] + params["out.b"]
+        logits = _per_candidate(zf, params["out.w"], K) + params["out.b"]
         shifted = logits - logits.max(axis=1, keepdims=True)
         exps = np.exp(shifted)
         p_hat = exps / exps.sum(axis=1, keepdims=True)
-        output = DenoiserOutput(logits=logits, p_hat=p_hat)
+        out_shape = graph.X.shape[:-1] + (logits.shape[1],)
+        output = DenoiserOutput(logits=logits.reshape(out_shape), p_hat=p_hat.reshape(out_shape))
         if want_cache:
             cache["zf"] = zf
             cache["lnf"] = lnf_c

@@ -68,7 +68,7 @@ class GraphNode:
 
 @dataclass(frozen=True)
 class ScoreGraph:
-    X: np.ndarray  # (n, |classes|) one-hot, or all-zero rows for skeletons
+    X: np.ndarray  # (n, |classes|) one-hot (zero rows for skeletons) or a (K, n, |classes|) stack
     E: np.ndarray  # (n, n, |edge classes|) one-hot, frozen
     R: np.ndarray  # (n, |features|)
     r_names: tuple[str, ...]
@@ -81,8 +81,10 @@ class ScoreGraph:
         return len(self.nodes)
 
     def with_x(self, X: np.ndarray) -> "ScoreGraph":
-        if X.shape != self.X.shape:
-            raise PhraseValidationError(f"X shape {X.shape} != {self.X.shape}")
+        """The same graph with node matrix X: one (n, C) matrix or a
+        (K, n, C) stack of candidates sharing these edges and rhythm."""
+        if X.ndim not in (2, 3) or X.shape[-2:] != self.X.shape[-2:]:
+            raise PhraseValidationError(f"X shape {X.shape} does not fit {self.X.shape[-2:]}")
         return replace(self, X=X, has_labels=True)
 
     def edge_class_matrix(self) -> np.ndarray:

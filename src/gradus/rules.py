@@ -604,6 +604,10 @@ class CatalogEntry:
     cadence: str
 
 
+# The one rejection reason that is not a hard-rule violation.
+NO_READING = "no harmonic reading"
+
+
 @dataclass(frozen=True)
 class RejectionResult:
     accepted: bool
@@ -627,7 +631,7 @@ def reject(
         return RejectionResult(False, None, reasons)
     readings = analyze_harmony(phrase, grammar, config)
     if not readings:
-        return RejectionResult(False, None, ("no harmonic reading",))
+        return RejectionResult(False, None, (NO_READING,))
     starts, ends = feasible_boundary_roots(phrase, grammar, config)
     best = readings[0]
     treble = final_treble_degree(phrase)

@@ -1,10 +1,13 @@
 """Reverse-diffusion inference with optional rule-guided candidate selection.
 
 Each reverse step samples nodes independently from the exact posterior
-mixture. Guidance draws K candidate steps, scores each candidate's
-one-step clean estimate against the hard counterpoint rules, and keeps
-the least-violating candidate; K=1 reduces to the unguided step, bit for
-bit, under a shared random stream.
+mixture. Guidance draws K candidate steps from that mixture, scores each
+candidate's one-step clean estimate against the hard counterpoint rules,
+and keeps the least-violating candidate; K=1 reduces to the unguided
+step, bit for bit, under a shared random stream. The K estimates come
+from one denoiser pass over the stacked candidates, and the winner's
+estimate is the next step's prediction, so a phrase costs T passes
+whatever K is.
 """
 
 from __future__ import annotations
@@ -57,14 +60,14 @@ def reverse_mixture(
     return kernels.reverse_mixture(p_hat, xt_idx, qb_prev, q_t, qb_t)
 
 
-def reverse_step(
+def _reverse_probs(
     Xt: np.ndarray,
     t: int,
     p_hat: np.ndarray,
     schedule: NoiseSchedule,
     m: np.ndarray,
-    rng: np.random.Generator,
 ) -> np.ndarray:
+    """Per-node distribution of x^{t-1}: the reverse mixture, normalized."""
     mix = reverse_mixture(Xt, t, p_hat, schedule, m)
     totals = mix.sum(axis=1)
     if np.any(totals <= 0.0):
@@ -73,11 +76,27 @@ def reverse_step(
             f"node {bad} has empty reverse support at t={t}; "
             "schedule and marginal are inconsistent"
         )
-    probs = mix / totals[:, None]
-    idx = kernels.categorical_sample(probs, rng.random(Xt.shape[0]))
-    out = np.zeros_like(Xt)
-    out[np.arange(Xt.shape[0]), idx] = 1.0
+    return mix / totals[:, None]
+
+
+def _draw_one_hot(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One categorical draw per row, as one-hot rows; uses rng.random(n)."""
+    n = probs.shape[0]
+    idx = kernels.categorical_sample(probs, rng.random(n))
+    out = np.zeros_like(probs)
+    out[np.arange(n), idx] = 1.0
     return out
+
+
+def reverse_step(
+    Xt: np.ndarray,
+    t: int,
+    p_hat: np.ndarray,
+    schedule: NoiseSchedule,
+    m: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    return _draw_one_hot(_reverse_probs(Xt, t, p_hat, schedule, m), rng)
 
 
 def scg_reverse_step(
@@ -88,23 +107,20 @@ def scg_reverse_step(
     m: np.ndarray,
     config: GuidanceConfig,
     rng: np.random.Generator,
-    score_candidate: Optional[Callable[[np.ndarray], float]] = None,
+    score_candidates: Optional[Callable[[np.ndarray], Sequence[float]]] = None,
 ) -> np.ndarray:
     """Best-of-K guided reverse step.
 
-    score_candidate receives a candidate X^{t-1} and returns its rule
-    loss; ties keep the first-drawn candidate so runs are reproducible.
+    The K candidates are drawn in turn from one reverse mixture, consuming
+    the stream exactly as K calls of ``reverse_step`` would.
+    score_candidates receives them as a (K, n, C) stack and returns K rule
+    losses; ties keep the first-drawn candidate so runs are reproducible.
     """
-    if config.K == 1 or score_candidate is None:
+    if config.K == 1 or score_candidates is None:
         return reverse_step(Xt, t, p_hat, schedule, m, rng)
-    best = None
-    best_loss = None
-    for _ in range(config.K):
-        cand = reverse_step(Xt, t, p_hat, schedule, m, rng)
-        cand_loss = float(score_candidate(cand))
-        if best_loss is None or cand_loss < best_loss:
-            best, best_loss = cand, cand_loss
-    return best
+    probs = _reverse_probs(Xt, t, p_hat, schedule, m)
+    cands = np.stack([_draw_one_hot(probs, rng) for _ in range(config.K)])
+    return cands[int(np.argmin(score_candidates(cands)))]
 
 
 def sample_noise_x(n: int, m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -136,19 +152,28 @@ def generate_phrase(
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     ctx = build_rule_context(skeleton, rule_config) if config.K > 1 else None
 
-    def score(candidate: np.ndarray, t_prev: int) -> float:
+    def score(cands: np.ndarray, t_prev: int) -> np.ndarray:
+        """Rule losses of the candidates' one-step clean estimates; keeps
+        the winner's prediction, which the next step needs anyway."""
+        nonlocal p_hat
         if t_prev >= 1:
-            out = denoiser.forward(graph.with_x(candidate), t_prev, params)
-            deg = np.argmax(out.p_hat, axis=1)
+            stack = denoiser.forward(graph.with_x(cands), t_prev, params).p_hat
+            deg = np.argmax(stack, axis=2)
         else:
-            deg = np.argmax(candidate, axis=1)
-        return float(ctx.score(deg.astype(np.int64)))
+            deg = np.argmax(cands, axis=2)
+        losses = np.array([float(ctx.score(d.astype(np.int64))) for d in deg])
+        if t_prev >= 1:
+            # np.argmin keeps the first minimum, as scg_reverse_step does.
+            p_hat = stack[int(np.argmin(losses))]
+        return losses
 
     X = sample_noise_x(graph.n, m, rng)
+    p_hat = denoiser.forward(graph.with_x(X), schedule.T, params).p_hat
     for t in range(schedule.T, 0, -1):
-        out = denoiser.forward(graph.with_x(X), t, params)
-        scorer = (lambda cand, tp=t - 1: score(cand, tp)) if ctx is not None else None
-        X = scg_reverse_step(X, t, out.p_hat, schedule, m, config, rng, scorer)
+        scorer = (lambda cands, tp=t - 1: score(cands, tp)) if ctx is not None else None
+        X = scg_reverse_step(X, t, p_hat, schedule, m, config, rng, scorer)
+        if ctx is None and t > 1:
+            p_hat = denoiser.forward(graph.with_x(X), t - 1, params).p_hat
     return rebuild_phrase(skeleton, degrees_from_x(X))
 
 

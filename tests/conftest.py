@@ -33,6 +33,16 @@ def make_phrase(events, key=("C", "major"), meter=(4, 4), voices=("treble", "bas
     )
 
 
+def counting(calls, key, fn):
+    """fn, wrapped to add one to calls[key] per call."""
+
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return load_corpus(CORPUS_DIR)

@@ -188,7 +188,7 @@ def test_criterion_07_scg_degeneracy(schedule):
             a = reverse_step(Xt, t, phat, schedule, m, np.random.default_rng(7000 + trial))
             b = scg_reverse_step(
                 Xt, t, phat, schedule, m, cfg, np.random.default_rng(7000 + trial),
-                score_candidate=lambda cand: 0.0,
+                score_candidates=lambda cands: [0.0] * len(cands),
             )
             assert np.array_equal(a, b)
 

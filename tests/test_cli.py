@@ -6,7 +6,7 @@ from gradus.cli import main
 from gradus.config import load_config
 from gradus.errors import PhraseValidationError
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, counting
 
 
 def write_config(tmp_path, **overrides):
@@ -180,3 +180,36 @@ def test_render_degree_only_score(tmp_path):
 
 def test_missing_config_file(tmp_path):
     assert main(["ingest", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+def test_generate_rejects_each_phrase_once(tmp_path, monkeypatch):
+    # One rejection per phrase; the violations are listed again only for
+    # phrases that broke a hard rule, since a phrase that was accepted or
+    # lacks a harmonic reading has none.
+    import gradus.cli
+    import gradus.library
+    import gradus.rules
+
+    path = write_config(tmp_path, B=6, K=2)
+    assert main(["train", "--config", str(path)]) == 0
+    calls = {"reject": 0, "all_violations": 0}
+    for module in (gradus.cli, gradus.library):
+        monkeypatch.setattr(module, "reject", counting(calls, "reject", gradus.rules.reject))
+    for module in (gradus.cli, gradus.rules):
+        monkeypatch.setattr(
+            module, "all_violations", counting(calls, "all_violations", gradus.rules.all_violations)
+        )
+    assert main(["generate", "--config", str(path)]) == 0
+
+    out = tmp_path / "out"
+    phrases = json.loads((out / "generation_report.json").read_text())["phrases"]
+    hard = {
+        name for name, r in phrases.items()
+        if not r["accepted"] and r["reasons"] != ["no harmonic reading"]
+    }
+    assert hard, "the seed should give a phrase that breaks a hard rule"
+    assert calls == {"reject": 6, "all_violations": 6 + len(hard)}
+    listed = [json.loads(line)["phrase"] for line in (out / "violations.jsonl").read_text().splitlines()]
+    assert {name: listed.count(name) for name in phrases} == {
+        name: len(r["reasons"]) if name in hard else 0 for name, r in phrases.items()
+    }

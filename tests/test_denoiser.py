@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradus.denoiser import (
     Checkpoint,
@@ -15,6 +16,7 @@ from gradus.denoiser import (
 )
 from gradus.errors import CheckpointError, PhraseValidationError
 from gradus.graph import build_graph
+from gradus.phrase import strip_to_skeleton
 
 from conftest import make_phrase
 
@@ -85,6 +87,31 @@ def test_permutation_equivariance(four_node_graph):
     )
     permuted = den.forward(gp, 5, params).p_hat
     assert np.max(np.abs(permuted - base[perm])) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source=st.integers(min_value=0),
+    K=st.sampled_from([1, 2, 8]),
+    t=st.integers(min_value=0, max_value=100),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_forward_stack_equals_per_graph_forwards(corpus, source, K, t, seed):
+    # A (K, n, C) stack of candidates on one skeleton gives, bit for bit,
+    # the K outputs of forward passes on each candidate alone.
+    graph = build_graph(strip_to_skeleton(corpus[source % len(corpus)]))
+    den = Denoiser(DenoiserHyperparams.toy())
+    rng = np.random.default_rng(seed)
+    params = den.init_params(rng, graph.R.shape[1])
+    stack = np.zeros((K,) + graph.X.shape)
+    classes = rng.integers(0, graph.X.shape[1], size=(K, graph.n))
+    stack[np.arange(K)[:, None], np.arange(graph.n), classes] = 1.0
+    out = den.forward(graph.with_x(stack), t, params)
+    assert out.p_hat.shape == out.logits.shape == stack.shape
+    for k in range(K):
+        alone = den.forward(graph.with_x(stack[k]), t, params)
+        assert np.array_equal(out.p_hat[k], alone.p_hat)
+        assert np.array_equal(out.logits[k], alone.logits)
 
 
 def test_time_embedding_changes_output(four_node_graph):

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 
+from gradus import sampler
+from gradus.denoiser import Denoiser
 from gradus.errors import PhraseValidationError
+from gradus.graph import build_graph, degrees_from_x, rebuild_phrase
 from gradus.phrase import sample_rhythm, strip_to_skeleton
+from gradus.rules import build_rule_context
 from gradus.sampler import (
     GuidanceConfig,
     generate_library,
@@ -14,6 +18,9 @@ from gradus.sampler import (
     scg_reverse_step,
 )
 from gradus.schedule import NoiseSchedule, posterior
+
+from conftest import counting
+
 
 def _one_hot(indices, k):
     X = np.zeros((len(indices), k))
@@ -90,29 +97,40 @@ def test_scg_k1_bitwise_identical(schedule):
         a = reverse_step(Xt, t, phat, schedule, m, np.random.default_rng(1000 + trial))
         b = scg_reverse_step(
             Xt, t, phat, schedule, m, cfg, np.random.default_rng(1000 + trial),
-            score_candidate=lambda cand: 0.0,
+            score_candidates=lambda cands: [0.0] * len(cands),
         )
         assert np.array_equal(a, b)
 
 
 def test_scg_argmin_contract(schedule):
     # A rule forbidding any class but 0 on node 0: the kept candidate can
-    # never violate more than the rejected ones.
+    # never violate more than the rejected ones. The scored stack is the K
+    # draws that K sequential reverse steps make from the same stream.
     m = np.full(3, 1 / 3)
-    phat = np.full((2, 3), 1 / 3)
-    Xt = _one_hot([1, 2], 3)
-    cfg = GuidanceConfig(K=2, seed=0)
+    phat = np.full((6, 3), 1 / 3)
+    Xt = _one_hot([1, 2, 0, 1, 2, 0], 3)
 
     def forbid(cand):
         return float(np.argmax(cand[0]) != 0)
 
-    rng = np.random.default_rng(5)
-    kept = scg_reverse_step(Xt, 40, phat, schedule, m, cfg, rng, forbid)
-    rng2 = np.random.default_rng(5)
-    cands = [reverse_step(Xt, 40, phat, schedule, m, rng2) for _ in range(2)]
-    losses = [forbid(c) for c in cands]
-    assert forbid(kept) == min(losses)
-    assert any(np.array_equal(kept, c) for c in cands)
+    for K in (2, 8):
+        cfg = GuidanceConfig(K=K, seed=0)
+        scored = []
+
+        def score(cands):
+            scored.append(cands.copy())
+            return [forbid(c) for c in cands]
+
+        rng = np.random.default_rng(5)
+        kept = scg_reverse_step(Xt, 40, phat, schedule, m, cfg, rng, score)
+        rng2 = np.random.default_rng(5)
+        cands = [reverse_step(Xt, 40, phat, schedule, m, rng2) for _ in range(K)]
+        losses = [forbid(c) for c in cands]
+        assert len(scored) == 1
+        assert np.array_equal(scored[0], np.stack(cands))
+        assert rng.random() == rng2.random()
+        assert forbid(kept) == min(losses)
+        assert np.array_equal(kept, cands[losses.index(min(losses))])
 
 
 def test_scg_reduces_expected_rule_loss(schedule):
@@ -131,7 +149,10 @@ def test_scg_reduces_expected_rule_loss(schedule):
         total = 0.0
         for trial in range(500):
             rng = np.random.default_rng(trial)
-            total += loss(scg_reverse_step(Xt, 30, phat, schedule, m, cfg, rng, loss))
+            kept = scg_reverse_step(
+                Xt, 30, phat, schedule, m, cfg, rng, lambda cands: [loss(c) for c in cands]
+            )
+            total += loss(kept)
         totals[K] = total / 500
     assert totals[8] <= totals[1]
 
@@ -206,3 +227,58 @@ def test_generate_library_order_independent(corpus, schedule, corpus_marginal, t
         skel, den, result.params, schedule, corpus_marginal, cfg, rng=rng
     )
     assert alone == lib[2]
+
+
+def _per_candidate_guided_phrase(skeleton, den, params, schedule, m, config, rng):
+    """Reference guided sampler: a forward pass per step, then K draws
+    from K reverse steps, each scored by a forward pass of its own; the
+    first least-violating candidate wins."""
+    graph = build_graph(skeleton)
+    ctx = build_rule_context(skeleton)
+
+    def score(cand, t_prev):
+        if t_prev >= 1:
+            deg = np.argmax(den.forward(graph.with_x(cand), t_prev, params).p_hat, axis=1)
+        else:
+            deg = np.argmax(cand, axis=1)
+        return float(ctx.score(deg.astype(np.int64)))
+
+    X = sample_noise_x(graph.n, m, rng)
+    for t in range(schedule.T, 0, -1):
+        p_hat = den.forward(graph.with_x(X), t, params).p_hat
+        best, best_loss = None, None
+        for _ in range(config.K):
+            cand = reverse_step(X, t, p_hat, schedule, m, rng)
+            cand_loss = score(cand, t - 1)
+            if best_loss is None or cand_loss < best_loss:
+                best, best_loss = cand, cand_loss
+        X = best
+    return rebuild_phrase(skeleton, degrees_from_x(X))
+
+
+@pytest.mark.parametrize("K", [2, 8])
+@pytest.mark.parametrize("source,seed", [(1, 3), (8, 11), (15, 29)])
+def test_generate_phrase_matches_per_candidate_oracle(
+    corpus, schedule, corpus_marginal, toy_model, K, source, seed
+):
+    den, result = toy_model
+    skel = strip_to_skeleton(corpus[source])
+    cfg = GuidanceConfig(K=K, seed=seed)
+    want = _per_candidate_guided_phrase(
+        skel, den, result.params, schedule, corpus_marginal, cfg, np.random.default_rng(seed)
+    )
+    got = generate_phrase(skel, den, result.params, schedule, corpus_marginal, cfg)
+    assert got == want
+
+
+@pytest.mark.parametrize("K", [1, 8])
+def test_generate_phrase_costs_t_passes(corpus, schedule, corpus_marginal, toy_model, monkeypatch, K):
+    # One denoiser pass and one reverse mixture per step, whatever K is;
+    # the per-candidate reference makes (K+1)T-K passes and KT mixtures.
+    den, result = toy_model
+    calls = {"forward": 0, "mixture": 0}
+    monkeypatch.setattr(Denoiser, "forward", counting(calls, "forward", Denoiser.forward))
+    monkeypatch.setattr(sampler, "reverse_mixture", counting(calls, "mixture", sampler.reverse_mixture))
+    skel = strip_to_skeleton(corpus[2])
+    generate_phrase(skel, den, result.params, schedule, corpus_marginal, GuidanceConfig(K=K, seed=4))
+    assert calls == {"forward": schedule.T, "mixture": schedule.T}
