@@ -1,82 +1,40 @@
-"""Hot inner-loop kernels with two interchangeable implementations.
+"""Hot inner-loop kernels, vectorized in numpy.
 
-Each kernel exists as a numba @njit loop version and a vectorized
-pure-numpy version. The environment variable ``GRADUS_NUMBA`` selects the
-path at import time: unset or "1" uses numba when it is importable, "0"
-forces the numpy fallback. numba is optional; without it every flag value
-resolves to the numpy path. Both paths implement identical arithmetic;
-``benchmarks/bench_kernels.py`` compares their throughput.
-
-These functions are called once per node per diffusion step, and the
-violation counter runs K times per step inside guided sampling, so they
-dominate end-to-end generation time.
+The categorical draw and the reverse mixture run once per node per
+diffusion step. ``violation_masks`` is the one statement of the hard
+counterpoint rules: guidance scores each of its K candidates per step with
+``count_violations``, the sum of the masks, and ``rules.all_violations``
+turns the same masks into located reports.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-_flag = os.environ.get("GRADUS_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _flag not in ("0", "false", "off", "no")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is optional; this no-op njit keeps the module importable
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        return deco if not (args and callable(args[0])) else args[0]
-
-
-USE_NUMBA = _WANT_NUMBA and _HAVE_NUMBA
+# There is no compiled path. perfbench/run.py records this flag in the
+# machine block of every benchmark result, so it stays, always False.
+USE_NUMBA = False
 
 
 # ----------------------------------------------------------------------
 # categorical sampling: one draw per row of a row-stochastic matrix
 # ----------------------------------------------------------------------
 
-def categorical_sample_numpy(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+def categorical_sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per row; u is one uniform (0,1) number per row."""
     cum = np.cumsum(probs, axis=1)
     idx = (u[:, None] >= cum).sum(axis=1)
     return np.minimum(idx, probs.shape[1] - 1).astype(np.int64)
 
 
-@njit(cache=True)
-def _categorical_sample_loop(probs, u):  # pragma: no cover - exercised via wrapper
-    n, k = probs.shape
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        acc = 0.0
-        chosen = k - 1
-        for j in range(k):
-            acc += probs[i, j]
-            if u[i] < acc:
-                chosen = j
-                break
-        out[i] = chosen
-    return out
-
-
-def categorical_sample_numba(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return _categorical_sample_loop(
-        np.ascontiguousarray(probs, dtype=np.float64),
-        np.ascontiguousarray(u, dtype=np.float64),
-    )
-
-
 # ----------------------------------------------------------------------
 # reverse-diffusion mixture: sum_c phat[i,c] * q(x^{t-1} | x0=c, x^t=z_i)
 # ----------------------------------------------------------------------
 
-def reverse_mixture_numpy(
+def reverse_mixture(
     phat: np.ndarray,
     xt: np.ndarray,
     qbar_prev: np.ndarray,
@@ -92,36 +50,8 @@ def reverse_mixture_numpy(
     return (w @ qbar_prev) * q_t[:, xt].T
 
 
-@njit(cache=True)
-def _reverse_mixture_loop(phat, xt, qbar_prev, q_t, qbar_t):  # pragma: no cover
-    n, k = phat.shape
-    out = np.zeros((n, k))
-    for i in range(n):
-        z = xt[i]
-        for c in range(k):
-            d = qbar_t[c, z]
-            if d <= 0.0:
-                continue
-            w = phat[i, c] / d
-            for j in range(k):
-                out[i, j] += w * qbar_prev[c, j]
-        for j in range(k):
-            out[i, j] *= q_t[j, z]
-    return out
-
-
-def reverse_mixture_numba(phat, xt, qbar_prev, q_t, qbar_t):
-    return _reverse_mixture_loop(
-        np.ascontiguousarray(phat, dtype=np.float64),
-        np.ascontiguousarray(xt, dtype=np.int64),
-        np.ascontiguousarray(qbar_prev, dtype=np.float64),
-        np.ascontiguousarray(q_t, dtype=np.float64),
-        np.ascontiguousarray(qbar_t, dtype=np.float64),
-    )
-
-
 # ----------------------------------------------------------------------
-# hard-rule violation counter over a precomputed rhythm-grid context
+# hard-rule evaluator over a precomputed rhythm-grid context
 # ----------------------------------------------------------------------
 #
 # Inputs describe a fixed skeleton: a time grid of all attack onsets plus
@@ -132,7 +62,31 @@ def reverse_mixture_numba(phat, xt, qbar_prev, q_t, qbar_t):
 # with `chain_offsets` delimiting voices. This lets a candidate degree
 # assignment be scored with pure integer arithmetic.
 
-def count_violations_numpy(
+_EMPTY = np.zeros(0, dtype=bool)
+_EMPTY.setflags(write=False)  # shared by every switched-off rule's mask
+
+
+@lru_cache(maxsize=None)
+def voice_pairs(v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper and lower voice of each pair a < b, in row-major order."""
+    return np.triu_indices(v, 1)
+
+
+class ViolationMasks(NamedTuple):
+    """Per-rule hits of one degree assignment; a rule switched off is empty.
+
+    Voice pairs (a, b), a < b, are rows in ``voice_pairs`` order; the bass
+    is the last voice.
+    """
+
+    fifths: np.ndarray  # (pairs, m-1): parallel fifths moving into grid moment s+1
+    octaves: np.ndarray  # (pairs, m-1): parallel octaves, likewise
+    seconds: np.ndarray  # (m, v-1): upper voice a second above the bass on a strong moment
+    fourths: np.ndarray  # (m, v-1): likewise a fourth
+    repetition: np.ndarray  # (len(chains),): start of a run reaching the threshold
+
+
+def violation_masks(
     degrees: np.ndarray,
     sounding: np.ndarray,
     attacked: np.ndarray,
@@ -145,153 +99,53 @@ def count_violations_numpy(
     check_parallels: int = 1,
     check_dissonance: int = 1,
     check_repetition: int = 1,
-) -> int:
-    m, v = sounding.shape
-    count = 0
-    deg = np.where(sounding >= 0, degrees[sounding], -1)
-    pl = np.where(deg >= 0, letters[np.maximum(deg, 0)], -1)
-    ps = np.where(deg >= 0, semis[np.maximum(deg, 0)], -1)
+) -> ViolationMasks:
+    """Parallel perfect fifths/octaves where both voices attack a changed
+    degree, seconds/fourths against the bass on strong moments (upper-voice
+    pairs are exempt), and maximal runs of one pitched degree per voice."""
+    v = sounding.shape[1]
+    # Per grid moment and voice; the -1 appended to each per-node table is
+    # what a silent voice (sounding == -1) reads.
+    deg = np.append(degrees, -1)[sounding]
+    pl = np.append(letters[degrees], -1)[sounding]
+    ps = np.append(semis[degrees], -1)[sounding]
+    pitched = pl >= 0
 
-    if m >= 2 and check_parallels:
-        for a in range(v - 1):
-            for b in range(a + 1, v):
-                ok = (pl[:, a] >= 0) & (pl[:, b] >= 0)
-                both = ok[1:] & ok[:-1]
-                ell = (pl[:, a] - pl[:, b]) % 7
-                ess = (ps[:, a] - ps[:, b]) % 12
-                p5 = (ell == 4) & (ess == 7)
-                p8 = (ell == 0) & (ess == 0)
-                moved_a = (attacked[1:, a] != 0) & (deg[1:, a] != deg[:-1, a])
-                moved_b = (attacked[1:, b] != 0) & (deg[1:, b] != deg[:-1, b])
-                par = both & ((p5[1:] & p5[:-1]) | (p8[1:] & p8[:-1]))
-                count += int(np.sum(par & moved_a & moved_b))
+    fifths = octaves = seconds = fourths = repetition = _EMPTY
+    if check_parallels:
+        a, b = voice_pairs(v)
+        ell = (pl[:, a] - pl[:, b]) % 7
+        ess = (ps[:, a] - ps[:, b]) % 12
+        ok = pitched[:, a] & pitched[:, b]
+        p5 = ok & (ell == 4) & (ess == 7)
+        p8 = ok & (ell == 0) & (ess == 0)
+        moved = (attacked[1:] != 0) & (deg[1:] != deg[:-1])
+        both_moved = moved[:, a] & moved[:, b]
+        fifths = (p5[1:] & p5[:-1] & both_moved).T
+        octaves = (p8[1:] & p8[:-1] & both_moved).T
 
-    bass = v - 1
-    if v >= 2 and check_dissonance:
-        okb = (strong != 0) & (pl[:, bass] >= 0)
-        for up in range(v - 1):
-            ell = (pl[:, up] - pl[:, bass]) % 7
-            ess = (ps[:, up] - ps[:, bass]) % 12
-            dis = ((ell == 1) & ((ess == 1) | (ess == 2))) | (
-                (ell == 3) & ((ess == 5) | (ess == 6))
-            )
-            count += int(np.sum(okb & (pl[:, up] >= 0) & dis))
+    if check_dissonance and v >= 2:
+        ell = (pl[:, :-1] - pl[:, -1:]) % 7
+        ess = (ps[:, :-1] - ps[:, -1:]) % 12
+        ok = (strong != 0)[:, None] & pitched[:, :-1] & pitched[:, -1:]
+        seconds = ok & (ell == 1) & ((ess == 1) | (ess == 2))
+        fourths = ok & (ell == 3) & ((ess == 5) | (ess == 6))
 
-    if not check_repetition:
-        return count
-    for voice in range(len(chain_offsets) - 1):
-        seq = degrees[chains[chain_offsets[voice] : chain_offsets[voice + 1]]]
-        if len(seq) == 0:
-            continue
-        boundaries = np.flatnonzero(np.diff(seq) != 0)
-        starts = np.concatenate(([0], boundaries + 1))
-        ends = np.concatenate((boundaries, [len(seq) - 1]))
-        lengths = ends - starts + 1
-        pitched = letters[seq[starts]] >= 0
-        count += int(np.sum((lengths >= rep_threshold) & pitched))
-    return count
+    if check_repetition:
+        seq = degrees[chains]
+        n = len(seq)
+        starts_run = np.ones(n, dtype=bool)
+        starts_run[1:] = seq[1:] != seq[:-1]
+        voice_starts = chain_offsets[:-1]
+        starts_run[voice_starts[voice_starts < n]] = True
+        starts = np.flatnonzero(starts_run)
+        lengths = np.append(starts[1:], n) - starts
+        repetition = np.zeros(n, dtype=bool)
+        repetition[starts[(lengths >= rep_threshold) & (letters[seq[starts]] >= 0)]] = True
 
-
-@njit(cache=True)
-def _count_violations_loop(
-    degrees, sounding, attacked, strong, letters, semis, chains, chain_offsets,
-    rep_threshold, check_parallels, check_dissonance, check_repetition,
-):  # pragma: no cover - exercised via wrapper
-    m, v = sounding.shape
-    count = 0
-
-    for a in range(0 if check_parallels else v, v - 1):
-        for b in range(a + 1, v):
-            for t in range(1, m):
-                na1, na2 = sounding[t - 1, a], sounding[t, a]
-                nb1, nb2 = sounding[t - 1, b], sounding[t, b]
-                if na1 < 0 or na2 < 0 or nb1 < 0 or nb2 < 0:
-                    continue
-                da1, da2 = degrees[na1], degrees[na2]
-                db1, db2 = degrees[nb1], degrees[nb2]
-                if letters[da1] < 0 or letters[da2] < 0 or letters[db1] < 0 or letters[db2] < 0:
-                    continue
-                if not (attacked[t, a] != 0 and da2 != da1):
-                    continue
-                if not (attacked[t, b] != 0 and db2 != db1):
-                    continue
-                l1 = (letters[da1] - letters[db1]) % 7
-                s1 = (semis[da1] - semis[db1]) % 12
-                l2 = (letters[da2] - letters[db2]) % 7
-                s2 = (semis[da2] - semis[db2]) % 12
-                fifth = l1 == 4 and s1 == 7 and l2 == 4 and s2 == 7
-                octave = l1 == 0 and s1 == 0 and l2 == 0 and s2 == 0
-                if fifth or octave:
-                    count += 1
-
-    bass = v - 1
-    if v >= 2 and check_dissonance:
-        for t in range(m):
-            if strong[t] == 0:
-                continue
-            nb = sounding[t, bass]
-            if nb < 0 or letters[degrees[nb]] < 0:
-                continue
-            db = degrees[nb]
-            for up in range(v - 1):
-                nu = sounding[t, up]
-                if nu < 0 or letters[degrees[nu]] < 0:
-                    continue
-                du = degrees[nu]
-                ell = (letters[du] - letters[db]) % 7
-                ess = (semis[du] - semis[db]) % 12
-                if (ell == 1 and (ess == 1 or ess == 2)) or (
-                    ell == 3 and (ess == 5 or ess == 6)
-                ):
-                    count += 1
-
-    if not check_repetition:
-        return count
-    for voice in range(len(chain_offsets) - 1):
-        lo, hi = chain_offsets[voice], chain_offsets[voice + 1]
-        run = 0
-        prev = -2
-        for k in range(lo, hi):
-            d = degrees[chains[k]]
-            if d == prev:
-                run += 1
-            else:
-                if run >= rep_threshold and letters[prev] >= 0:
-                    count += 1
-                run = 1
-                prev = d
-        if run >= rep_threshold and letters[prev] >= 0:
-            count += 1
-    return count
+    return ViolationMasks(fifths, octaves, seconds, fourths, repetition)
 
 
-def count_violations_numba(
-    degrees, sounding, attacked, strong, letters, semis, chains, chain_offsets,
-    rep_threshold, check_parallels=1, check_dissonance=1, check_repetition=1,
-):
-    return int(
-        _count_violations_loop(
-            np.ascontiguousarray(degrees, dtype=np.int64),
-            np.ascontiguousarray(sounding, dtype=np.int64),
-            np.ascontiguousarray(attacked, dtype=np.int64),
-            np.ascontiguousarray(strong, dtype=np.int64),
-            np.ascontiguousarray(letters, dtype=np.int64),
-            np.ascontiguousarray(semis, dtype=np.int64),
-            np.ascontiguousarray(chains, dtype=np.int64),
-            np.ascontiguousarray(chain_offsets, dtype=np.int64),
-            int(rep_threshold),
-            int(check_parallels),
-            int(check_dissonance),
-            int(check_repetition),
-        )
-    )
-
-
-if USE_NUMBA:
-    categorical_sample = categorical_sample_numba
-    reverse_mixture = reverse_mixture_numba
-    count_violations = count_violations_numba
-else:
-    categorical_sample = categorical_sample_numpy
-    reverse_mixture = reverse_mixture_numpy
-    count_violations = count_violations_numpy
+def count_violations(*args, **kwargs) -> int:
+    """Total hard-rule violations: the hits of ``violation_masks``."""
+    return int(sum(map(np.count_nonzero, violation_masks(*args, **kwargs))))

@@ -1,9 +1,10 @@
 """Counterpoint and harmony engine.
 
-Two layers share one set of semantics: readable reference checkers that
-emit located Violation records (used for rejection reports), and a flat
-array context scored by the kernels module (used inside guided sampling,
-where the same skeleton is scored thousands of times).
+The hard rules have one evaluator, ``kernels.violation_masks``, run over a
+flat array context built once per rhythm skeleton. Guided sampling counts
+a candidate's violations with ``RuleContext.score``, thousands of times per
+skeleton; ``all_violations`` turns the same masks into located Violation
+records for rejection reports.
 
 Interval classes are computed from scale degrees modulo octave, so the
 checks apply equally to degree-encoded and realized phrases.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -22,10 +23,7 @@ from . import kernels
 from .errors import PhraseValidationError
 from .graph import GraphNode, merge_tied
 from .phrase import Phrase, metric_strength
-from .pitch import DEGREE_INDEX, DEGREE_LETTER, DEGREE_SEMIS, Degree, parse_degree
-
-PERFECT_FIFTH = (4, 7)  # (letter class, semitone class) above the lower voice
-PERFECT_OCTAVE = (0, 0)
+from .pitch import DEGREE_INDEX, DEGREE_LETTER, DEGREE_SEMIS, REST_INDEX, Degree, parse_degree
 
 
 @dataclass(frozen=True)
@@ -56,13 +54,6 @@ class RuleConfig:
             raise PhraseValidationError("strong beat cutoff must lie in (0.125, 1]")
 
 
-def _interval_class(upper: Degree, lower: Degree) -> tuple[int, int]:
-    return (
-        (upper.letter_offset - lower.letter_offset) % 7,
-        (upper.semis - lower.semis) % 12,
-    )
-
-
 def _time_grid(phrase: Phrase, cutoff: float):
     """All attack onsets plus every strong beat inside the span, with the
     sounding node and attack flag per voice at each grid time."""
@@ -85,143 +76,8 @@ def _time_grid(phrase: Phrase, cutoff: float):
     return grid, nodes, sounding, attacked
 
 
-def _node_degree(nodes: Sequence[GraphNode], idx: int) -> Optional[Degree]:
-    if idx < 0:
-        return None
-    d = nodes[idx].degree
-    if d is None or d.is_rest:
-        return None
-    return d
-
-
-def find_parallels(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[Violation]:
-    """Parallel perfect fifths/octaves between any voice pair.
-
-    Flagged when both voices attack a changed degree and the interval
-    class is perfect at both of two consecutive grid moments. Oblique
-    motion and re-struck unisons are exempt.
-    """
-    grid, nodes, sounding, attacked = _time_grid(phrase, config.strong_beat_cutoff)
-    out: list[Violation] = []
-    n_voices = len(phrase.voices)
-    for a in range(n_voices - 1):
-        for b in range(a + 1, n_voices):
-            for ti in range(1, len(grid)):
-                quad = (
-                    _node_degree(nodes, sounding[ti - 1][a]),
-                    _node_degree(nodes, sounding[ti][a]),
-                    _node_degree(nodes, sounding[ti - 1][b]),
-                    _node_degree(nodes, sounding[ti][b]),
-                )
-                if any(d is None for d in quad):
-                    continue
-                da1, da2, db1, db2 = quad
-                if not (attacked[ti][a] and da2 != da1):
-                    continue
-                if not (attacked[ti][b] and db2 != db1):
-                    continue
-                ic1 = _interval_class(da1, db1)
-                ic2 = _interval_class(da2, db2)
-                for ic, rule in ((PERFECT_FIFTH, "parallel-fifths"), (PERFECT_OCTAVE, "parallel-octaves")):
-                    if ic1 == ic and ic2 == ic:
-                        out.append(
-                            Violation(
-                                rule=rule,
-                                onset=grid[ti],
-                                voices=(a, b),
-                                description=(
-                                    f"{phrase.voices[a]}/{phrase.voices[b]} move "
-                                    f"{da1}-{da2} over {db1}-{db2}"
-                                ),
-                            )
-                        )
-    return out
-
-
-def dissonance_check(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[Violation]:
-    """Seconds or fourths against the bass on strong beats.
-
-    Fourths between upper voices are consonant here; the bass is the
-    lowest (last) voice.
-    """
-    grid, nodes, sounding, attacked = _time_grid(phrase, config.strong_beat_cutoff)
-    out: list[Violation] = []
-    bass = len(phrase.voices) - 1
-    if bass == 0:
-        return out
-    for ti, tau in enumerate(grid):
-        if metric_strength(tau, phrase.meter) < config.strong_beat_cutoff:
-            continue
-        db = _node_degree(nodes, sounding[ti][bass])
-        if db is None:
-            continue
-        for up in range(bass):
-            du = _node_degree(nodes, sounding[ti][up])
-            if du is None:
-                continue
-            ell, ess = _interval_class(du, db)
-            if ell == 1 and ess in (1, 2):
-                rule = "strong-beat-second"
-            elif ell == 3 and ess in (5, 6):
-                rule = "strong-beat-fourth"
-            else:
-                continue
-            out.append(
-                Violation(
-                    rule=rule,
-                    onset=tau,
-                    voices=(up, bass),
-                    description=f"{du} over bass {db} on strength "
-                    f"{metric_strength(tau, phrase.meter):.3g}",
-                )
-            )
-    return out
-
-
-def repetition_flags(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[Violation]:
-    """Maximal runs of one repeated degree reaching the threshold."""
-    out: list[Violation] = []
-    nodes = merge_tied(phrase)
-    for v in range(len(phrase.voices)):
-        chain = [nd for nd in nodes if nd.voice == v]
-        i = 0
-        while i < len(chain):
-            j = i
-            while j + 1 < len(chain) and chain[j + 1].degree == chain[i].degree:
-                j += 1
-            run = j - i + 1
-            d = chain[i].degree
-            if run >= config.repetition_threshold and d is not None and not d.is_rest:
-                out.append(
-                    Violation(
-                        rule="repetition",
-                        onset=chain[i].onset,
-                        voices=(v,),
-                        description=f"{run}x repeated {d} in {phrase.voices[v]}",
-                    )
-                )
-            i = j + 1
-    return out
-
-
-def all_violations(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[Violation]:
-    out: list[Violation] = []
-    if config.parallels:
-        out.extend(find_parallels(phrase, config))
-    if config.dissonance:
-        out.extend(dissonance_check(phrase, config))
-    if config.repetition:
-        out.extend(repetition_flags(phrase, config))
-    return out
-
-
-def rule_loss(phrase: Phrase, config: RuleConfig = RuleConfig()) -> int:
-    """Hard violation count; zero iff the phrase is clean."""
-    return len(all_violations(phrase, config))
-
-
 # ----------------------------------------------------------------------
-# Array context mirroring the reference checkers for kernel scoring
+# Array context for the hard-rule evaluator (kernels.violation_masks)
 # ----------------------------------------------------------------------
 
 _LETTER_TABLE = np.array(DEGREE_LETTER, dtype=np.int64)
@@ -230,8 +86,9 @@ _SEMIS_TABLE = np.array(DEGREE_SEMIS, dtype=np.int64)
 
 @dataclass(frozen=True)
 class RuleContext:
-    """Skeleton-derived arrays; score() evaluates a per-node degree
-    assignment with the exact semantics of all_violations()."""
+    """Skeleton-derived arrays for the hard-rule evaluator, plus the grid
+    times and graph nodes that locate its hits. score() counts the
+    violations of a per-node degree assignment."""
 
     sounding: np.ndarray
     attacked: np.ndarray
@@ -239,10 +96,15 @@ class RuleContext:
     chains: np.ndarray
     chain_offsets: np.ndarray
     config: RuleConfig
-    n_nodes: int
+    grid: tuple[Fraction, ...]
+    nodes: tuple[GraphNode, ...]
 
-    def score(self, degree_indices: np.ndarray) -> int:
-        return kernels.count_violations(
+    @property
+    def n_nodes(self) -> int:
+        return len(self.nodes)
+
+    def _kernel_args(self, degree_indices: np.ndarray) -> tuple:
+        return (
             np.asarray(degree_indices, dtype=np.int64),
             self.sounding,
             self.attacked,
@@ -256,6 +118,9 @@ class RuleContext:
             1 if self.config.dissonance else 0,
             1 if self.config.repetition else 0,
         )
+
+    def score(self, degree_indices: np.ndarray) -> int:
+        return kernels.count_violations(*self._kernel_args(degree_indices))
 
 
 def build_rule_context(skeleton: Phrase, config: RuleConfig = RuleConfig()) -> RuleContext:
@@ -276,7 +141,8 @@ def build_rule_context(skeleton: Phrase, config: RuleConfig = RuleConfig()) -> R
         chains=np.array(chains, dtype=np.int64),
         chain_offsets=np.array(offsets, dtype=np.int64),
         config=config,
-        n_nodes=len(nodes),
+        grid=tuple(grid),
+        nodes=tuple(nodes),
     )
 
 
@@ -288,6 +154,67 @@ def degree_indices(phrase: Phrase) -> np.ndarray:
             raise PhraseValidationError("phrase has placeholder events")
         idx.append(DEGREE_INDEX[nd.degree])
     return np.array(idx, dtype=np.int64)
+
+
+def all_violations(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[Violation]:
+    """Located hard-rule violations: parallels by voice pair, then time;
+    strong-beat dissonances by time, then upper voice; repetitions by voice,
+    then run. Placeholder degrees count as rests."""
+    ctx = build_rule_context(phrase, config)
+    nodes, voices = ctx.nodes, phrase.voices
+    deg = [REST_INDEX if nd.degree is None else DEGREE_INDEX[nd.degree] for nd in nodes]
+    masks = kernels.violation_masks(*ctx._kernel_args(deg))
+
+    def degree_at(ti, voice) -> Degree:
+        return nodes[ctx.sounding[ti, voice]].degree
+
+    out: list[Violation] = []
+    upper, lower = kernels.voice_pairs(len(voices))
+    for pair, step in zip(*np.nonzero(masks.fifths | masks.octaves)):
+        a, b, ti = int(upper[pair]), int(lower[pair]), int(step) + 1
+        out.append(
+            Violation(
+                rule="parallel-fifths" if masks.fifths[pair, step] else "parallel-octaves",
+                onset=ctx.grid[ti],
+                voices=(a, b),
+                description=(
+                    f"{voices[a]}/{voices[b]} move {degree_at(ti - 1, a)}-{degree_at(ti, a)} "
+                    f"over {degree_at(ti - 1, b)}-{degree_at(ti, b)}"
+                ),
+            )
+        )
+    bass = len(voices) - 1
+    for ti, up in zip(*np.nonzero(masks.seconds | masks.fourths)):
+        tau = ctx.grid[ti]
+        out.append(
+            Violation(
+                rule="strong-beat-second" if masks.seconds[ti, up] else "strong-beat-fourth",
+                onset=tau,
+                voices=(int(up), bass),
+                description=f"{degree_at(ti, up)} over bass {degree_at(ti, bass)} on strength "
+                f"{metric_strength(tau, phrase.meter):.3g}",
+            )
+        )
+    for k in np.flatnonzero(masks.repetition):
+        head = nodes[ctx.chains[k]]
+        end = ctx.chain_offsets[head.voice + 1]
+        run = 1
+        while k + run < end and deg[ctx.chains[k + run]] == deg[ctx.chains[k]]:
+            run += 1
+        out.append(
+            Violation(
+                rule="repetition",
+                onset=head.onset,
+                voices=(head.voice,),
+                description=f"{run}x repeated {head.degree} in {voices[head.voice]}",
+            )
+        )
+    return out
+
+
+def rule_loss(phrase: Phrase, config: RuleConfig = RuleConfig()) -> int:
+    """Hard violation count; zero iff the phrase is clean."""
+    return len(all_violations(phrase, config))
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +251,6 @@ class RomanNumeral:
     quality: str  # "major" | "minor" | "diminished"
     inversion: str = "root"  # "root" | "6" | "64"
     seventh: bool = False
-    applied_of: Optional[int] = None  # reserved; always None in v1
 
     def __str__(self) -> str:
         name = _ROMAN[self.root]

@@ -32,13 +32,10 @@ class GuidanceConfig:
 
     K: int = 8
     seed: int = 0
-    rule_mode: str = "hard"
 
     def __post_init__(self):
         if self.K < 1:
             raise PhraseValidationError("guidance needs K >= 1")
-        if self.rule_mode != "hard":
-            raise PhraseValidationError(f"unknown rule weight mode {self.rule_mode!r}")
 
 
 def reverse_mixture(

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from gradus import kernels
 from gradus.denoiser import Denoiser, DenoiserHyperparams, train
 from gradus.errors import FusionInfeasibleError
 from gradus.fusion import default_profiles, default_templates, fuse
@@ -40,21 +39,6 @@ def criterion(number: int, name: str, budget_s: float):
     elapsed = time.perf_counter() - start
     print(f"[acceptance] {number:02d} {name:<28s} PASS  {elapsed:8.3f}s (budget {budget_s:g}s)")
     assert elapsed < budget_s, f"criterion {number} exceeded its {budget_s}s budget"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # Exclude one-off jit compilation from the runtime budgets.
-    probs = np.full((2, 3), 1 / 3)
-    kernels.categorical_sample(probs, np.array([0.1, 0.9]))
-    eye = np.eye(3)
-    kernels.reverse_mixture(probs, np.array([0, 1]), eye, eye, eye)
-    kernels.count_violations(
-        np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.int64),
-        np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64),
-        np.array([0]), np.array([0]), np.zeros(1, dtype=np.int64),
-        np.array([0, 1], dtype=np.int64), 4,
-    )
 
 
 def test_criterion_01_schedule_endpoints():

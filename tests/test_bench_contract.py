@@ -73,3 +73,8 @@ def test_traced_guided_phrase_reads_graph_and_nests_scoring(corpus, corpus_margi
     metrics = tracer.per_layer_metrics(rec.spans, 1.0, 1.0, shape, [], 18)
     assert metrics["sampler.guidance.steps"] == T
     assert metrics["sampler.guidance.candidates"] == K * T
+
+
+def test_kernels_keep_the_flag_the_machine_block_reads():
+    # perfbench/run.py's machine() records bool(g.kernels.USE_NUMBA).
+    assert isinstance(kernels.USE_NUMBA, bool)

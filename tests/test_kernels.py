@@ -1,97 +1,31 @@
-"""Both kernel paths must agree with each other and with the reference
-object-level rule checkers."""
+"""The kernels, and the hard-rule evaluator checked against the
+brute-force rule checker in rule_oracle.py."""
 
-import importlib.util
-import os
-import sys
+from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from gradus import kernels
 from gradus.graph import merge_tied, rebuild_phrase
-from gradus.phrase import strip_to_skeleton
-from gradus.pitch import DEGREES, NUM_DEGREE_CLASSES
-from gradus.rules import RuleConfig, build_rule_context, degree_indices, rule_loss
+from gradus.phrase import NoteEvent, Phrase, strip_to_skeleton
+from gradus.pitch import DEGREE_INDEX, DEGREES, NUM_DEGREE_CLASSES, parse_degree, parse_key
+from gradus.rules import RuleConfig, all_violations, build_rule_context, degree_indices
 
+from rule_oracle import oracle
 
-_FLAGS_ON = (None, "1", "yes")
-_FLAGS_OFF = ("0", "false", " OFF ", "no")
-
-
-def _load_private_kernels(monkeypatch, flag):
-    """Execute a fresh copy of gradus/kernels.py with GRADUS_NUMBA set to
-    ``flag`` (None: unset). The shared ``gradus.kernels`` is never reloaded,
-    because rules, sampler and schedule look its kernels up at call time."""
-    if flag is None:
-        monkeypatch.delenv("GRADUS_NUMBA", raising=False)
-    else:
-        monkeypatch.setenv("GRADUS_NUMBA", flag)
-    spec = importlib.util.spec_from_file_location("_gradus_kernels_copy", kernels.__file__)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def test_flag_resolution(monkeypatch):
-    # numba is optional: when it cannot be imported, every flag value
-    # resolves to the numpy kernels.
-    monkeypatch.setitem(sys.modules, "numba", None)
-    for flag in _FLAGS_ON + _FLAGS_OFF:
-        mod = _load_private_kernels(monkeypatch, flag)
-        assert mod.USE_NUMBA is False, flag
-        assert mod.categorical_sample is mod.categorical_sample_numpy, flag
-        assert mod.reverse_mixture is mod.reverse_mixture_numpy, flag
-        assert mod.count_violations is mod.count_violations_numpy, flag
-    assert sys.modules["gradus.kernels"] is kernels
-
-
-def test_flag_resolution_with_numba(monkeypatch):
-    # Where numba is installed, the jit path is live unless disabled.
-    pytest.importorskip("numba")
-    want = os.environ.get("GRADUS_NUMBA", "1").strip().lower() not in ("0", "false", "off", "no")
-    assert kernels.USE_NUMBA == want
-    for flag in _FLAGS_ON:
-        mod = _load_private_kernels(monkeypatch, flag)
-        assert mod.USE_NUMBA is True, flag
-        assert mod.count_violations is mod.count_violations_numba, flag
-    for flag in _FLAGS_OFF:
-        assert _load_private_kernels(monkeypatch, flag).USE_NUMBA is False, flag
-
-
-def test_categorical_sample_paths_agree():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        n = int(rng.integers(1, 60))
-        k = int(rng.integers(2, 19))
-        probs = rng.dirichlet(np.ones(k), size=n)
-        u = rng.random(n)
-        a = kernels.categorical_sample_numba(probs, u)
-        b = kernels.categorical_sample_numpy(probs, u)
-        assert np.array_equal(a, b)
-        assert np.all((a >= 0) & (a < k))
+SINGLE_RULE_CONFIGS = (
+    RuleConfig(parallels=True, dissonance=False, repetition=False),
+    RuleConfig(parallels=False, dissonance=True, repetition=False),
+    RuleConfig(parallels=False, dissonance=False, repetition=True),
+)
+RECORD_CONFIGS = (RuleConfig(), RuleConfig(repetition_threshold=2)) + SINGLE_RULE_CONFIGS
+ALL_RULES = {"parallel-fifths", "parallel-octaves", "strong-beat-second", "strong-beat-fourth", "repetition"}
 
 
 def test_categorical_sample_degenerate_rows():
     probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     u = np.array([0.999999, 0.0])
-    for fn in (kernels.categorical_sample_numpy, kernels.categorical_sample_numba):
-        assert np.array_equal(fn(probs, u), [0, 2])
-
-
-def test_reverse_mixture_paths_agree():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        k = int(rng.integers(2, 19))
-        n = int(rng.integers(1, 40))
-        phat = rng.dirichlet(np.ones(k), size=n)
-        xt = rng.integers(0, k, size=n).astype(np.int64)
-        q_prev = rng.dirichlet(np.ones(k), size=k)
-        q_t = rng.dirichlet(np.ones(k), size=k)
-        q_cum = q_prev @ q_t
-        a = kernels.reverse_mixture_numba(phat, xt, q_prev, q_t, q_cum)
-        b = kernels.reverse_mixture_numpy(phat, xt, q_prev, q_t, q_cum)
-        assert np.allclose(a, b, atol=1e-13)
+    assert np.array_equal(kernels.categorical_sample(probs, u), [0, 2])
 
 
 def test_reverse_mixture_zero_support_columns():
@@ -101,15 +35,23 @@ def test_reverse_mixture_zero_support_columns():
     q_prev = np.array([[1.0, 0.0], [0.0, 1.0]])
     q_t = np.array([[0.5, 0.5], [0.0, 1.0]])
     q_cum = np.array([[0.5, 0.5], [0.0, 1.0]])
-    for fn in (kernels.reverse_mixture_numpy, kernels.reverse_mixture_numba):
-        out = fn(phat, xt, q_prev, q_t, q_cum)
-        # class 0 contributes via q_cum[0,1]=0.5; both classes have support here
-        assert out.shape == (1, 2)
-        assert np.all(out >= 0)
+    out = kernels.reverse_mixture(phat, xt, q_prev, q_t, q_cum)
+    # class 0 contributes via q_cum[0,1]=0.5; both classes have support here
+    assert out.shape == (1, 2)
+    assert np.all(out >= 0)
 
 
 def _random_degree_assignment(rng, n):
     return rng.integers(0, NUM_DEGREE_CLASSES, size=n).astype(np.int64)
+
+
+# Three classes: drawn from these, random phrases break every rule often
+# enough to exercise each report path.
+_PALETTE = np.array([DEGREE_INDEX[parse_degree(d)] for d in ("1", "4", "5")])
+
+
+def _rule_heavy_assignment(rng, n):
+    return rng.choice(_PALETTE, size=n).astype(np.int64)
 
 
 def test_violation_counter_matches_reference(corpus):
@@ -121,36 +63,15 @@ def test_violation_counter_matches_reference(corpus):
         for _ in range(25):
             deg = _random_degree_assignment(rng, ctx.n_nodes)
             phrase = rebuild_phrase(skeleton, [DEGREES[i] for i in deg])
-            want = rule_loss(phrase, config)
-            got_numpy = kernels.count_violations_numpy(
+            want = len(oracle(phrase, config))
+            assert ctx.score(deg) == want
+            got = kernels.count_violations(
                 deg, ctx.sounding, ctx.attacked, ctx.strong,
                 np.array([d.letter_offset if not d.is_rest else -1 for d in DEGREES]),
                 np.array([d.semis if not d.is_rest else -1 for d in DEGREES]),
                 ctx.chains, ctx.chain_offsets, config.repetition_threshold,
             )
-            got_ctx = ctx.score(deg)
-            assert got_ctx == want
-            assert int(got_numpy) == want
-
-
-def test_violation_counter_paths_agree(corpus):
-    rng = np.random.default_rng(7)
-    config = RuleConfig()
-    skeleton = strip_to_skeleton(corpus[0])
-    ctx = build_rule_context(skeleton, config)
-    letters = np.array([d.letter_offset if not d.is_rest else -1 for d in DEGREES])
-    semis = np.array([d.semis if not d.is_rest else -1 for d in DEGREES])
-    for _ in range(50):
-        deg = _random_degree_assignment(rng, ctx.n_nodes)
-        a = kernels.count_violations_numba(
-            deg, ctx.sounding, ctx.attacked, ctx.strong, letters, semis,
-            ctx.chains, ctx.chain_offsets, config.repetition_threshold,
-        )
-        b = kernels.count_violations_numpy(
-            deg, ctx.sounding, ctx.attacked, ctx.strong, letters, semis,
-            ctx.chains, ctx.chain_offsets, config.repetition_threshold,
-        )
-        assert a == int(b)
+            assert got == want
 
 
 def test_violation_counter_toggles(corpus):
@@ -160,13 +81,19 @@ def test_violation_counter_toggles(corpus):
     deg = _random_degree_assignment(rng, full.n_nodes)
     total = full.score(deg)
     parts = 0
-    for cfg in (
-        RuleConfig(parallels=True, dissonance=False, repetition=False),
-        RuleConfig(parallels=False, dissonance=True, repetition=False),
-        RuleConfig(parallels=False, dissonance=False, repetition=True),
-    ):
+    for cfg in SINGLE_RULE_CONFIGS:
         parts += build_rule_context(skeleton, cfg).score(deg)
     assert parts == total
+    assert total == len(oracle(rebuild_phrase(skeleton, [DEGREES[i] for i in deg])))
+
+
+def test_switched_off_rules_give_empty_masks(corpus):
+    skeleton = strip_to_skeleton(corpus[0])
+    ctx = build_rule_context(skeleton, RuleConfig(parallels=False, dissonance=False, repetition=False))
+    deg = _rule_heavy_assignment(np.random.default_rng(3), ctx.n_nodes)
+    masks = kernels.violation_masks(*ctx._kernel_args(deg))
+    assert all(mask.size == 0 for mask in masks)
+    assert ctx.score(deg) == 0
 
 
 def test_degree_indices_matches_graph_order(corpus):
@@ -181,11 +108,6 @@ def test_degree_indices_matches_graph_order(corpus):
 def _random_skeleton(rng):
     """Structurally varied skeleton: 1-3 voices, mixed meters, rests and
     off-beat subdivisions included via duration choices."""
-    from fractions import Fraction
-
-    from gradus.phrase import NoteEvent, Phrase
-    from gradus.pitch import parse_key
-
     n_voices = int(rng.integers(1, 4))
     meter = (4, 4) if rng.random() < 0.7 else (3, 4)
     bars = int(rng.integers(1, 3))
@@ -216,12 +138,45 @@ def test_violation_counter_matches_reference_random_structures():
         for _ in range(10):
             deg = _random_degree_assignment(rng, ctx.n_nodes)
             phrase = rebuild_phrase(skeleton, [DEGREES[i] for i in deg])
-            want = rule_loss(phrase, config)
+            want = len(oracle(phrase, config))
             assert ctx.score(deg) == want
-            got_numpy = kernels.count_violations_numpy(
+            got = kernels.count_violations(
                 deg, ctx.sounding, ctx.attacked, ctx.strong,
                 np.array([d.letter_offset if not d.is_rest else -1 for d in DEGREES]),
                 np.array([d.semis if not d.is_rest else -1 for d in DEGREES]),
                 ctx.chains, ctx.chain_offsets, config.repetition_threshold,
             )
-            assert int(got_numpy) == want
+            assert got == want
+
+
+def _check_records(skeleton, rng, seen):
+    """all_violations must give the oracle's records, order included, and
+    score() their number; some nodes are left as placeholders."""
+    n = len(merge_tied(skeleton))
+    for draw in (_random_degree_assignment, _rule_heavy_assignment):
+        deg = draw(rng, n)
+        degrees = [DEGREES[i] for i in deg]
+        phrase = rebuild_phrase(skeleton, degrees)
+        holes = rebuild_phrase(skeleton, [None if rng.random() < 0.2 else d for d in degrees])
+        for cfg in RECORD_CONFIGS:
+            want = oracle(phrase, cfg)
+            assert all_violations(phrase, cfg) == want
+            assert build_rule_context(skeleton, cfg).score(deg) == len(want)
+            assert all_violations(holes, cfg) == oracle(holes, cfg)
+            seen.update(v.rule for v in want)
+
+
+def test_all_violations_records_match_oracle():
+    rng = np.random.default_rng(1618)
+    seen: set[str] = set()
+    for _ in range(60):
+        _check_records(_random_skeleton(rng), rng, seen)
+    assert seen == ALL_RULES
+
+
+def test_all_violations_records_match_oracle_on_corpus(corpus):
+    rng = np.random.default_rng(31)
+    seen: set[str] = set()
+    for p in corpus:
+        _check_records(strip_to_skeleton(p), rng, seen)
+    assert seen == ALL_RULES

