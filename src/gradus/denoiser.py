@@ -105,10 +105,11 @@ def _per_candidate(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    sigma = np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) / sigma
+    # The steps of x.mean and x.var, with the centred rows computed once.
+    d = x.shape[1]
+    xc = x - x.sum(axis=1, keepdims=True) / d
+    sigma = np.sqrt((xc * xc).sum(axis=1, keepdims=True) / d + _LN_EPS)
+    xhat = xc / sigma
     return xhat * g + b, (xhat, sigma)
 
 def _layer_norm_backward(dy: np.ndarray, g: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,7 +13,8 @@ checks apply equally to degree-encoded and realized phrases.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -59,8 +60,9 @@ def _time_grid(phrase: Phrase, cutoff: float):
     sounding node and attack flag per voice at each grid time."""
     nodes = merge_tied(phrase)
     times = {nd.onset for nd in nodes}
+    span = phrase.span
     beat = Fraction(0)
-    while beat < phrase.span:
+    while beat < span:
         if metric_strength(beat, phrase.meter) >= cutoff:
             times.add(beat)
         beat += 1
@@ -69,10 +71,12 @@ def _time_grid(phrase: Phrase, cutoff: float):
     sounding = [[-1] * n_voices for _ in grid]
     attacked = [[False] * n_voices for _ in grid]
     for ni, nd in enumerate(nodes):
-        for ti, tau in enumerate(grid):
-            if nd.onset <= tau < nd.end:
-                sounding[ti][nd.voice] = ni
-                attacked[ti][nd.voice] = nd.onset == tau
+        # The grid is sorted, so a node covers one run of rows.
+        ti = bisect_left(grid, nd.onset)
+        while ti < len(grid) and grid[ti] < nd.end:
+            sounding[ti][nd.voice] = ni
+            attacked[ti][nd.voice] = grid[ti] == nd.onset
+            ti += 1
     return grid, nodes, sounding, attacked
 
 
@@ -80,65 +84,64 @@ def _time_grid(phrase: Phrase, cutoff: float):
 # Array context for the hard-rule evaluator (kernels.violation_masks)
 # ----------------------------------------------------------------------
 
-_LETTER_TABLE = np.array(DEGREE_LETTER, dtype=np.int64)
-_SEMIS_TABLE = np.array(DEGREE_SEMIS, dtype=np.int64)
+# What each pair of degree classes means to the rules, built once.
+_PAIR_TABLES = kernels.pair_tables(DEGREE_LETTER, DEGREE_SEMIS)
 
 
 @dataclass(frozen=True)
 class RuleContext:
-    """Skeleton-derived arrays for the hard-rule evaluator, plus the grid
-    times and graph nodes that locate its hits. score() counts the
-    violations of a per-node degree assignment."""
+    """The hard rules' view of one rhythm skeleton, built once per skeleton
+    by ``build_rule_context``: the grid arrays ``kernels.violation_masks``
+    reads, plus the voice chain bounds, grid times and graph nodes that
+    locate its hits.
 
-    sounding: np.ndarray
-    attacked: np.ndarray
-    strong: np.ndarray
-    chains: np.ndarray
+    score() counts the violations of a per-node degree assignment. Guided
+    sampling calls it once per candidate, K times a step, and most
+    candidates repeat an assignment already scored on the skeleton, so
+    each distinct assignment is evaluated once and its count kept."""
+
+    arrays: kernels.SkeletonArrays
     chain_offsets: np.ndarray
     config: RuleConfig
     grid: tuple[Fraction, ...]
     nodes: tuple[GraphNode, ...]
+    _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
     def _kernel_args(self, degree_indices: np.ndarray) -> tuple:
+        c = self.config
         return (
             np.asarray(degree_indices, dtype=np.int64),
-            self.sounding,
-            self.attacked,
-            self.strong,
-            _LETTER_TABLE,
-            _SEMIS_TABLE,
-            self.chains,
-            self.chain_offsets,
-            self.config.repetition_threshold,
-            1 if self.config.parallels else 0,
-            1 if self.config.dissonance else 0,
-            1 if self.config.repetition else 0,
+            self.arrays,
+            _PAIR_TABLES,
+            c.repetition_threshold,
+            int(c.parallels),
+            int(c.dissonance),
+            int(c.repetition),
         )
 
     def score(self, degree_indices: np.ndarray) -> int:
-        return kernels.count_violations(*self._kernel_args(degree_indices))
+        deg = np.asarray(degree_indices, dtype=np.int64)
+        key = deg.tobytes()
+        loss = self._scores.get(key)
+        if loss is None:
+            loss = self._scores[key] = kernels.count_violations(*self._kernel_args(deg))
+        return loss
 
 
 def build_rule_context(skeleton: Phrase, config: RuleConfig = RuleConfig()) -> RuleContext:
     grid, nodes, sounding, attacked = _time_grid(skeleton, config.strong_beat_cutoff)
-    strong = np.array(
-        [1 if metric_strength(t, skeleton.meter) >= config.strong_beat_cutoff else 0 for t in grid],
-        dtype=np.int64,
-    )
+    strong = [metric_strength(t, skeleton.meter) >= config.strong_beat_cutoff for t in grid]
     chains: list[int] = []
     offsets = [0]
     for v in range(len(skeleton.voices)):
         chains.extend(i for i, nd in enumerate(nodes) if nd.voice == v)
         offsets.append(len(chains))
     return RuleContext(
-        sounding=np.array(sounding, dtype=np.int64),
-        attacked=np.array(attacked, dtype=np.int64),
-        strong=strong,
-        chains=np.array(chains, dtype=np.int64),
+        arrays=kernels.skeleton_arrays(sounding, attacked, strong, chains, offsets),
         chain_offsets=np.array(offsets, dtype=np.int64),
         config=config,
         grid=tuple(grid),
@@ -166,7 +169,7 @@ def all_violations(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[Vi
     masks = kernels.violation_masks(*ctx._kernel_args(deg))
 
     def degree_at(ti, voice) -> Degree:
-        return nodes[ctx.sounding[ti, voice]].degree
+        return nodes[ctx.arrays.sounding[ti, voice]].degree
 
     out: list[Violation] = []
     upper, lower = kernels.voice_pairs(len(voices))
@@ -195,11 +198,12 @@ def all_violations(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[Vi
                 f"{metric_strength(tau, phrase.meter):.3g}",
             )
         )
+    chains = ctx.arrays.chains
     for k in np.flatnonzero(masks.repetition):
-        head = nodes[ctx.chains[k]]
+        head = nodes[chains[k]]
         end = ctx.chain_offsets[head.voice + 1]
         run = 1
-        while k + run < end and deg[ctx.chains[k + run]] == deg[ctx.chains[k]]:
+        while k + run < end and deg[chains[k + run]] == deg[chains[k]]:
             run += 1
         out.append(
             Violation(

@@ -7,7 +7,8 @@ and keeps the least-violating candidate; K=1 reduces to the unguided
 step, bit for bit, under a shared random stream. The K estimates come
 from one denoiser pass over the stacked candidates, and the winner's
 estimate is the next step's prediction, so a phrase costs T passes
-whatever K is.
+whatever K is. The transition matrices are the schedule's tables, built
+once per schedule and marginal.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from .errors import PhraseValidationError
 from .graph import FeatureFlags, build_graph, degrees_from_x, rebuild_phrase
 from .phrase import Phrase, sample_rhythm
 from .rules import RuleConfig, build_rule_context
-from .schedule import NoiseSchedule, q_step, qbar, validate_marginal
+# The transition matrices come from NoiseSchedule.transitions; qbar and
+# q_step stay importable from here, as perfbench/tracer.py wraps them here.
+from .schedule import NoiseSchedule, q_step, qbar, validate_marginal  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -49,12 +52,11 @@ def reverse_mixture(
     network's clean-class predictions through the exact posterior."""
     if not 1 <= t <= schedule.T:
         raise PhraseValidationError(f"reverse step undefined at t={t}")
-    m = validate_marginal(m)
+    tables = schedule.transitions(m)
     xt_idx = np.argmax(Xt, axis=1).astype(np.int64)
-    qb_prev = qbar(float(schedule.alpha_bar[t - 1]), m)
-    q_t = q_step(schedule.alpha_at(t), m)
-    qb_t = qbar(float(schedule.alpha_bar[t]), m)
-    return kernels.reverse_mixture(p_hat, xt_idx, qb_prev, q_t, qb_t)
+    return kernels.reverse_mixture(
+        p_hat, xt_idx, tables.qbar[t - 1], tables.q_step[t - 1], tables.qbar[t]
+    )
 
 
 def _reverse_probs(
@@ -76,13 +78,11 @@ def _reverse_probs(
     return mix / totals[:, None]
 
 
-def _draw_one_hot(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row, as one-hot rows; uses rng.random(n)."""
-    n = probs.shape[0]
-    idx = kernels.categorical_sample(probs, rng.random(n))
-    out = np.zeros_like(probs)
-    out[np.arange(n), idx] = 1.0
-    return out
+def _draw_one_hot(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Categorical draws from the rows of probs as one-hot rows: one draw
+    per row for each row of uniforms in u, which is (n,) or (K, n)."""
+    idx = kernels.categorical_sample(probs, u)
+    return (idx[..., None] == np.arange(probs.shape[1])).astype(probs.dtype)
 
 
 def reverse_step(
@@ -93,7 +93,7 @@ def reverse_step(
     m: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    return _draw_one_hot(_reverse_probs(Xt, t, p_hat, schedule, m), rng)
+    return _draw_one_hot(_reverse_probs(Xt, t, p_hat, schedule, m), rng.random(len(Xt)))
 
 
 def scg_reverse_step(
@@ -108,15 +108,16 @@ def scg_reverse_step(
 ) -> np.ndarray:
     """Best-of-K guided reverse step.
 
-    The K candidates are drawn in turn from one reverse mixture, consuming
-    the stream exactly as K calls of ``reverse_step`` would.
+    The K candidates are drawn from one reverse mixture with one (K, n)
+    block of uniforms, which consumes the stream exactly as K calls of
+    ``reverse_step`` would.
     score_candidates receives them as a (K, n, C) stack and returns K rule
     losses; ties keep the first-drawn candidate so runs are reproducible.
     """
     if config.K == 1 or score_candidates is None:
         return reverse_step(Xt, t, p_hat, schedule, m, rng)
     probs = _reverse_probs(Xt, t, p_hat, schedule, m)
-    cands = np.stack([_draw_one_hot(probs, rng) for _ in range(config.K)])
+    cands = _draw_one_hot(probs, rng.random((config.K, len(Xt))))
     return cands[int(np.argmin(score_candidates(cands)))]
 
 
@@ -158,7 +159,7 @@ def generate_phrase(
             deg = np.argmax(stack, axis=2)
         else:
             deg = np.argmax(cands, axis=2)
-        losses = np.array([float(ctx.score(d.astype(np.int64))) for d in deg])
+        losses = np.array([float(ctx.score(d)) for d in deg])
         if t_prev >= 1:
             # np.argmin keeps the first minimum, as scg_reverse_step does.
             p_hat = stack[int(np.argmin(losses))]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,12 +36,25 @@ def cosine_alpha_bar(t: int, T: int = DEFAULT_T, s: float = DEFAULT_S) -> float:
     return min(1.0, max(0.0, f(t) / f(0)))
 
 
+class TransitionTables(NamedTuple):
+    """A schedule's transition matrices under one marginal, each the
+    matrix ``qbar``/``q_step`` returns for its step."""
+
+    qbar: tuple[np.ndarray, ...]  # qbar[t]: x^0 -> x^t, for t in 0..T
+    q_step: tuple[np.ndarray, ...]  # q_step[t - 1]: x^(t-1) -> x^t, for t in 1..T
+
+
+# Marginals whose tables a schedule keeps; each set is about 0.5 MB at T=100.
+_TABLES_KEPT = 4
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     T: int = DEFAULT_T
     s: float = DEFAULT_S
     alpha_bar: np.ndarray = field(init=False, repr=False)
     alpha: np.ndarray = field(init=False, repr=False)
+    _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.T < 1:
@@ -60,6 +73,24 @@ class NoiseSchedule:
         if not 1 <= t <= self.T:
             raise PhraseValidationError(f"step {t} outside 1..{self.T}")
         return float(self.alpha[t - 1])
+
+    def transitions(self, m: np.ndarray) -> TransitionTables:
+        """Every step's transition matrices under marginal m, built on the
+        first request; the schedule keeps the tables of the last
+        ``_TABLES_KEPT`` marginals it built."""
+        m = validate_marginal(m)
+        key = m.tobytes()
+        tables = self._tables.get(key)
+        if tables is None:
+            if len(self._tables) >= _TABLES_KEPT:
+                del self._tables[next(iter(self._tables))]
+            tables = self._tables[key] = TransitionTables(
+                qbar=tuple(qbar(float(ab), m) for ab in self.alpha_bar),
+                q_step=tuple(q_step(self.alpha_at(t), m) for t in range(1, self.T + 1)),
+            )
+            for q in tables.qbar + tables.q_step:
+                q.setflags(write=False)  # handed to every caller
+        return tables
 
 
 def validate_marginal(m: np.ndarray) -> np.ndarray:
@@ -115,8 +146,7 @@ def forward_sample(
     """Corrupt clean one-hot rows to step t; edges are frozen elsewhere."""
     if t == 0:
         return X0.copy()
-    q = qbar(float(schedule.alpha_bar[t]), m)
-    probs = X0 @ q
+    probs = X0 @ schedule.transitions(m).qbar[t]
     idx = kernels.categorical_sample(probs, rng.random(X0.shape[0]))
     out = np.zeros_like(X0)
     out[np.arange(X0.shape[0]), idx] = 1.0

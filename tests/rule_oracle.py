@@ -7,15 +7,39 @@ plain loops, so that each rule reads as its musical statement.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from gradus.graph import GraphNode, merge_tied
 from gradus.phrase import Phrase, metric_strength
 from gradus.pitch import Degree
-from gradus.rules import RuleConfig, Violation, _time_grid
+from gradus.rules import RuleConfig, Violation
 
 PERFECT_FIFTH = (4, 7)  # (letter class, semitone class) above the lower voice
 PERFECT_OCTAVE = (0, 0)
+
+
+def time_grid(phrase: Phrase, cutoff: float):
+    """All attack onsets plus every strong beat inside the span, with the
+    sounding node and attack flag per voice at each grid time; every node
+    is tested against every grid time."""
+    nodes = merge_tied(phrase)
+    times = {nd.onset for nd in nodes}
+    beat = Fraction(0)
+    while beat < phrase.span:
+        if metric_strength(beat, phrase.meter) >= cutoff:
+            times.add(beat)
+        beat += 1
+    grid = sorted(times)
+    n_voices = len(phrase.voices)
+    sounding = [[-1] * n_voices for _ in grid]
+    attacked = [[False] * n_voices for _ in grid]
+    for ni, nd in enumerate(nodes):
+        for ti, tau in enumerate(grid):
+            if nd.onset <= tau < nd.end:
+                sounding[ti][nd.voice] = ni
+                attacked[ti][nd.voice] = nd.onset == tau
+    return grid, nodes, sounding, attacked
 
 
 def _interval_class(upper: Degree, lower: Degree) -> tuple[int, int]:
@@ -41,7 +65,7 @@ def find_parallels(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[Vi
     class is perfect at both of two consecutive grid moments. Oblique
     motion and re-struck unisons are exempt.
     """
-    grid, nodes, sounding, attacked = _time_grid(phrase, config.strong_beat_cutoff)
+    grid, nodes, sounding, attacked = time_grid(phrase, config.strong_beat_cutoff)
     out: list[Violation] = []
     n_voices = len(phrase.voices)
     for a in range(n_voices - 1):
@@ -84,7 +108,7 @@ def dissonance_check(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[
     Fourths between upper voices are consonant here; the bass is the
     lowest (last) voice.
     """
-    grid, nodes, sounding, attacked = _time_grid(phrase, config.strong_beat_cutoff)
+    grid, nodes, sounding, attacked = time_grid(phrase, config.strong_beat_cutoff)
     out: list[Violation] = []
     bass = len(phrase.voices) - 1
     if bass == 0:

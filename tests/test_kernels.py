@@ -1,6 +1,7 @@
 """The kernels, and the hard-rule evaluator checked against the
 brute-force rule checker in rule_oracle.py."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,10 @@ from gradus import kernels
 from gradus.graph import merge_tied, rebuild_phrase
 from gradus.phrase import NoteEvent, Phrase, strip_to_skeleton
 from gradus.pitch import DEGREE_INDEX, DEGREES, NUM_DEGREE_CLASSES, parse_degree, parse_key
-from gradus.rules import RuleConfig, all_violations, build_rule_context, degree_indices
+from gradus.rules import RuleConfig, _time_grid, all_violations, build_rule_context, degree_indices
 
-from rule_oracle import oracle
+from conftest import counting
+from rule_oracle import oracle, time_grid
 
 SINGLE_RULE_CONFIGS = (
     RuleConfig(parallels=True, dissonance=False, repetition=False),
@@ -66,10 +68,12 @@ def test_violation_counter_matches_reference(corpus):
             want = len(oracle(phrase, config))
             assert ctx.score(deg) == want
             got = kernels.count_violations(
-                deg, ctx.sounding, ctx.attacked, ctx.strong,
-                np.array([d.letter_offset if not d.is_rest else -1 for d in DEGREES]),
-                np.array([d.semis if not d.is_rest else -1 for d in DEGREES]),
-                ctx.chains, ctx.chain_offsets, config.repetition_threshold,
+                deg, ctx.arrays,
+                kernels.pair_tables(
+                    [d.letter_offset if not d.is_rest else -1 for d in DEGREES],
+                    [d.semis if not d.is_rest else -1 for d in DEGREES],
+                ),
+                config.repetition_threshold,
             )
             assert got == want
 
@@ -94,6 +98,24 @@ def test_switched_off_rules_give_empty_masks(corpus):
     masks = kernels.violation_masks(*ctx._kernel_args(deg))
     assert all(mask.size == 0 for mask in masks)
     assert ctx.score(deg) == 0
+
+
+def test_score_evaluates_each_assignment_once(corpus, monkeypatch):
+    # Guidance scores many candidates whose assignments repeat; a repeat
+    # gives the first result without running the evaluator again.
+    skeleton = strip_to_skeleton(corpus[4])
+    ctx = build_rule_context(skeleton)
+    rng = np.random.default_rng(8)
+    degs = [_rule_heavy_assignment(rng, ctx.n_nodes) for _ in range(5)]
+    degs.append(degs[1].copy())
+    calls = {"eval": 0}
+    monkeypatch.setattr(kernels, "count_violations", counting(calls, "eval", kernels.count_violations))
+    first = [ctx.score(d) for d in degs]
+    again = [ctx.score(list(d)) for d in reversed(degs)]
+    assert again == first[::-1]
+    assert calls["eval"] == len({d.tobytes() for d in degs}) == 5
+    assert first == [len(oracle(rebuild_phrase(skeleton, [DEGREES[i] for i in d]))) for d in degs]
+    assert len(set(first)) > 1
 
 
 def test_degree_indices_matches_graph_order(corpus):
@@ -129,6 +151,35 @@ def _random_skeleton(rng):
     )
 
 
+def _tie_some(skeleton, rng):
+    """The skeleton with about a third of the notes that directly follow
+    another note in their voice tied to it."""
+    events, last_end = [], {}
+    for e in skeleton.events:
+        if last_end.get(e.voice) == e.onset and rng.random() < 0.35:
+            e = replace(e, tie=True)
+        events.append(e)
+        last_end[e.voice] = e.end
+    return replace(skeleton, events=tuple(events))
+
+
+def test_time_grid_matches_oracle(corpus):
+    # The grid fill walks each node's own rows; the oracle tests every node
+    # against every grid time.
+    rng = np.random.default_rng(577)
+    skeletons = [strip_to_skeleton(p) for p in corpus]
+    skeletons += [_tie_some(_random_skeleton(rng), rng) for _ in range(80)]
+    assert any(e.tie for s in skeletons for e in s.events)
+    assert any(e.duration.denominator > 1 for s in skeletons for e in s.events)
+    silences = 0
+    for skeleton in skeletons:
+        for cutoff in (0.25, 0.5, 1.0):
+            got = _time_grid(skeleton, cutoff)
+            assert got == time_grid(skeleton, cutoff)
+            silences += sum(row.count(-1) for row in got[2])
+    assert silences > 0
+
+
 def test_violation_counter_matches_reference_random_structures():
     rng = np.random.default_rng(2718)
     config = RuleConfig()
@@ -141,10 +192,12 @@ def test_violation_counter_matches_reference_random_structures():
             want = len(oracle(phrase, config))
             assert ctx.score(deg) == want
             got = kernels.count_violations(
-                deg, ctx.sounding, ctx.attacked, ctx.strong,
-                np.array([d.letter_offset if not d.is_rest else -1 for d in DEGREES]),
-                np.array([d.semis if not d.is_rest else -1 for d in DEGREES]),
-                ctx.chains, ctx.chain_offsets, config.repetition_threshold,
+                deg, ctx.arrays,
+                kernels.pair_tables(
+                    [d.letter_offset if not d.is_rest else -1 for d in DEGREES],
+                    [d.semis if not d.is_rest else -1 for d in DEGREES],
+                ),
+                config.repetition_threshold,
             )
             assert got == want
 

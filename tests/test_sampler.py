@@ -3,6 +3,7 @@ import pytest
 
 
 from gradus import sampler
+from gradus import schedule as schedule_module
 from gradus.denoiser import Denoiser
 from gradus.errors import PhraseValidationError
 from gradus.graph import build_graph, degrees_from_x, rebuild_phrase
@@ -273,10 +274,42 @@ def test_generate_phrase_matches_per_candidate_oracle(
 def test_generate_phrase_costs_t_passes(corpus, schedule, corpus_marginal, toy_model, monkeypatch, K):
     # One denoiser pass and one reverse mixture per step, whatever K is;
     # the per-candidate reference makes (K+1)T-K passes and KT mixtures.
+    # The transition matrices are built once per schedule and marginal, so
+    # a second phrase builds none.
     den, result = toy_model
-    calls = {"forward": 0, "mixture": 0}
+    calls = {"forward": 0, "mixture": 0, "build": 0}
     monkeypatch.setattr(Denoiser, "forward", counting(calls, "forward", Denoiser.forward))
     monkeypatch.setattr(sampler, "reverse_mixture", counting(calls, "mixture", sampler.reverse_mixture))
+    monkeypatch.setattr(
+        schedule_module, "transition_matrix",
+        counting(calls, "build", schedule_module.transition_matrix),
+    )
     skel = strip_to_skeleton(corpus[2])
     generate_phrase(skel, den, result.params, schedule, corpus_marginal, GuidanceConfig(K=K, seed=4))
-    assert calls == {"forward": schedule.T, "mixture": schedule.T}
+    assert (calls["forward"], calls["mixture"]) == (schedule.T, schedule.T)
+    assert calls["build"] <= 2 * schedule.T + 1
+    calls.update(forward=0, mixture=0, build=0)
+    skel = strip_to_skeleton(corpus[5])
+    generate_phrase(skel, den, result.params, schedule, corpus_marginal, GuidanceConfig(K=K, seed=6))
+    assert calls == {"forward": schedule.T, "mixture": schedule.T, "build": 0}
+
+
+# Degree strings per voice that generate_phrase gave (K=8, T=100, the toy
+# model) before its transition matrices, rule tables and candidate draws
+# were precomputed; precomputing must not change a generated phrase.
+GOLDEN_PHRASES = [
+    (0, 101, ("3 6 1 b7 3 4", "1 1 2 1 #2 2")),
+    (14, 7, ("3 4 7 4 1 5 5 3 3 1 3 #5", "1 4 3 4 3 3 7 3 #6 1 1 3 5")),
+    (18, 2024, ("1 1 1 3 3 3 #6", "1 #6 2 5 3 2 1")),
+]
+
+
+@pytest.mark.parametrize("source,seed,voices", GOLDEN_PHRASES)
+def test_generate_phrase_golden(corpus, schedule, corpus_marginal, toy_model, source, seed, voices):
+    den, result = toy_model
+    skel = strip_to_skeleton(corpus[source])
+    out = generate_phrase(skel, den, result.params, schedule, corpus_marginal, GuidanceConfig(K=8, seed=seed))
+    got = tuple(
+        " ".join(str(e.degree) for e in out.events if e.voice == v) for v in range(len(out.voices))
+    )
+    assert got == voices

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gradus import schedule as schedule_module
 from gradus.errors import PhraseValidationError
 from gradus.pitch import DEGREE_INDEX, Degree
 from gradus.schedule import (
@@ -15,7 +16,7 @@ from gradus.schedule import (
     qbar,
 )
 
-from conftest import make_phrase
+from conftest import counting, make_phrase
 
 # Independently evaluated from the squared-cosine formula before the
 # schedule module existed (T=100, s=0.008).
@@ -77,6 +78,34 @@ def test_qbar_hand_value():
 def test_qbar_rejects_bad_marginal():
     with pytest.raises(PhraseValidationError):
         qbar(0.5, np.array([0.5, 0.6]))
+
+
+def test_transition_tables_match_builders(corpus_marginal, monkeypatch):
+    # Every kept matrix is the one qbar/q_step builds for its step; each
+    # marginal gets its own tables, built once.
+    sched = NoiseSchedule()
+    other = np.random.default_rng(5).dirichlet(np.ones(18))
+    kept = {}
+    for m in (corpus_marginal, other):
+        tables = kept[m.tobytes()] = sched.transitions(m)
+        assert len(tables.qbar) == sched.T + 1 and len(tables.q_step) == sched.T
+        for t in range(sched.T + 1):
+            assert np.array_equal(tables.qbar[t], qbar(float(sched.alpha_bar[t]), m))
+        for t in range(1, sched.T + 1):
+            assert np.array_equal(tables.q_step[t - 1], q_step(sched.alpha_at(t), m))
+    a, b = kept.values()
+    assert a is not b
+    assert not np.array_equal(a.qbar[50], b.qbar[50])
+    calls = {"build": 0}
+    monkeypatch.setattr(
+        schedule_module, "transition_matrix",
+        counting(calls, "build", schedule_module.transition_matrix),
+    )
+    for m in (corpus_marginal, other, list(other)):
+        assert sched.transitions(m) is kept[np.asarray(m, dtype=float).tobytes()]
+    assert calls["build"] == 0
+    with pytest.raises(PhraseValidationError):
+        sched.transitions(np.array([0.5, 0.6]))
 
 
 def test_chapman_kolmogorov(schedule):
