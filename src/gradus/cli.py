@@ -210,7 +210,11 @@ def cmd_fuse(config: RunConfig, library_dir: Path, out_dir: Path) -> int:
     if len(library) == 0:
         raise FusionInfeasibleError(1, "library has no accepted phrases")
     if config.templates_path is not None:
-        templates = templates_from_json(json.loads(config.templates_path.read_text()))
+        try:
+            data = json.loads(config.templates_path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise PhraseParseError(f"cannot read templates {config.templates_path}: {exc}") from exc
+        templates = templates_from_json(data)
     else:
         templates = default_templates()
     rng = np.random.default_rng(config.master_seed)

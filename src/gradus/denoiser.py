@@ -2,7 +2,7 @@
 
 A small pre-norm transformer over graph nodes whose attention logits get
 an additive learned bias per edge class of each node pair, so the frozen
-edge tensor shapes message passing. Everything is plain numpy with
+edge classes shape message passing. Everything is plain numpy with
 hand-derived gradients; training therefore stays bit-reproducible for a
 fixed seed, and the backward pass is checked against finite differences
 in the test suite.
@@ -208,13 +208,13 @@ class Denoiser:
         h = hp.hidden_dim
         heads, dh = hp.heads, h // hp.heads
         scale = 1.0 / math.sqrt(dh)
-        ec = graph.edge_class_matrix()
+        ec = graph.ec
 
         temb = time_embedding(t, hp.T, 2 * (h // 2))
         tvec = temb @ params["time.w"] + params["time.b"]
         H = _per_candidate(x_in, params["in.w"], K) + params["in.b"]
 
-        cache = {"x_in": x_in, "temb": temb, "ec": ec, "layers": []} if want_cache else None
+        cache = {"x_in": x_in, "temb": temb, "layers": []} if want_cache else None
         for i in range(hp.layers):
             pre = f"l{i}."
             h_in = H + tvec
@@ -286,7 +286,7 @@ class Denoiser:
         h = hp.hidden_dim
         heads, dh = hp.heads, h // hp.heads
         scale = 1.0 / math.sqrt(dh)
-        ec = cache["ec"]
+        ec = graph.ec
         grads = {name: np.zeros_like(w) for name, w in params.items()}
 
         dlogits = cache["p_hat"] - X0

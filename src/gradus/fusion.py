@@ -379,7 +379,12 @@ def templates_from_json(data: list) -> tuple[UrsatzTemplate, ...]:
     out = []
     for ti, tmpl in enumerate(data):
         slots = []
-        for slot in tmpl["slots"]:
+        if "slots" not in tmpl:
+            raise PhraseValidationError(f"template {ti} has no 'slots'")
+        for si, slot in enumerate(tmpl["slots"]):
+            for key in ("local_key", "cadence", "final_treble_degree"):
+                if key not in slot:
+                    raise PhraseValidationError(f"template {ti} slot {si} has no {key!r}")
             lk = slot["local_key"]
             if isinstance(lk, str):
                 lk = _ROMAN_TO_ROOT.get(lk.upper())

@@ -1,4 +1,5 @@
-"""Heterogeneous score graphs: one-hot node/edge tensors plus rhythm features.
+"""Heterogeneous score graphs: one-hot node classes, an edge class per
+node pair and rhythm features.
 
 Edges are derived purely from rhythm and voice structure, so they are
 identical for a phrase and its skeleton and stay frozen throughout
@@ -69,7 +70,7 @@ class GraphNode:
 @dataclass(frozen=True)
 class ScoreGraph:
     X: np.ndarray  # (n, |classes|) one-hot (zero rows for skeletons) or a (K, n, |classes|) stack
-    E: np.ndarray  # (n, n, |edge classes|) one-hot, frozen
+    ec: np.ndarray  # (n, n) int64 edge class indices, frozen
     R: np.ndarray  # (n, |features|)
     r_names: tuple[str, ...]
     nodes: tuple[GraphNode, ...]
@@ -86,10 +87,6 @@ class ScoreGraph:
         if X.ndim not in (2, 3) or X.shape[-2:] != self.X.shape[-2:]:
             raise PhraseValidationError(f"X shape {X.shape} does not fit {self.X.shape[-2:]}")
         return replace(self, X=X, has_labels=True)
-
-    def edge_class_matrix(self) -> np.ndarray:
-        """(n, n) integer matrix of edge class indices."""
-        return np.argmax(self.E, axis=2)
 
 
 def merge_tied(phrase: Phrase) -> list[GraphNode]:
@@ -178,10 +175,6 @@ def build_graph(phrase: Phrase, flags: FeatureFlags = FeatureFlags()) -> ScoreGr
             elif nodes[i].onset < nodes[j].onset < nodes[i].end:
                 ec[i, j] = _SUSTAIN
 
-    E = np.zeros((n, n, NUM_EDGE_CLASSES), dtype=np.float64)
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    E[ii, jj, ec] = 1.0
-
     has_labels = all(nd.degree is not None for nd in nodes)
     X = np.zeros((n, NUM_DEGREE_CLASSES), dtype=np.float64)
     if has_labels:
@@ -190,7 +183,7 @@ def build_graph(phrase: Phrase, flags: FeatureFlags = FeatureFlags()) -> ScoreGr
 
     return ScoreGraph(
         X=X,
-        E=E,
+        ec=ec,
         R=rhythm_features(phrase, flags),
         r_names=flags.names,
         nodes=tuple(nodes),
@@ -224,7 +217,7 @@ def degrees_from_x(X: np.ndarray) -> list[Degree]:
 
 def graph_to_adjacency(graph: ScoreGraph) -> dict:
     """Debug dump: nodes with their rhythm data plus all non-none edges."""
-    ec = graph.edge_class_matrix()
+    ec = graph.ec
     nodes = [
         {
             "voice": nd.voice,

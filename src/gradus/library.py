@@ -4,10 +4,9 @@ drive structure-template fusion."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .phrase import Phrase
-from .pitch import Degree
 from .rules import CatalogEntry, ProgressionGrammar, RejectionResult, RuleConfig, reject
 
 
@@ -41,30 +40,3 @@ class PhraseLibrary:
             else:
                 dropped.append((p, result))
         return PhraseLibrary(tuple(kept)), dropped
-
-    def select(
-        self,
-        mode: Optional[str] = None,
-        cadence: Optional[str] = None,
-        final_treble: Optional[Degree] = None,
-        start_roots_any: Optional[frozenset[int]] = None,
-        final_root: Optional[int] = None,
-    ) -> list[int]:
-        """Indices of entries matching every given criterion; a required
-        'authentic' cadence also admits perfect authentic ones."""
-        from .rules import cadence_satisfies
-
-        out = []
-        for i, (_, entry) in enumerate(self.entries):
-            if mode is not None and entry.mode != mode:
-                continue
-            if cadence is not None and not cadence_satisfies(entry.cadence, cadence):
-                continue
-            if final_treble is not None and entry.final_treble != final_treble:
-                continue
-            if start_roots_any is not None and not (entry.start_roots & start_roots_any):
-                continue
-            if final_root is not None and entry.final_root != final_root:
-                continue
-            out.append(i)
-        return out

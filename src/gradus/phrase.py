@@ -111,15 +111,8 @@ class Phrase:
         full, rem = divmod(self.span, self.bar_length)
         return int(full) + (1 if rem else 0)
 
-    def voice_events(self, voice: int) -> tuple[NoteEvent, ...]:
-        return tuple(e for e in self.events if e.voice == voice)
-
     def is_realized(self) -> bool:
         return all(e.pitch is not None or e.is_rest for e in self.events)
-
-    def is_degree_encoded(self) -> bool:
-        return all(e.degree is not None or e.pitch is not None for e in self.events)
-
 
 def _frac(text: str, what: str) -> Fraction:
     try:

@@ -16,7 +16,6 @@ LETTERS = "CDEFGAB"
 _LETTER_INDEX = {c: i for i, c in enumerate(LETTERS)}
 _LETTER_SEMIS = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 MAJOR_SCALE_SEMIS = (0, 2, 4, 5, 7, 9, 11)
-MINOR_SCALE_SEMIS = (0, 2, 3, 5, 7, 8, 10)
 
 _ALTER_SUFFIX = {-2: "bb", -1: "b", 0: "", 1: "#", 2: "##"}
 _SUFFIX_ALTER = {v: k for k, v in _ALTER_SUFFIX.items()}
@@ -115,10 +114,6 @@ class KeyContext:
     @property
     def tonic_name(self) -> str:
         return self.tonic_step + _ALTER_SUFFIX[self.tonic_alter]
-
-    @property
-    def scale_semis(self):
-        return MAJOR_SCALE_SEMIS if self.mode == "major" else MINOR_SCALE_SEMIS
 
     def __str__(self) -> str:
         return f"{self.tonic_name} {self.mode}"

@@ -6,6 +6,12 @@ a candidate's violations with ``RuleContext.score``, thousands of times per
 skeleton; ``all_violations`` turns the same masks into located Violation
 records for rejection reports.
 
+Harmonic analysis makes one pass per phrase: ``_segment_readings`` finds,
+per integer beat, the legal chords that can read it, from a per-mode chord
+table built at import. The best readings (a beam search) and the exact
+boundary roots (reachability over root sets) are both read from that one
+pass, which ``reject`` builds once for the readings and the catalog entry.
+
 Interval classes are computed from scale degrees modulo octave, so the
 checks apply equally to degree-encoded and realized phrases.
 """
@@ -13,6 +19,7 @@ checks apply equally to degree-encoded and realized phrases.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -328,19 +335,18 @@ def legal_chords(mode: str) -> tuple[RomanNumeral, ...]:
     return tuple(out)
 
 
-def _bass_tone(numeral: RomanNumeral, mode: str) -> Degree:
-    tones = chord_tones(numeral.root, mode, numeral.seventh)
-    if numeral.inversion == "root":
-        return tones[0]
-    if numeral.inversion == "6":
-        return tones[1]
-    return tones[2]
+def _chord_table(mode: str) -> tuple[tuple[RomanNumeral, frozenset[Degree], Degree], ...]:
+    """Each legal chord of a mode as (numeral, tone set, bass tone)."""
+    rows = []
+    for numeral in legal_chords(mode):
+        tones = chord_tones(numeral.root, mode, numeral.seventh)
+        bass = tones[("root", "6", "64").index(numeral.inversion)]
+        rows.append((numeral, frozenset(tones), bass))
+    return tuple(rows)
 
 
-@dataclass(frozen=True)
-class SegmentReading:
-    numeral: RomanNumeral
-    non_chord_tones: int
+# Chord tones are constant per mode, so they are parsed once, here.
+_CHORDS = {mode: _chord_table(mode) for mode in _TRIADS}
 
 
 @dataclass(frozen=True)
@@ -349,61 +355,92 @@ class HarmonicReading:
     non_chord_tones: int
 
     @property
-    def first(self) -> RomanNumeral:
-        return self.numerals[0]
-
-    @property
     def last(self) -> RomanNumeral:
         return self.numerals[-1]
 
 
-def _segment_candidates(
-    sounding: set[Degree],
-    bass: Optional[Degree],
-    tolerance: int,
-    mode: str,
-) -> list[SegmentReading]:
-    out = []
-    for numeral in legal_chords(mode):
-        tones = set(chord_tones(numeral.root, mode, numeral.seventh))
-        nct = len(sounding - tones)
-        if bass is not None:
-            if bass in tones:
-                if _bass_tone(numeral, mode) != bass:
-                    continue
-            elif numeral.inversion != "root":
-                continue  # a non-chord bass defaults to a root-position reading
-        elif numeral.inversion != "root":
+# Per integer beat, the (numeral, non-chord-tone count) pairs that read it.
+_BeatReadings = list[list[tuple[RomanNumeral, int]]]
+
+
+def _segment_readings(phrase: Phrase, cutoff: float) -> _BeatReadings:
+    """Per integer beat, the legal chords that can read it, in table order,
+    with their non-chord-tone counts. A beat is judged by what sounds at
+    its attack point; notes struck mid-beat are ornamental and invisible
+    to chord selection. Strong beats (strength >= cutoff) allow no
+    non-chord tone and weak beats one. A bass tone of the chord must be
+    the chord's bass; a non-chord bass defaults to a root-position reading."""
+    n_beats = math.ceil(phrase.span)
+    sounding: list[set[Degree]] = [set() for _ in range(n_beats)]
+    bass: list[Optional[Degree]] = [None] * n_beats
+    bass_voice = len(phrase.voices) - 1
+    for nd in merge_tied(phrase):
+        beats = range(math.ceil(nd.onset), math.ceil(nd.end))
+        if not beats:
             continue
-        if nct <= tolerance:
-            out.append(SegmentReading(numeral, nct))
+        if nd.degree is None:
+            raise PhraseValidationError("analysis needs degree content")
+        if nd.degree.is_rest:
+            continue
+        for k in beats:
+            sounding[k].add(nd.degree)
+            if nd.voice == bass_voice:
+                bass[k] = nd.degree
+    chords = _CHORDS[phrase.key.mode]
+    out = []
+    for k in range(n_beats):
+        tolerance = 0 if metric_strength(Fraction(k), phrase.meter) >= cutoff else 1
+        row = []
+        for numeral, tones, chord_bass in chords:
+            fits = chord_bass == bass[k] if bass[k] in tones else numeral.inversion == "root"
+            nct = len(sounding[k] - tones)
+            if fits and nct <= tolerance:
+                row.append((numeral, nct))
+        out.append(row)
     return out
 
 
-def _segments(phrase: Phrase, cutoff: float):
-    """Per-beat sounding sets judged at the beat attack point; notes struck
-    mid-segment are ornamental and invisible to chord selection."""
-    nodes = merge_tied(phrase)
-    n_beats = int(phrase.span) if phrase.span == int(phrase.span) else int(phrase.span) + 1
-    segs = []
-    bass_voice = len(phrase.voices) - 1
-    for k in range(n_beats):
-        tau = Fraction(k)
-        sounding: set[Degree] = set()
-        bass: Optional[Degree] = None
-        for nd in nodes:
-            if nd.onset <= tau < nd.end:
-                d = nd.degree
-                if d is None:
-                    raise PhraseValidationError("analysis needs degree content")
-                if d.is_rest:
-                    continue
-                sounding.add(d)
-                if nd.voice == bass_voice:
-                    bass = d
-        tolerance = 0 if metric_strength(tau, phrase.meter) >= cutoff else 1
-        segs.append((sounding, bass, tolerance))
-    return segs
+def _best_readings(beats: _BeatReadings, grammar: ProgressionGrammar) -> list[HarmonicReading]:
+    """Beam search over per-beat readings: the grammar.max_readings paths
+    with the fewest non-chord tones, ties in beam order."""
+    if any(not row for row in beats):
+        return []
+    k = grammar.max_readings
+    # beams[cand index] = best-k list of (cost, path indices)
+    beams: list[list[tuple[int, tuple[int, ...]]]] = [
+        [(nct, (i,))] for i, (_, nct) in enumerate(beats[0])
+    ]
+    for prev_row, row in zip(beats, beats[1:]):
+        nxt: list[list[tuple[int, tuple[int, ...]]]] = []
+        for j, (numeral, nct) in enumerate(row):
+            merged = [
+                (cost + nct, path + (j,))
+                for (prev, _), beam in zip(prev_row, beams)
+                if grammar.allows(prev.root, numeral.root)
+                for cost, path in beam
+            ]
+            nxt.append(heapq.nsmallest(k, merged, key=lambda cp: cp[0]))
+        beams = nxt
+
+    finals = heapq.nsmallest(k, (p for beam in beams for p in beam), key=lambda cp: cp[0])
+    return [
+        HarmonicReading(tuple(beats[i][j][0] for i, j in enumerate(path)), cost)
+        for cost, path in finals
+    ]
+
+
+def _boundary_roots(
+    beats: _BeatReadings, grammar: ProgressionGrammar
+) -> tuple[frozenset[int], frozenset[int]]:
+    """First/last roots of all grammar paths, by forward then backward
+    reachability. Legality depends on roots alone, so root sets suffice."""
+    reach = [{numeral.root for numeral, _ in beats[0]}]
+    for row in beats[1:]:
+        reach.append({n.root for n, _ in row if any(grammar.allows(r, n.root) for r in reach[-1])})
+    live = reach[-1]
+    for roots in reversed(reach[:-1]):
+        live = {r for r in roots if any(grammar.allows(r, s) for s in live)}
+    return frozenset(live), frozenset(reach[-1])
 
 
 def analyze_harmony(
@@ -413,35 +450,7 @@ def analyze_harmony(
 ) -> list[HarmonicReading]:
     """All grammar-consistent beat-level progressions, best readings first
     (fewest non-chord tones). Empty list means the phrase has no reading."""
-    mode = phrase.key.mode
-    segs = _segments(phrase, config.strong_beat_cutoff)
-    per_seg = [_segment_candidates(s, b, tol, mode) for s, b, tol in segs]
-    if any(not c for c in per_seg):
-        return []
-
-    k = grammar.max_readings
-    # beams[cand index] = best-k list of (cost, path indices)
-    beams: list[list[tuple[int, tuple[int, ...]]]] = [
-        [(c.non_chord_tones, (i,))] for i, c in enumerate(per_seg[0])
-    ]
-    for seg_i in range(1, len(per_seg)):
-        nxt: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in per_seg[seg_i]]
-        for j, cand in enumerate(per_seg[seg_i]):
-            merged: list[tuple[int, tuple[int, ...]]] = []
-            for i, prev in enumerate(per_seg[seg_i - 1]):
-                if not grammar.allows(prev.numeral.root, cand.numeral.root):
-                    continue
-                for cost, path in beams[i]:
-                    merged.append((cost + cand.non_chord_tones, path + (j,)))
-            nxt[j] = heapq.nsmallest(k, merged, key=lambda cp: cp[0])
-        beams = nxt
-
-    finals = heapq.nsmallest(k, (p for beam in beams for p in beam), key=lambda cp: cp[0])
-    readings = []
-    for cost, path in finals:
-        numerals = tuple(per_seg[i][j].numeral for i, j in enumerate(path))
-        readings.append(HarmonicReading(numerals=numerals, non_chord_tones=cost))
-    return readings
+    return _best_readings(_segment_readings(phrase, config.strong_beat_cutoff), grammar)
 
 
 def feasible_boundary_roots(
@@ -449,39 +458,9 @@ def feasible_boundary_roots(
     grammar: ProgressionGrammar = ProgressionGrammar(),
     config: RuleConfig = RuleConfig(),
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """Exact sets of first/last numeral roots over all valid readings,
-    via forward and backward reachability (not limited to max_readings)."""
-    mode = phrase.key.mode
-    segs = _segments(phrase, config.strong_beat_cutoff)
-    per_seg = [_segment_candidates(s, b, tol, mode) for s, b, tol in segs]
-    if any(not c for c in per_seg):
-        return frozenset(), frozenset()
-    fwd = [set(range(len(per_seg[0])))]
-    for i in range(1, len(per_seg)):
-        prev_roots = {per_seg[i - 1][j].numeral.root for j in fwd[-1]}
-        fwd.append(
-            {
-                j
-                for j, c in enumerate(per_seg[i])
-                if any(grammar.allows(r, c.numeral.root) for r in prev_roots)
-            }
-        )
-    bwd = [set(range(len(per_seg[-1]))) & fwd[-1]]
-    for i in range(len(per_seg) - 2, -1, -1):
-        next_roots = {per_seg[i + 1][j].numeral.root for j in bwd[0]}
-        bwd.insert(
-            0,
-            {
-                j
-                for j in fwd[i]
-                if any(grammar.allows(per_seg[i][j].numeral.root, r) for r in next_roots)
-            },
-        )
-    if any(not s for s in bwd):
-        return frozenset(), frozenset()
-    starts = frozenset(per_seg[0][j].numeral.root for j in bwd[0])
-    ends = frozenset(per_seg[-1][j].numeral.root for j in bwd[-1])
-    return starts, ends
+    """Exact sets of first/last numeral roots over all valid readings
+    (not limited to max_readings); both empty if there is none."""
+    return _boundary_roots(_segment_readings(phrase, config.strong_beat_cutoff), grammar)
 
 
 # ----------------------------------------------------------------------
@@ -559,10 +538,11 @@ def reject(
     reasons = tuple(str(v) for v in violations)
     if reasons:
         return RejectionResult(False, None, reasons)
-    readings = analyze_harmony(phrase, grammar, config)
+    beats = _segment_readings(phrase, config.strong_beat_cutoff)
+    readings = _best_readings(beats, grammar)
     if not readings:
         return RejectionResult(False, None, (NO_READING,))
-    starts, ends = feasible_boundary_roots(phrase, grammar, config)
+    starts, ends = _boundary_roots(beats, grammar)
     best = readings[0]
     treble = final_treble_degree(phrase)
     entry = CatalogEntry(

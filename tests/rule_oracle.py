@@ -1,19 +1,37 @@
-"""Brute-force hard-rule checker: the reference the evaluator in
-gradus.kernels / gradus.rules is tested against.
+"""Brute-force rule checker and harmonic analyzer: the reference the
+evaluator in gradus.kernels / gradus.rules is tested against.
 
-One rule per function, written over Degree objects and graph nodes with
-plain loops, so that each rule reads as its musical statement.
+One hard rule per function, written over Degree objects and graph nodes
+with plain loops, so that each rule reads as its musical statement. The
+harmonic analysis tests every node against every beat and every legal
+chord against every beat, re-deriving chord tones each time, and finds
+boundary roots by reachability over candidate indices.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from gradus.errors import PhraseValidationError
 from gradus.graph import GraphNode, merge_tied
 from gradus.phrase import Phrase, metric_strength
 from gradus.pitch import Degree
-from gradus.rules import RuleConfig, Violation
+from gradus.rules import (
+    NO_READING,
+    CatalogEntry,
+    HarmonicReading,
+    ProgressionGrammar,
+    RejectionResult,
+    RomanNumeral,
+    RuleConfig,
+    Violation,
+    chord_tones,
+    classify_cadence,
+    final_treble_degree,
+    legal_chords,
+)
 
 PERFECT_FIFTH = (4, 7)  # (letter class, semitone class) above the lower voice
 PERFECT_OCTAVE = (0, 0)
@@ -178,3 +196,159 @@ def oracle(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[Violation]
     if config.repetition:
         out.extend(repetition_flags(phrase, config))
     return out
+
+
+# ----------------------------------------------------------------------
+# Harmonic analysis
+# ----------------------------------------------------------------------
+
+def bass_tone(numeral: RomanNumeral, mode: str) -> Degree:
+    tones = chord_tones(numeral.root, mode, numeral.seventh)
+    if numeral.inversion == "root":
+        return tones[0]
+    if numeral.inversion == "6":
+        return tones[1]
+    return tones[2]
+
+
+def segment_candidates(
+    sounding: set[Degree], bass: Optional[Degree], tolerance: int, mode: str
+) -> list[tuple[RomanNumeral, int]]:
+    """Legal chords that can read one beat, with their non-chord-tone counts."""
+    out = []
+    for numeral in legal_chords(mode):
+        tones = set(chord_tones(numeral.root, mode, numeral.seventh))
+        nct = len(sounding - tones)
+        if bass is not None:
+            if bass in tones:
+                if bass_tone(numeral, mode) != bass:
+                    continue
+            elif numeral.inversion != "root":
+                continue  # a non-chord bass defaults to a root-position reading
+        elif numeral.inversion != "root":
+            continue
+        if nct <= tolerance:
+            out.append((numeral, nct))
+    return out
+
+
+def segments(phrase: Phrase, cutoff: float):
+    """Per-beat (sounding set, bass, tolerance) judged at the beat attack
+    point; notes struck mid-segment are invisible to chord selection."""
+    nodes = merge_tied(phrase)
+    n_beats = int(phrase.span) if phrase.span == int(phrase.span) else int(phrase.span) + 1
+    segs = []
+    bass_voice = len(phrase.voices) - 1
+    for k in range(n_beats):
+        tau = Fraction(k)
+        sounding: set[Degree] = set()
+        bass: Optional[Degree] = None
+        for nd in nodes:
+            if nd.onset <= tau < nd.end:
+                d = nd.degree
+                if d is None:
+                    raise PhraseValidationError("analysis needs degree content")
+                if d.is_rest:
+                    continue
+                sounding.add(d)
+                if nd.voice == bass_voice:
+                    bass = d
+        tolerance = 0 if metric_strength(tau, phrase.meter) >= cutoff else 1
+        segs.append((sounding, bass, tolerance))
+    return segs
+
+
+def beat_candidates(phrase: Phrase, config: RuleConfig = RuleConfig()):
+    mode = phrase.key.mode
+    return [
+        segment_candidates(s, b, tol, mode)
+        for s, b, tol in segments(phrase, config.strong_beat_cutoff)
+    ]
+
+
+def harmonic_readings(
+    phrase: Phrase,
+    grammar: ProgressionGrammar = ProgressionGrammar(),
+    config: RuleConfig = RuleConfig(),
+) -> list[HarmonicReading]:
+    """Beam search, best-k per candidate, over the brute-force candidates."""
+    per_seg = beat_candidates(phrase, config)
+    if any(not c for c in per_seg):
+        return []
+    k = grammar.max_readings
+    beams = [[(nct, (i,))] for i, (_, nct) in enumerate(per_seg[0])]
+    for seg_i in range(1, len(per_seg)):
+        nxt = [[] for _ in per_seg[seg_i]]
+        for j, (numeral, nct) in enumerate(per_seg[seg_i]):
+            merged = []
+            for i, (prev, _) in enumerate(per_seg[seg_i - 1]):
+                if not grammar.allows(prev.root, numeral.root):
+                    continue
+                for cost, path in beams[i]:
+                    merged.append((cost + nct, path + (j,)))
+            nxt[j] = heapq.nsmallest(k, merged, key=lambda cp: cp[0])
+        beams = nxt
+    finals = heapq.nsmallest(k, (p for beam in beams for p in beam), key=lambda cp: cp[0])
+    return [
+        HarmonicReading(tuple(per_seg[i][j][0] for i, j in enumerate(path)), cost)
+        for cost, path in finals
+    ]
+
+
+def boundary_roots(
+    phrase: Phrase,
+    grammar: ProgressionGrammar = ProgressionGrammar(),
+    config: RuleConfig = RuleConfig(),
+) -> tuple[frozenset[int], frozenset[int]]:
+    """First/last roots over all readings, by forward and backward
+    reachability over candidate index sets."""
+    per_seg = beat_candidates(phrase, config)
+    if any(not c for c in per_seg):
+        return frozenset(), frozenset()
+    fwd = [set(range(len(per_seg[0])))]
+    for i in range(1, len(per_seg)):
+        prev_roots = {per_seg[i - 1][j][0].root for j in fwd[-1]}
+        fwd.append(
+            {
+                j
+                for j, (numeral, _) in enumerate(per_seg[i])
+                if any(grammar.allows(r, numeral.root) for r in prev_roots)
+            }
+        )
+    bwd = [set(range(len(per_seg[-1]))) & fwd[-1]]
+    for i in range(len(per_seg) - 2, -1, -1):
+        next_roots = {per_seg[i + 1][j][0].root for j in bwd[0]}
+        bwd.insert(
+            0,
+            {j for j in fwd[i] if any(grammar.allows(per_seg[i][j][0].root, r) for r in next_roots)},
+        )
+    if any(not s for s in bwd):
+        return frozenset(), frozenset()
+    starts = frozenset(per_seg[0][j][0].root for j in bwd[0])
+    ends = frozenset(per_seg[-1][j][0].root for j in bwd[-1])
+    return starts, ends
+
+
+def reject_oracle(
+    phrase: Phrase,
+    grammar: ProgressionGrammar = ProgressionGrammar(),
+    config: RuleConfig = RuleConfig(),
+) -> RejectionResult:
+    """Rejection composed from the brute-force rules and analysis."""
+    reasons = tuple(str(v) for v in oracle(phrase, config))
+    if reasons:
+        return RejectionResult(False, None, reasons)
+    readings = harmonic_readings(phrase, grammar, config)
+    if not readings:
+        return RejectionResult(False, None, (NO_READING,))
+    starts, ends = boundary_roots(phrase, grammar, config)
+    treble = final_treble_degree(phrase)
+    entry = CatalogEntry(
+        start_roots=starts,
+        end_roots=ends,
+        final_root=readings[0].numerals[-1].root,
+        final_treble=treble,
+        mode=phrase.key.mode,
+        cadence=classify_cadence(readings[0], treble),
+    )
+    return RejectionResult(True, entry, ())

@@ -213,3 +213,30 @@ def test_generate_rejects_each_phrase_once(tmp_path, monkeypatch):
     assert {name: listed.count(name) for name in phrases} == {
         name: len(r["reasons"]) if name in hard else 0 for name, r in phrases.items()
     }
+
+
+_SLOT = {"local_key": "I", "cadence": "perfect_authentic", "final_treble_degree": "1"}
+
+
+@pytest.mark.parametrize(
+    "document,message",
+    [
+        (None, "cannot read templates"),
+        ("{ nope", "cannot read templates"),
+        *(
+            (json.dumps([{"slots": [_SLOT, {k: v for k, v in _SLOT.items() if k != key}]}]),
+             f"template 0 slot 1 has no '{key}'")
+            for key in _SLOT
+        ),
+    ],
+    ids=["missing-file", "invalid-json", "no-local-key", "no-cadence", "no-final-treble"],
+)
+def test_fuse_bad_templates_exit_validation(tmp_path, capsys, document, message):
+    templates = tmp_path / "templates.json"
+    if document is not None:
+        templates.write_text(document)
+    path = write_config(tmp_path, templates_path=str(templates))
+    assert main(["fuse", "--config", str(path), "--library", str(CORPUS_DIR)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

@@ -81,7 +81,7 @@ def test_permutation_equivariance(four_node_graph):
     gp = replace(
         g,
         X=g.X[perm],
-        E=g.E[perm][:, perm],
+        ec=g.ec[perm][:, perm],
         R=g.R[perm],
         nodes=tuple(g.nodes[i] for i in perm),
     )

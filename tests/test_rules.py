@@ -1,8 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from gradus.phrase import transpose_phrase
-from gradus.pitch import Degree, Interval
+import gradus.rules
+from gradus.errors import PhraseValidationError
+from gradus.graph import merge_tied, rebuild_phrase
+from gradus.phrase import strip_to_skeleton, transpose_phrase
+from gradus.pitch import DEGREE_INDEX, DEGREES, Degree, Interval
 from gradus.rules import (
     ProgressionGrammar,
     RuleConfig,
@@ -14,7 +19,8 @@ from gradus.rules import (
     rule_loss,
 )
 
-from conftest import make_phrase
+from conftest import counting, make_phrase
+import rule_oracle
 from counterpoint_fixtures import FIXTURES
 from rule_oracle import dissonance_check, find_parallels, repetition_flags
 
@@ -247,3 +253,70 @@ def test_feasible_boundaries_subset_of_candidates(corpus):
         starts, ends = feasible_boundary_roots(p)
         assert starts and ends
         assert all(1 <= r <= 7 for r in starts | ends)
+
+
+# -- one beat-reading pass against the object-level oracle ------------------
+
+def _harmony_cases(corpus, rng):
+    """Corpus phrases and two transpositions of each; perturbed, random and
+    partly placeholder degree assignments over each skeleton; the skeleton."""
+    for p in corpus:
+        yield p
+        yield transpose_phrase(p, Interval(3, 5))
+        yield transpose_phrase(p, Interval(1, 2))
+        skel = strip_to_skeleton(p)
+        base = [DEGREE_INDEX[nd.degree] for nd in merge_tied(p)]
+        for _ in range(3):
+            perturbed = list(base)
+            for i in rng.integers(0, len(base), size=2):
+                perturbed[i] = rng.integers(0, 18)
+            yield rebuild_phrase(skel, [DEGREES[i] for i in perturbed])
+            yield rebuild_phrase(skel, [DEGREES[i] for i in rng.integers(0, 18, len(base))])
+        holes = [DEGREES[i] for i in base]
+        holes[rng.integers(0, len(base))] = None
+        yield rebuild_phrase(skel, holes)
+        yield skel
+
+
+def _outcome(fn, phrase, config):
+    try:
+        return fn(phrase, ProgressionGrammar(), config)
+    except PhraseValidationError as exc:
+        return ("PhraseValidationError", str(exc))
+
+
+@pytest.mark.parametrize("cutoff", [0.25, 0.5, 1.0])
+def test_harmony_matches_oracle(corpus, cutoff):
+    # Readings (numerals and costs, in order), boundary roots and the full
+    # rejection result equal the brute-force analysis, placeholders included.
+    config = RuleConfig(strong_beat_cutoff=cutoff)
+    kinds = Counter()
+    for p in _harmony_cases(corpus, np.random.default_rng(int(cutoff * 4))):
+        got = _outcome(reject, p, config)
+        assert got == _outcome(rule_oracle.reject_oracle, p, config)
+        assert _outcome(analyze_harmony, p, config) == _outcome(
+            rule_oracle.harmonic_readings, p, config
+        )
+        assert _outcome(feasible_boundary_roots, p, config) == _outcome(
+            rule_oracle.boundary_roots, p, config
+        )
+        if isinstance(got, tuple):
+            kinds["placeholder"] += 1
+        elif got.accepted:
+            kinds["accepted"] += 1
+        else:
+            kinds["no reading" if got.reasons == ("no harmonic reading",) else "hard rule"] += 1
+    assert min(kinds[k] for k in ("accepted", "no reading", "hard rule", "placeholder")) >= 5
+
+
+def test_reject_reads_the_beats_once(corpus, monkeypatch):
+    # The readings and the catalog's boundary roots come from one pass
+    # over the phrase's beats.
+    calls = Counter()
+    monkeypatch.setattr(
+        gradus.rules, "_segment_readings",
+        counting(calls, "beats", gradus.rules._segment_readings),
+    )
+    for p in corpus:
+        assert reject(p).accepted
+    assert calls["beats"] == len(corpus)
