@@ -374,29 +374,32 @@ def templates_from_json(data: list) -> tuple[UrsatzTemplate, ...]:
     a list of {name, slots} objects describing several."""
     from .pitch import parse_degree
 
+    if not isinstance(data, list):
+        raise PhraseValidationError("template file must hold a JSON list")
     if data and isinstance(data[0], dict) and "local_key" in data[0]:
         data = [{"name": "template-0", "slots": data}]
     out = []
     for ti, tmpl in enumerate(data):
+        if not isinstance(tmpl, dict) or not isinstance(tmpl.get("slots"), list):
+            raise PhraseValidationError(f"template {ti} has no slot list")
         slots = []
-        if "slots" not in tmpl:
-            raise PhraseValidationError(f"template {ti} has no 'slots'")
         for si, slot in enumerate(tmpl["slots"]):
+            where = f"template {ti} slot {si}"
             for key in ("local_key", "cadence", "final_treble_degree"):
-                if key not in slot:
-                    raise PhraseValidationError(f"template {ti} slot {si} has no {key!r}")
-            lk = slot["local_key"]
+                if not isinstance(slot, dict) or key not in slot:
+                    raise PhraseValidationError(f"{where} has no {key!r}")
+            lk, treble = slot["local_key"], slot["final_treble_degree"]
             if isinstance(lk, str):
                 lk = _ROMAN_TO_ROOT.get(lk.upper())
-                if lk is None:
-                    raise PhraseValidationError(
-                        f"bad local_key in template {ti}: {slot['local_key']!r}"
-                    )
+            if not isinstance(lk, int):
+                raise PhraseValidationError(f"bad local_key in {where}: {slot['local_key']!r}")
+            if not isinstance(treble, str):
+                raise PhraseValidationError(f"bad final_treble_degree in {where}: {treble!r}")
             slots.append(
                 TemplateSlot(
                     local_key=int(lk),
                     cadence=slot["cadence"],
-                    final_treble=parse_degree(slot["final_treble_degree"]),
+                    final_treble=parse_degree(treble),
                 )
             )
         out.append(UrsatzTemplate(name=str(tmpl.get("name", f"template-{ti}")), slots=tuple(slots)))

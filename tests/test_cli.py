@@ -228,8 +228,15 @@ _SLOT = {"local_key": "I", "cadence": "perfect_authentic", "final_treble_degree"
              f"template 0 slot 1 has no '{key}'")
             for key in _SLOT
         ),
+        (json.dumps({"slots": [_SLOT, _SLOT]}), "must hold a JSON list"),
+        (json.dumps([[_SLOT, _SLOT]]), "template 0 has no slot list"),
+        (json.dumps([_SLOT, {**_SLOT, "local_key": [1]}]), "bad local_key in template 0 slot 1"),
+        (json.dumps([_SLOT, {**_SLOT, "final_treble_degree": 1}]), "bad final_treble_degree"),
     ],
-    ids=["missing-file", "invalid-json", "no-local-key", "no-cadence", "no-final-treble"],
+    ids=[
+        "missing-file", "invalid-json", "no-local-key", "no-cadence", "no-final-treble",
+        "object", "slot-list-unnamed", "list-local-key", "int-treble",
+    ],
 )
 def test_fuse_bad_templates_exit_validation(tmp_path, capsys, document, message):
     templates = tmp_path / "templates.json"
