@@ -7,7 +7,7 @@ relative paths resolve against the config file's own directory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -39,6 +39,40 @@ class RunConfig:
     voice_profiles: Optional[dict[int, VoiceProfile]] = None
 
 
+_REQUIRED = object()
+_KIND_NAMES = {
+    bool: "true or false", int: "an integer", float: "a number",
+    str: "a string", dict: "a JSON object", list: "a JSON list",
+}
+
+
+def _get(obj: dict, key: str, kind: type, where: str = "config", default=_REQUIRED):
+    """obj[key] as kind, refusing a JSON value of another type: an integer
+    passes as a number, but a string never does, nor a bool as an integer."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise PhraseValidationError(f"{where} is missing required key {key!r}")
+        return default
+    value = obj[key]
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or (kind is not bool and isinstance(value, bool)):
+        raise PhraseValidationError(
+            f"{where} key {key!r} must be {_KIND_NAMES[kind]}, not {value!r}"
+        )
+    return kind(value)
+
+
+def _section(raw: dict, name: str, cls: type):
+    """The dataclass cls from the config object under name, each key typed
+    by its field's default; an unknown key is refused, not ignored."""
+    spec = _get(raw, name, dict, default={})
+    defaults = {f.name: f.default for f in fields(cls)}
+    for key in spec:
+        if key not in defaults:
+            raise PhraseValidationError(f"config {name} has unknown key {key!r}")
+    return cls(**{k: _get(spec, k, type(defaults[k]), f"config {name}") for k in spec})
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
@@ -47,52 +81,56 @@ def load_config(path: str | Path) -> RunConfig:
         raise PhraseParseError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PhraseParseError(f"config {path} line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise PhraseParseError(f"config {path} must hold a JSON object")
     base = path.parent
 
-    def resolve(p: str) -> Path:
-        candidate = Path(p)
+    def resolve(key: str) -> Path:
+        candidate = Path(_get(raw, key, str))
         return candidate if candidate.is_absolute() else base / candidate
 
-    for required in ("corpus_dir", "out_dir", "master_seed", "train_seed"):
-        if required not in raw:
-            raise PhraseValidationError(f"config is missing required key {required!r}")
-
+    T = _get(raw, "schedule_T", int, default=100)
+    hp_defaults = {f.name: f.default for f in fields(DenoiserHyperparams)}
     hp_keys = (
         "layers", "hidden_dim", "heads", "epochs", "batch_size",
         "learning_rate", "val_split",
     )
-    hp_kwargs = {k: raw[k] for k in hp_keys if k in raw}
-    hp_kwargs["T"] = int(raw.get("schedule_T", 100))
-    features = FeatureFlags(**raw.get("features", {}))
-    rules = RuleConfig(**raw.get("rules", {}))
-    home = raw.get("home_key", {"tonic": "C", "mode": "major"})
+    hp_kwargs = {k: _get(raw, k, type(hp_defaults[k])) for k in hp_keys if k in raw}
+    home = _get(raw, "home_key", dict, default={"tonic": "C", "mode": "major"})
 
     profiles = None
     if raw.get("voice_profiles"):
         profiles = {}
-        for spec in raw["voice_profiles"]:
-            profiles[int(spec["voice"])] = VoiceProfile(
-                name=spec.get("name", f"voice{spec['voice']}"),
-                central=parse_pitch(spec["central"]),
-                low=parse_pitch(spec["low"]),
-                high=parse_pitch(spec["high"]),
+        for i, spec in enumerate(_get(raw, "voice_profiles", list)):
+            where = f"config voice_profiles[{i}]"
+            if not isinstance(spec, dict):
+                raise PhraseValidationError(f"{where} must be a JSON object")
+            voice = _get(spec, "voice", int, where)
+            profiles[voice] = VoiceProfile(
+                name=_get(spec, "name", str, where, default=f"voice{voice}"),
+                central=parse_pitch(_get(spec, "central", str, where)),
+                low=parse_pitch(_get(spec, "low", str, where)),
+                high=parse_pitch(_get(spec, "high", str, where)),
             )
 
     return RunConfig(
-        corpus_dir=resolve(raw["corpus_dir"]),
-        out_dir=resolve(raw["out_dir"]),
-        master_seed=int(raw["master_seed"]),
-        train_seed=int(raw["train_seed"]),
-        schedule_T=int(raw.get("schedule_T", 100)),
-        schedule_s=float(raw.get("schedule_s", 0.008)),
-        denoiser=DenoiserHyperparams(**hp_kwargs),
-        features=features,
-        rules=rules,
-        B=int(raw.get("B", 40)),
-        K=int(raw.get("K", 8)),
-        skeleton_mode=raw.get("skeleton_mode", "whole-phrase"),
-        measures=int(raw.get("measures", 2)),
-        home_key=parse_key(home["tonic"], home["mode"]),
-        templates_path=resolve(raw["templates_path"]) if raw.get("templates_path") else None,
+        corpus_dir=resolve("corpus_dir"),
+        out_dir=resolve("out_dir"),
+        master_seed=_get(raw, "master_seed", int),
+        train_seed=_get(raw, "train_seed", int),
+        schedule_T=T,
+        schedule_s=_get(raw, "schedule_s", float, default=0.008),
+        denoiser=DenoiserHyperparams(**hp_kwargs, T=T),
+        features=_section(raw, "features", FeatureFlags),
+        rules=_section(raw, "rules", RuleConfig),
+        B=_get(raw, "B", int, default=40),
+        K=_get(raw, "K", int, default=8),
+        skeleton_mode=_get(raw, "skeleton_mode", str, default="whole-phrase"),
+        measures=_get(raw, "measures", int, default=2),
+        home_key=parse_key(
+            _get(home, "tonic", str, "config home_key"),
+            _get(home, "mode", str, "config home_key"),
+        ),
+        templates_path=resolve("templates_path") if raw.get("templates_path") else None,
         voice_profiles=profiles,
     )

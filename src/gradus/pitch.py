@@ -120,7 +120,7 @@ class KeyContext:
 
 
 def parse_key(tonic: str, mode: str) -> KeyContext:
-    step = tonic[0].upper()
+    step = tonic[:1].upper()
     alter = _SUFFIX_ALTER.get(tonic[1:], None)
     if alter is None:
         raise SpellingError(f"cannot parse key tonic {tonic!r}")

@@ -5,10 +5,11 @@ mixture. Guidance draws K candidate steps from that mixture, scores each
 candidate's one-step clean estimate against the hard counterpoint rules,
 and keeps the least-violating candidate; K=1 reduces to the unguided
 step, bit for bit, under a shared random stream. The K estimates come
-from one denoiser pass over the stacked candidates, and the winner's
-estimate is the next step's prediction, so a phrase costs T passes
-whatever K is. The transition matrices are the schedule's tables, built
-once per schedule and marginal.
+from one denoiser pass over the step's distinct candidates, stacked in
+first-drawn order (the K draws often repeat an assignment), and the
+winner's estimate is the next step's prediction, so a phrase costs T
+passes whatever K is. The transition matrices are the schedule's
+tables, built once per schedule and marginal.
 """
 
 from __future__ import annotations
@@ -152,17 +153,26 @@ def generate_phrase(
 
     def score(cands: np.ndarray, t_prev: int) -> np.ndarray:
         """Rule losses of the candidates' one-step clean estimates; keeps
-        the winner's prediction, which the next step needs anyway."""
+        the winner's prediction, which the next step needs anyway.
+
+        Each distinct candidate is forwarded once, in first-drawn order,
+        and ``inv`` maps every candidate to its row of that stack. A dict
+        on the row bytes costs microseconds a step where np.unique(axis=0)
+        costs a millisecond. Every candidate is still scored; repeats are
+        memo hits in ``ctx.score``."""
         nonlocal p_hat
         if t_prev >= 1:
-            stack = denoiser.forward(graph.with_x(cands), t_prev, params).p_hat
-            deg = np.argmax(stack, axis=2)
+            slot: dict[bytes, int] = {}
+            inv = [slot.setdefault(c.tobytes(), len(slot)) for c in cands]
+            rows = [inv.index(j) for j in range(len(slot))]
+            stack = denoiser.forward(graph.with_x(cands[rows]), t_prev, params).p_hat
+            deg = np.argmax(stack, axis=2)[inv]
         else:
             deg = np.argmax(cands, axis=2)
         losses = np.array([float(ctx.score(d)) for d in deg])
         if t_prev >= 1:
             # np.argmin keeps the first minimum, as scg_reverse_step does.
-            p_hat = stack[int(np.argmin(losses))]
+            p_hat = stack[inv[int(np.argmin(losses))]]
         return losses
 
     X = sample_noise_x(graph.n, m, rng)

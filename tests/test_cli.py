@@ -4,9 +4,14 @@ import pytest
 
 from gradus.cli import main
 from gradus.config import load_config
+from gradus.denoiser import DenoiserHyperparams
 from gradus.errors import PhraseValidationError
+from gradus.graph import FeatureFlags
+from gradus.rules import RuleConfig
 
 from conftest import CORPUS_DIR, counting
+
+EXAMPLE_CONFIG = CORPUS_DIR.parent / "config.example.json"
 
 
 def write_config(tmp_path, **overrides):
@@ -45,6 +50,52 @@ def test_config_relative_paths(tmp_path):
     cfg = load_config(path)
     assert cfg.corpus_dir == tmp_path / "corpus_rel"
     assert cfg.out_dir == tmp_path / "out_rel"
+
+
+def test_example_config_is_the_benchmark_setup():
+    # The ROADMAP's headline figure and perfbench's generate_guided workload
+    # run this setup: B=40 phrases, K=8, T=100, the toy denoiser (30
+    # epochs) trained with seed 1, and the default features and rules.
+    cfg = load_config(EXAMPLE_CONFIG)
+    assert cfg.corpus_dir == CORPUS_DIR
+    assert (cfg.B, cfg.K, cfg.schedule_T, cfg.schedule_s) == (40, 8, 100, 0.008)
+    assert cfg.denoiser == DenoiserHyperparams.toy()
+    assert cfg.denoiser.epochs == 30
+    assert (cfg.train_seed, cfg.features, cfg.rules) == (1, FeatureFlags(), RuleConfig())
+
+
+_PROFILE = {"voice": 0, "central": "E4", "low": "C4", "high": "G5"}
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda c: [c], "must hold a JSON object"),
+        (lambda c: {**c, "master_seed": "abc"}, "'master_seed' must be an integer, not 'abc'"),
+        (lambda c: {**c, "layers": 2.5}, "'layers' must be an integer"),
+        (lambda c: {**c, "features": {"pitch": True}}, "features has unknown key 'pitch'"),
+        (lambda c: {**c, "rules": {"parallel": True}}, "rules has unknown key 'parallel'"),
+        (lambda c: {**c, "rules": {"repetition_threshold": "4"}}, "'repetition_threshold' must be an integer"),
+        (lambda c: {**c, "home_key": {"mode": "major"}}, "home_key is missing required key 'tonic'"),
+        (lambda c: {**c, "home_key": {"tonic": "", "mode": "major"}}, "not a valid major-key"),
+        *(
+            (lambda c, key=key: {**c, "voice_profiles": [{k: v for k, v in _PROFILE.items() if k != key}]},
+             f"voice_profiles[0] is missing required key '{key}'")
+            for key in ("central", "low", "high")
+        ),
+    ],
+    ids=[
+        "list", "string-seed", "float-layers", "unknown-feature", "unknown-rule", "string-threshold",
+        "no-tonic", "empty-tonic", "no-central", "no-low", "no-high",
+    ],
+)
+def test_bad_config_exits_validation(tmp_path, capsys, edit, message):
+    path = write_config(tmp_path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert main(["ingest", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_ingest(tmp_path, capsys):

@@ -159,7 +159,7 @@ def test_analysis_soundness_random(corpus):
                     assert grammar.allows(a.root, b.root)
                     assert (a.root, b.root) != (5, 4)
                 checked += 1
-    assert checked >= 0  # soundness holds over whatever was readable
+    assert checked > 0  # the seed gives 16 readable assignments
 
 
 def test_grammar_exclusions():

@@ -8,7 +8,7 @@ from gradus.denoiser import Denoiser
 from gradus.errors import PhraseValidationError
 from gradus.graph import build_graph, degrees_from_x, rebuild_phrase
 from gradus.phrase import sample_rhythm, strip_to_skeleton
-from gradus.rules import build_rule_context
+from gradus.rules import RuleContext, build_rule_context
 from gradus.sampler import (
     GuidanceConfig,
     generate_library,
@@ -292,6 +292,35 @@ def test_generate_phrase_costs_t_passes(corpus, schedule, corpus_marginal, toy_m
     skel = strip_to_skeleton(corpus[5])
     generate_phrase(skel, den, result.params, schedule, corpus_marginal, GuidanceConfig(K=K, seed=6))
     assert calls == {"forward": schedule.T, "mixture": schedule.T, "build": 0}
+
+
+def test_generate_phrase_forwards_distinct_candidates(
+    corpus, schedule, corpus_marginal, toy_model, monkeypatch
+):
+    # A step's K draws often repeat an assignment; the stacked pass gets
+    # each distinct one once, while every candidate is still scored. Late
+    # steps, where the draws agree, forward a stack of one.
+    den, result = toy_model
+    K = 8
+    stacked = []
+    forward = Denoiser.forward
+
+    def recording(self, graph, t, params, want_cache=False):
+        if graph.X.ndim == 3:
+            rows = {c.tobytes() for c in graph.X}
+            assert len(rows) == len(graph.X), f"step {t} forwards a repeated candidate"
+            stacked.append(len(graph.X))
+        return forward(self, graph, t, params, want_cache)
+
+    calls = {"score": 0}
+    monkeypatch.setattr(Denoiser, "forward", recording)
+    monkeypatch.setattr(RuleContext, "score", counting(calls, "score", RuleContext.score))
+    skel = strip_to_skeleton(corpus[2])
+    generate_phrase(skel, den, result.params, schedule, corpus_marginal, GuidanceConfig(K=K, seed=4))
+    assert len(stacked) == schedule.T - 1
+    assert sum(stacked) < K * (schedule.T - 1)
+    assert min(stacked) == 1 and max(stacked) > 1
+    assert calls["score"] == K * schedule.T
 
 
 # Degree strings per voice that generate_phrase gave (K=8, T=100, the toy
