@@ -39,6 +39,12 @@ class RunConfig:
     voice_profiles: Optional[dict[int, VoiceProfile]] = None
 
 
+_HP_KEYS = (
+    "layers", "hidden_dim", "heads", "epochs", "batch_size",
+    "learning_rate", "val_split",
+)
+# Top-level keys: the RunConfig fields, with the denoiser's spelled out.
+_KEYS = {f.name for f in fields(RunConfig)} - {"denoiser"} | set(_HP_KEYS)
 _REQUIRED = object()
 _KIND_NAMES = {
     bool: "true or false", int: "an integer", float: "a number",
@@ -83,6 +89,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise PhraseParseError(f"config {path} line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise PhraseParseError(f"config {path} must hold a JSON object")
+    for key in raw:
+        if key not in _KEYS:
+            raise PhraseValidationError(f"config has unknown key {key!r}")
     base = path.parent
 
     def resolve(key: str) -> Path:
@@ -91,11 +100,7 @@ def load_config(path: str | Path) -> RunConfig:
 
     T = _get(raw, "schedule_T", int, default=100)
     hp_defaults = {f.name: f.default for f in fields(DenoiserHyperparams)}
-    hp_keys = (
-        "layers", "hidden_dim", "heads", "epochs", "batch_size",
-        "learning_rate", "val_split",
-    )
-    hp_kwargs = {k: _get(raw, k, type(hp_defaults[k])) for k in hp_keys if k in raw}
+    hp_kwargs = {k: _get(raw, k, type(hp_defaults[k])) for k in _HP_KEYS if k in raw}
     home = _get(raw, "home_key", dict, default={"tonic": "C", "mode": "major"})
 
     profiles = None

@@ -26,7 +26,6 @@ from .pitch import (
     KeyContext,
     Pitch,
     degree_of,
-    pitch_from_midi,
     realize_degree,
 )
 from .rules import (
@@ -65,32 +64,6 @@ def default_profiles(voices: Sequence[str]) -> dict[int, VoiceProfile]:
         else:
             profiles[v] = VoiceProfile(name, Pitch("C", 0, 4), Pitch("F", 0, 3), Pitch("F", 0, 5))
     return profiles
-
-
-def corpus_profiles(corpus: Sequence[Phrase]) -> dict[int, VoiceProfile]:
-    """Centrals derived from the mean realized pitch per voice; falls back
-    to the defaults for voices the corpus never realizes."""
-    if not corpus:
-        raise PhraseValidationError("empty corpus")
-    voices = corpus[0].voices
-    defaults = default_profiles(voices)
-    sums = {v: [] for v in range(len(voices))}
-    for p in corpus:
-        for e in p.events:
-            if e.pitch is not None:
-                sums[e.voice].append(e.pitch.midi)
-    out = {}
-    for v, default in defaults.items():
-        if sums.get(v):
-            mean = int(round(float(np.mean(sums[v]))))
-            low = min(default.low.midi, mean - 12)
-            high = max(default.high.midi, mean + 12)
-            out[v] = VoiceProfile(
-                default.name, pitch_from_midi(mean), pitch_from_midi(low), pitch_from_midi(high)
-            )
-        else:
-            out[v] = default
-    return out
 
 
 def realize_pitches(phrase: Phrase, profiles: dict[int, VoiceProfile]) -> Phrase:
@@ -206,19 +179,11 @@ def default_templates() -> tuple[UrsatzTemplate, ...]:
     return (three_line, five_line)
 
 
-def sample_structure(
-    templates: Sequence[UrsatzTemplate],
-    rng: np.random.Generator,
-    weights: Optional[Sequence[float]] = None,
-) -> UrsatzTemplate:
+def sample_structure(templates: Sequence[UrsatzTemplate], rng: np.random.Generator) -> UrsatzTemplate:
+    """One template, drawn uniformly with one rng.integers call."""
     if not templates:
         raise PhraseValidationError("no templates to sample")
-    if weights is None:
-        return templates[int(rng.integers(len(templates)))]
-    w = np.asarray(weights, dtype=np.float64)
-    if len(w) != len(templates) or np.any(w < 0) or w.sum() <= 0:
-        raise PhraseValidationError("bad template weights")
-    return templates[int(rng.choice(len(templates), p=w / w.sum()))]
+    return templates[int(rng.integers(len(templates)))]
 
 
 # ----------------------------------------------------------------------
@@ -437,15 +402,22 @@ def fuse(
     rng: np.random.Generator,
     home: KeyContext,
     rule_config: RuleConfig = RuleConfig(),
-    max_attempts_per_slot: int = 32,
 ) -> tuple[Score, FusionPlan]:
     """Fill every template slot from the library, verify the seams and the
-    whole degree score, then realize concrete pitches."""
+    whole degree score, then realize concrete pitches.
+
+    The search is a complete depth-first search: it tries every candidate
+    of every slot, so FusionInfeasibleError means no slot assignment
+    passes the filters and the final rule check. Each visited slot state
+    draws one permutation of its candidates (in library order) from rng,
+    in preorder, so a seed fixes the plan. The error reports the deepest
+    slot whose candidates all ran out, 1-based as in template prose.
+    """
     if len(library) == 0:
         raise FusionInfeasibleError(0, "empty phrase library")
 
     n_slots = len(template.slots)
-    attempts = [0] * n_slots
+    failed_slot = 0
 
     def slot_candidates(slot_i: int, chosen: list[FusionCandidate]) -> list[FusionCandidate]:
         slot = template.slots[slot_i]
@@ -484,31 +456,25 @@ def fuse(
             return False
         return rule_loss(full, rule_config) == 0
 
-    chosen: list[FusionCandidate] = []
-    stack: list[list[FusionCandidate]] = [slot_candidates(0, chosen)]
-    failed_slot = 0
-    while True:
+    def search(chosen: list[FusionCandidate]) -> Optional[list[FusionCandidate]]:
+        nonlocal failed_slot
         depth = len(chosen)
-        if attempts[depth] >= max_attempts_per_slot or not stack[depth]:
-            failed_slot = max(failed_slot, depth)
-            if depth == 0:
-                # Reported slot indices are 1-based, matching template prose.
-                raise FusionInfeasibleError(
-                    failed_slot + 1,
-                    f"no feasible phrase assignment for slot {failed_slot + 1}",
-                )
-            stack.pop()
-            chosen.pop()
-            continue
-        cand = stack[depth].pop(0)
-        attempts[depth] += 1
-        chosen.append(cand)
-        if len(chosen) == n_slots:
-            if verify(chosen):
-                break
-            chosen.pop()
-            continue
-        stack.append(slot_candidates(len(chosen), chosen))
+        for cand in slot_candidates(depth, chosen):
+            path = chosen + [cand]
+            if depth + 1 < n_slots:
+                found = search(path)
+                if found is not None:
+                    return found
+            elif verify(path):
+                return path
+        failed_slot = max(failed_slot, depth)
+        return None
+
+    chosen = search([])
+    if chosen is None:
+        raise FusionInfeasibleError(
+            failed_slot + 1, f"no feasible phrase assignment for slot {failed_slot + 1}"
+        )
 
     transposed = [
         transpose_phrase(library[c.index][0], c.transposition) for c in chosen

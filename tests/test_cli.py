@@ -73,6 +73,7 @@ _PROFILE = {"voice": 0, "central": "E4", "low": "C4", "high": "G5"}
         (lambda c: [c], "must hold a JSON object"),
         (lambda c: {**c, "master_seed": "abc"}, "'master_seed' must be an integer, not 'abc'"),
         (lambda c: {**c, "layers": 2.5}, "'layers' must be an integer"),
+        (lambda c: {**{k: v for k, v in c.items() if k != "epochs"}, "epoch": 30}, "config has unknown key 'epoch'"),
         (lambda c: {**c, "features": {"pitch": True}}, "features has unknown key 'pitch'"),
         (lambda c: {**c, "rules": {"parallel": True}}, "rules has unknown key 'parallel'"),
         (lambda c: {**c, "rules": {"repetition_threshold": "4"}}, "'repetition_threshold' must be an integer"),
@@ -85,7 +86,7 @@ _PROFILE = {"voice": 0, "central": "E4", "low": "C4", "high": "G5"}
         ),
     ],
     ids=[
-        "list", "string-seed", "float-layers", "unknown-feature", "unknown-rule", "string-threshold",
+        "list", "string-seed", "float-layers", "misspelt-epochs", "unknown-feature", "unknown-rule", "string-threshold",
         "no-tonic", "empty-tonic", "no-central", "no-low", "no-high",
     ],
 )
