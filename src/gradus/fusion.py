@@ -82,6 +82,7 @@ def realize_pitches(phrase: Phrase, profiles: dict[int, VoiceProfile]) -> Phrase
     for v in range(len(phrase.voices)):
         profile = profiles[v]
         prev_midi: Optional[int] = None
+        feasible_of: dict[Degree, list[Pitch]] = {}  # in-range placements per degree
         for idx, e in enumerate(phrase.events):
             if e.voice != v:
                 continue
@@ -96,12 +97,14 @@ def realize_pitches(phrase: Phrase, profiles: dict[int, VoiceProfile]) -> Phrase
             if e.degree.is_rest:
                 realized[idx] = e
                 continue
-            spelled = realize_degree(e.degree, phrase.key, 4)
-            feasible = [
-                Pitch(spelled.step, spelled.alter, o)
-                for o in range(0, 9)
-                if profile.low.midi <= Pitch(spelled.step, spelled.alter, o).midi <= profile.high.midi
-            ]
+            feasible = feasible_of.get(e.degree)
+            if feasible is None:
+                spelled = realize_degree(e.degree, phrase.key, 4)
+                feasible = feasible_of[e.degree] = [
+                    Pitch(spelled.step, spelled.alter, o)
+                    for o in range(0, 9)
+                    if profile.low.midi <= Pitch(spelled.step, spelled.alter, o).midi <= profile.high.midi
+                ]
             if not feasible:
                 raise SpellingError(
                     f"degree {e.degree} unrealizable in range of voice "
@@ -243,15 +246,25 @@ def pivot_select(
     their feasible start harmonies must include a grammar successor of the
     pivot reinterpretation of the antecedent's final harmony."""
     pivot = pivot_root(prev_local_key, antecedent.final_root, new_local_key)
-    successors = grammar.successors(pivot)
-    target_key = local_key_context(home, new_local_key)
+    return _opening_candidates(library, grammar.successors(pivot), pivot, home, new_local_key)
+
+
+def _opening_candidates(
+    library: PhraseLibrary, starts: frozenset[int], pivot: int, home: KeyContext, local_key: int
+) -> list[FusionCandidate]:
+    """Library phrases in the home mode whose feasible start harmonies meet
+    starts, in library order, each transposed into the local key; the
+    transposition is computed once per distinct phrase key."""
+    target_key = local_key_context(home, local_key)
+    shifts: dict[KeyContext, Interval] = {}
     out = []
     for i, (p, entry) in enumerate(library):
-        if entry.mode != home.mode:
+        if entry.mode != home.mode or not (entry.start_roots & starts):
             continue
-        if not (entry.start_roots & successors):
-            continue
-        out.append(FusionCandidate(i, pivot, Interval.between(p.key, target_key)))
+        shift = shifts.get(p.key)
+        if shift is None:
+            shift = shifts[p.key] = Interval.between(p.key, target_key)
+        out.append(FusionCandidate(i, pivot, shift))
     return out
 
 
@@ -383,13 +396,15 @@ def concatenate_degrees(phrases: Sequence[Phrase], home: KeyContext, local_keys:
     for phrase, local in zip(phrases, local_keys):
         if phrase.meter != meter:
             raise PhraseValidationError("fused phrases must share a meter")
+        global_of: dict[Degree, Degree] = {}
         for e in phrase.events:
             d = e.degree_in(phrase.key)
             if d is None:
                 raise PhraseValidationError("cannot fuse placeholder events")
-            events.append(
-                replace(e, onset=e.onset + offset, degree=globalize_degree(d, home, local), pitch=None)
-            )
+            g = global_of.get(d)
+            if g is None:
+                g = global_of[d] = globalize_degree(d, home, local)
+            events.append(replace(e, onset=e.onset + offset, degree=g, pitch=None))
         offset += Fraction(math.ceil(phrase.span / bar)) * bar
     return Phrase(key=home, meter=meter, voices=phrases[0].voices, events=tuple(events))
 
@@ -412,39 +427,51 @@ def fuse(
     draws one permutation of its candidates (in library order) from rng,
     in preorder, so a seed fixes the plan. The error reports the deepest
     slot whose candidates all ran out, 1-based as in template prose.
+
+    A slot state's candidates depend only on the slot, the previous
+    phrase's final root and the first phrase's meter, so each distinct
+    state's list is built once per call.
     """
     if len(library) == 0:
         raise FusionInfeasibleError(0, "empty phrase library")
 
     n_slots = len(template.slots)
     failed_slot = 0
+    built: dict[tuple, list[FusionCandidate]] = {}
 
-    def slot_candidates(slot_i: int, chosen: list[FusionCandidate]) -> list[FusionCandidate]:
+    def build(
+        slot_i: int, prev_entry: Optional[CatalogEntry], meter: Optional[tuple[int, int]]
+    ) -> list[FusionCandidate]:
         slot = template.slots[slot_i]
         required_treble = localize_degree(slot.final_treble, home, slot.local_key)
-        target_key = local_key_context(home, slot.local_key)
-        if slot_i == 0:
-            base = [
-                FusionCandidate(i, 0, Interval.between(library[i][0].key, target_key))
-                for i, (p, entry) in enumerate(library)
-                if entry.mode == home.mode and (entry.start_roots & grammar.start_roots)
-            ]
+        if prev_entry is None:
+            base = _opening_candidates(library, grammar.start_roots, 0, home, slot.local_key)
         else:
             prev_slot = template.slots[slot_i - 1]
-            prev_entry = library[chosen[-1].index][1]
             base = pivot_select(
                 prev_entry, prev_slot.local_key, slot.local_key, library, grammar, home
             )
         out = []
         for cand in base:
-            entry = library[cand.index][1]
+            phrase, entry = library[cand.index]
             if not cadence_satisfies(entry.cadence, slot.cadence):
                 continue
             if entry.final_treble != required_treble:
                 continue
-            if chosen and library[cand.index][0].meter != library[chosen[0].index][0].meter:
+            if meter is not None and phrase.meter != meter:
                 continue
             out.append(cand)
+        return out
+
+    def slot_candidates(slot_i: int, chosen: list[FusionCandidate]) -> list[FusionCandidate]:
+        prev_entry, meter = None, None
+        if chosen:
+            prev_entry = library[chosen[-1].index][1]
+            meter = library[chosen[0].index][0].meter
+        state = (slot_i, prev_entry.final_root if prev_entry else None, meter)
+        out = built.get(state)
+        if out is None:
+            out = built[state] = build(slot_i, prev_entry, meter)
         return [out[i] for i in rng.permutation(len(out))]
 
     def verify(chosen: list[FusionCandidate]) -> bool:
@@ -470,7 +497,12 @@ def fuse(
         failed_slot = max(failed_slot, depth)
         return None
 
-    chosen = search([])
+    try:
+        chosen = search([])
+    finally:
+        # search refers to itself, so its closure (and this dict) would
+        # otherwise wait for the cycle collector instead of the return.
+        built.clear()
     if chosen is None:
         raise FusionInfeasibleError(
             failed_slot + 1, f"no feasible phrase assignment for slot {failed_slot + 1}"

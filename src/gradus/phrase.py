@@ -73,6 +73,8 @@ class Phrase:
     events: tuple[NoteEvent, ...]
     cadence_annotation: Optional[str] = None
     structural: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    # End of the last event, set once at construction; not compared or hashed.
+    span: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.voices) < 1:
@@ -95,12 +97,10 @@ class Phrase:
                     raise PhraseValidationError(
                         f"overlapping events in voice {self.voices[v]!r} at onset {b.onset}"
                     )
-        if self.span <= 0:
+        span = max(e.end for e in ordered)
+        if span <= 0:
             raise PhraseValidationError("phrase has zero span")
-
-    @property
-    def span(self) -> Fraction:
-        return max(e.end for e in self.events)
+        object.__setattr__(self, "span", span)
 
     @property
     def bar_length(self) -> Fraction:

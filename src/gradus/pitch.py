@@ -76,16 +76,6 @@ def _wrap_alter(raw: int) -> int:
     return (raw + 6) % 12 - 6
 
 
-def pitch_from_midi(midi: int, prefer_flat: bool = False) -> Pitch:
-    """Spell a MIDI number with at most one accidental (sharps by default)."""
-    octave, pc = divmod(midi, 12)
-    sharp_names = ["C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B"]
-    flat_names = ["C", "Db", "D", "Eb", "E", "F", "Gb", "G", "Ab", "A", "Bb", "B"]
-    name = (flat_names if prefer_flat else sharp_names)[pc]
-    alter = _SUFFIX_ALTER[name[1:]]
-    return Pitch(name[0], alter, octave - 1)
-
-
 # Standard key-signature roots (circle of fifths, up to 7 accidentals).
 _MAJOR_ROOTS = {"C", "G", "D", "A", "E", "B", "F#", "C#", "F", "Bb", "Eb", "Ab", "Db", "Gb", "Cb"}
 _MINOR_ROOTS = {"A", "E", "B", "F#", "C#", "G#", "D#", "A#", "D", "G", "C", "F", "Bb", "Eb", "Ab"}

@@ -1,9 +1,13 @@
+import gc
 import itertools
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gradus import fusion
 from gradus.errors import FusionInfeasibleError, PhraseValidationError, SpellingError
 from gradus.fusion import (
     TemplateSlot,
@@ -25,10 +29,10 @@ from gradus.fusion import (
 )
 from gradus.library import PhraseLibrary
 from gradus.phrase import transpose_phrase
-from gradus.pitch import Degree, parse_key, parse_pitch
+from gradus.pitch import Degree, Interval, parse_key, parse_pitch
 from gradus.rules import ProgressionGrammar, RuleConfig, cadence_satisfies, rule_loss
 
-from conftest import make_phrase
+from conftest import counting, make_phrase
 
 
 def profiles2():
@@ -334,20 +338,98 @@ def test_score_serialization_roundtrip(corpus):
     assert again == score
 
 
+def _dead_end_library(corpus):
+    library, dropped = PhraseLibrary.build([corpus[15]] * 40 + [corpus[0], corpus[2], corpus[1]])
+    assert not dropped
+    return library
+
+
 def test_fuse_finds_plan_behind_many_dead_ends(corpus):
     # Forty copies of the 3/4 phrase 15_c fit slot 1, but no 3/4 phrase
     # can follow them; the only plan is 00_c, 02_c, 01_c at the end. The
     # search must get past all forty dead ends whatever order a seed
     # gives them.
-    phrases = [corpus[15]] * 40 + [corpus[0], corpus[2], corpus[1]]
-    library, dropped = PhraseLibrary.build(phrases)
-    assert not dropped
+    library = _dead_end_library(corpus)
     for seed in range(20):
         _, plan = fuse(
             default_templates()[0], library, profiles2(), ProgressionGrammar(),
             np.random.default_rng(seed), parse_key("C", "major"),
         )
         assert plan.phrase_indices == (40, 41, 42), seed
+
+
+def _fits(template, library, grammar, home, prefix, i):
+    """Whether library phrase i passes the filters of the slot after the
+    prefix (a tuple of library indices)."""
+    phrase, entry = library[i]
+    slots = template.slots
+    slot = slots[len(prefix)]
+    if prefix:
+        prev = slots[len(prefix) - 1]
+        pivot = pivot_root(prev.local_key, library[prefix[-1]][1].final_root, slot.local_key)
+        starts = grammar.successors(pivot)
+        if phrase.meter != library[prefix[0]][0].meter:
+            return False
+    else:
+        starts = grammar.start_roots
+    return (
+        entry.mode == home.mode
+        and bool(entry.start_roots & starts)
+        and cadence_satisfies(entry.cadence, slot.cadence)
+        and entry.final_treble == localize_degree(slot.final_treble, home, slot.local_key)
+    )
+
+
+class _CountingRng:
+    """A generator that counts its permutation draws: one per visited
+    slot state of the search."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def permutation(self, n):
+        self.draws += 1
+        return self.rng.permutation(n)
+
+
+def test_fuse_builds_each_slot_state_once(corpus, monkeypatch):
+    # Each slot's candidates depend only on (slot, previous final root,
+    # first phrase's meter), so a search that revisits such a state, as it
+    # does once per dead end here, must not select its pivots again.
+    library = _dead_end_library(corpus)
+    template, home, grammar = default_templates()[0], parse_key("C", "major"), ProgressionGrammar()
+    states, prefixes = set(), [()]
+    for depth in range(1, len(template.slots)):
+        prefixes = [p + (i,) for p in prefixes for i in range(len(library))
+                    if _fits(template, library, grammar, home, p, i)]
+        states |= {(depth, library[p[-1]][1].final_root, library[p[0]][0].meter) for p in prefixes}
+    calls = {"pivot_select": 0}
+    monkeypatch.setattr(fusion, "pivot_select", counting(calls, "pivot_select", fusion.pivot_select))
+    visited = 0
+    for seed in range(20):
+        calls["pivot_select"] = 0
+        rng = _CountingRng(seed)
+        fuse(template, library, profiles2(), grammar, rng, home)
+        assert 1 <= calls["pivot_select"] <= len(states), seed
+        visited += rng.draws
+    # The searches revisit each state many times over (469 draws, 3 states).
+    assert visited > 100 * len(states)
+
+
+def test_fuse_leaves_no_candidates_to_the_cycle_collector(corpus):
+    # The slot-state lists must go when fuse returns, not when the cycle
+    # collector next runs: a service answering many requests would hold
+    # every recent request's lists.
+    library = _dead_end_library(corpus)
+    gc.collect()
+    gc.disable()
+    try:
+        fuse(default_templates()[0], library, profiles2(), ProgressionGrammar(),
+             np.random.default_rng(0), parse_key("C", "major"))
+        left = sum(isinstance(o, fusion.FusionCandidate) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert left == 0
 
 
 def _brute_force_fusion(template, library, grammar, home, rule_config):
@@ -357,29 +439,10 @@ def _brute_force_fusion(template, library, grammar, home, rule_config):
     reports: one past the longest prefix passing the filters, at most the
     last slot."""
     slots = template.slots
-
-    def fits(prefix, i):
-        phrase, entry = library[i]
-        slot = slots[len(prefix)]
-        if prefix:
-            prev = slots[len(prefix) - 1]
-            pivot = pivot_root(prev.local_key, library[prefix[-1]][1].final_root, slot.local_key)
-            starts = grammar.successors(pivot)
-            if phrase.meter != library[prefix[0]][0].meter:
-                return False
-        else:
-            starts = grammar.start_roots
-        return (
-            entry.mode == home.mode
-            and bool(entry.start_roots & starts)
-            and cadence_satisfies(entry.cadence, slot.cadence)
-            and entry.final_treble == localize_degree(slot.final_treble, home, slot.local_key)
-        )
-
     plans, longest = [], 0
     for assignment in itertools.product(range(len(library)), repeat=len(slots)):
         k = 0
-        while k < len(slots) and fits(assignment[:k], assignment[k]):
+        while k < len(slots) and _fits(template, library, grammar, home, assignment[:k], assignment[k]):
             k += 1
         longest = max(longest, k)
         if k < len(slots):
@@ -453,3 +516,54 @@ def test_fuse_matches_brute_force(corpus):
     # Both outcomes, in both modes, and failures at every slot depth.
     assert len(fused) >= 20 and "minor I-I" in fused
     assert {1, 2, 3} <= set(failed_at)
+
+
+# Plans that fuse gave, per request seed, for the corpus in five keys
+# (catalog_fuse's library) before its slot candidate lists were memoised;
+# a change to the search's speed must not move any of them.
+GOLDEN_PLANS = Path(__file__).resolve().parent / "data" / "fusion_plans.json"
+FIVE_KEYS = ((0, 0), (4, 7), (3, 5), (1, 2), (5, 9))
+
+
+def _five_key_library(corpus):
+    encoded = [
+        replace(p, events=tuple(replace(e, degree=e.degree_in(p.key), pitch=None) for e in p.events))
+        for p in corpus
+    ]
+    phrases = [transpose_phrase(p, Interval(*s)) for s in FIVE_KEYS for p in encoded]
+    library, dropped = PhraseLibrary.build(phrases)
+    assert not dropped
+    return library
+
+
+def _request(library, templates, seed):
+    """One request as gradus fuse serves it: a stream draws the template,
+    then drives the search."""
+    rng = np.random.default_rng(seed)
+    template = sample_structure(templates, rng)
+    out = {"seed": seed, "template": template.name}
+    try:
+        _, plan = fuse(template, library, profiles2(), ProgressionGrammar(), rng, parse_key("C", "major"))
+    except FusionInfeasibleError as exc:
+        out["infeasible"] = exc.slot_index
+    else:
+        assert plan.template == template
+        out["plan"] = plan.to_dict()
+    return out
+
+
+def test_fuse_plans_golden(corpus):
+    library = _five_key_library(corpus)
+    assert len(library) == 100
+    a, pac = "authentic", "perfect_authentic"
+    templates = templates_from_json([
+        _template("3-line", ("I", a, "3"), ("V", a, "2"), ("I", pac, "1")),
+        _template("5-line", ("I", a, "5"), ("V", a, "2"), ("I", pac, "1")),
+        _template("I-IV-I", ("I", a, "3"), ("IV", a, "2"), ("I", pac, "1")),
+    ])
+    golden = json.loads(GOLDEN_PLANS.read_text())
+    assert [_request(library, templates, g["seed"]) for g in golden] == golden
+    # Every template is drawn; as in catalog_fuse, only 3-line can be
+    # filled, so the other two exercise the search's exhaustion.
+    outcomes = {(g["template"], g.get("infeasible")) for g in golden}
+    assert outcomes == {("3-line", None), ("5-line", 1), ("I-IV-I", 2)}

@@ -124,6 +124,34 @@ def test_transpose_moves_pitches():
     assert q.events[0].pitch == parse_pitch("B4")
 
 
+def test_span_is_stored_at_construction(corpus):
+    # The span is set once in __post_init__; every way of making a phrase
+    # recomputes it from the events it ends up with.
+    from dataclasses import replace
+
+    def end(p):
+        return max(e.end for e in p.events)
+
+    for p in corpus:
+        assert p.span == end(p) and p.span > 0
+        first_bar = replace(p, events=tuple(e for e in p.events if e.end <= p.bar_length))
+        assert first_bar.span == end(first_bar) < p.span
+        moved = transpose_phrase(p, Interval(4, 7))
+        assert moved.span == end(moved) == p.span
+    with pytest.raises(ValueError):
+        replace(corpus[0], span=Fraction(1))  # not a constructor argument
+
+
+def test_span_leaves_equality_and_hash_alone(corpus):
+    p = corpus[3]
+    again = parse_phrase(serialize_phrase(p))
+    assert again == p and hash(again) == hash(p)
+    assert "span" not in repr(p)
+    # A phrase in another key has the same span but is a different phrase.
+    moved = transpose_phrase(p, Interval(1, 2))
+    assert moved.span == p.span and moved != p
+
+
 def test_skeleton_has_no_pitch_content(corpus):
     for p in corpus[:5]:
         skel = strip_to_skeleton(p)

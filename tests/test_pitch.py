@@ -11,7 +11,6 @@ from gradus.pitch import (
     parse_degree,
     parse_key,
     parse_pitch,
-    pitch_from_midi,
     realize_degree,
 )
 
@@ -88,8 +87,3 @@ def test_key_validation():
         KeyContext("G", 1, "major")  # G# major is not a signature root
     with pytest.raises(SpellingError):
         parse_key("C", "dorian")
-
-
-def test_pitch_from_midi_round_trip():
-    for midi in range(21, 109):
-        assert pitch_from_midi(midi).midi == midi
