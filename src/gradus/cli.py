@@ -45,7 +45,7 @@ from .library import PhraseLibrary
 from .midi import write_midi
 from .phrase import Phrase, load_corpus, parse_phrase, serialize_phrase
 from .pitch import DEGREES
-from .rules import NO_READING, ProgressionGrammar, all_violations, reject
+from .rules import ProgressionGrammar, reject
 from .sampler import GuidanceConfig, generate_library
 from .schedule import NoiseSchedule, marginals
 
@@ -173,9 +173,7 @@ def cmd_generate(config: RunConfig, checkpoint_path: Path, out_dir: Path) -> int
             target = accepted_dir if res.accepted else rejected_dir
             (target / name).write_text(serialize_phrase(p))
             results[name] = {"accepted": res.accepted, "reasons": list(res.reasons)}
-            if res.accepted or res.reasons == (NO_READING,):
-                continue  # no hard-rule violation to list
-            for v in all_violations(p, config.rules):
+            for v in res.violations:
                 violations_fh.write(
                     json.dumps(
                         {

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -487,17 +487,7 @@ class Checkpoint:
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     meta = {
         "version": CHECKPOINT_VERSION,
-        "hyperparams": {
-            "layers": ckpt.hp.layers,
-            "hidden_dim": ckpt.hp.hidden_dim,
-            "heads": ckpt.hp.heads,
-            "T": ckpt.hp.T,
-            "epochs": ckpt.hp.epochs,
-            "batch_size": ckpt.hp.batch_size,
-            "learning_rate": ckpt.hp.learning_rate,
-            "val_split": ckpt.hp.val_split,
-            "mlp_ratio": ckpt.hp.mlp_ratio,
-        },
+        "hyperparams": asdict(ckpt.hp),
         "r_names": list(ckpt.r_names),
         "schedule_T": ckpt.schedule_T,
         "schedule_s": ckpt.schedule_s,

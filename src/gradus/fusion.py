@@ -10,7 +10,6 @@ degree score is re-checked against the hard rules before realization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -292,28 +291,6 @@ class FusionPlan:
         }
 
 
-def plan_from_dict(obj: dict) -> FusionPlan:
-    from .pitch import parse_degree
-
-    try:
-        slots = tuple(
-            TemplateSlot(
-                local_key=int(s["local_key"]),
-                cadence=s["cadence"],
-                final_treble=parse_degree(s["final_treble_degree"]),
-            )
-            for s in obj["slots"]
-        )
-        return FusionPlan(
-            template=UrsatzTemplate(name=obj["template"], slots=slots),
-            phrase_indices=tuple(int(i) for i in obj["phrase_indices"]),
-            transpositions=tuple(Interval(int(a), int(b)) for a, b in obj["transpositions"]),
-            pivots=tuple(None if p is None else int(p) for p in obj["pivots"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PhraseValidationError(f"malformed fusion plan: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class Score:
     home_key: KeyContext
@@ -390,7 +367,6 @@ def concatenate_degrees(phrases: Sequence[Phrase], home: KeyContext, local_keys:
     if not phrases:
         raise PhraseValidationError("nothing to concatenate")
     meter = phrases[0].meter
-    bar = Fraction(meter[0])
     events = []
     offset = Fraction(0)
     for phrase, local in zip(phrases, local_keys):
@@ -405,7 +381,7 @@ def concatenate_degrees(phrases: Sequence[Phrase], home: KeyContext, local_keys:
             if g is None:
                 g = global_of[d] = globalize_degree(d, home, local)
             events.append(replace(e, onset=e.onset + offset, degree=g, pitch=None))
-        offset += Fraction(math.ceil(phrase.span / bar)) * bar
+        offset += phrase.n_bars * phrase.bar_length
     return Phrase(key=home, meter=meter, voices=phrases[0].voices, events=tuple(events))
 
 

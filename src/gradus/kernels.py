@@ -121,20 +121,22 @@ class SkeletonArrays(NamedTuple):
     strong_upper: np.ndarray  # (m, v-1): sounding in the upper voices on strong moments, else silent
     strong_bass: np.ndarray  # (m, 1): sounding in the bass
     chains: np.ndarray  # node indices voice by voice, in time order
-    voice_starts: np.ndarray  # positions in ``chains`` where a voice begins
+    voice_starts: np.ndarray  # positions in ``chains``, after the first, where a new voice begins
 
 
-def skeleton_arrays(sounding, attacked, strong, chains, chain_offsets) -> SkeletonArrays:
+def skeleton_arrays(sounding, attacked, strong, node_voices) -> SkeletonArrays:
     """From the node covering each voice at each grid moment (-1 where the
     voice is silent), whether it starts there, which moments are strong,
-    and the voices' node chains delimited by ``chain_offsets``."""
-    n_nodes = len(chains)
+    and each node's voice (nodes are in time order within a voice)."""
+    node_voices = np.asarray(node_voices, dtype=np.int64)
+    n_nodes = len(node_voices)
     sounding = np.array(sounding, dtype=np.int64)
     sounding[sounding < 0] = n_nodes
     attacked_next = np.array(attacked, dtype=bool)[1:]
     upper, lower = voice_pairs(sounding.shape[1])
     strong = np.array(strong, dtype=bool)[:, None]
-    starts = np.asarray(chain_offsets[:-1], dtype=np.int64)
+    chains = np.argsort(node_voices, kind="stable")
+    chain_voices = node_voices[chains]
     return SkeletonArrays(
         sounding=sounding,
         pair_upper=sounding[:, upper],
@@ -142,8 +144,8 @@ def skeleton_arrays(sounding, attacked, strong, chains, chain_offsets) -> Skelet
         pair_attacked=attacked_next[:, upper] & attacked_next[:, lower],
         strong_upper=np.where(strong, sounding[:, :-1], n_nodes),
         strong_bass=sounding[:, -1:],
-        chains=np.asarray(chains, dtype=np.int64),
-        voice_starts=starts[starts < n_nodes],
+        chains=chains,
+        voice_starts=np.flatnonzero(chain_voices[1:] != chain_voices[:-1]) + 1,
     )
 
 
@@ -158,26 +160,22 @@ class ViolationMasks(NamedTuple):
     octaves: np.ndarray  # (pairs, m-1): parallel octaves, likewise
     seconds: np.ndarray  # (m, v-1): upper voice a second above the bass on a strong moment
     fourths: np.ndarray  # (m, v-1): likewise a fourth
-    repetition: np.ndarray  # (len(chains),): start of a run reaching the threshold
+    repetition: np.ndarray  # (len(chains),): at a run's start, its length if it reaches the threshold
 
 
 def violation_masks(
-    degrees: np.ndarray,
-    sk: SkeletonArrays,
-    tables: PairTables,
-    rep_threshold: int,
-    check_parallels: int = 1,
-    check_dissonance: int = 1,
-    check_repetition: int = 1,
+    degrees: np.ndarray, sk: SkeletonArrays, tables: PairTables, config
 ) -> ViolationMasks:
     """Parallel perfect fifths/octaves where both voices attack a changed
     degree, seconds/fourths against the bass on strong moments (upper-voice
-    pairs are exempt), and maximal runs of one pitched degree per voice."""
+    pairs are exempt), and maximal runs of one pitched degree per voice.
+    ``config`` is a ``rules.RuleConfig``: its ``parallels``, ``dissonance``
+    and ``repetition`` switches and its ``repetition_threshold``."""
     # Index n_nodes, a silent voice, reads the silent class C.
     padded = np.append(degrees, len(tables.pitched))
 
     fifths = octaves = seconds = fourths = repetition = _EMPTY
-    if check_parallels:
+    if config.parallels:
         du = padded[sk.pair_upper]
         dl = padded[sk.pair_lower]
         code = tables.parallel[du, dl]
@@ -190,12 +188,12 @@ def violation_masks(
         fifths = (kept & (code[1:] == FIFTH)).T
         octaves = (kept & (code[1:] == OCTAVE)).T
 
-    if check_dissonance and sk.sounding.shape[1] >= 2:
+    if config.dissonance and sk.sounding.shape[1] >= 2:
         code = tables.dissonance[padded[sk.strong_upper], padded[sk.strong_bass]]
         seconds = code == SECOND
         fourths = code == FOURTH
 
-    if check_repetition:
+    if config.repetition:
         seq = degrees[sk.chains]
         n = len(seq)
         starts_run = np.ones(n, dtype=bool)
@@ -203,12 +201,13 @@ def violation_masks(
         starts_run[sk.voice_starts] = True
         starts = np.flatnonzero(starts_run)
         lengths = np.append(starts[1:], n) - starts
-        repetition = np.zeros(n, dtype=bool)
-        repetition[starts[(lengths >= rep_threshold) & tables.pitched[seq[starts]]]] = True
+        kept = (lengths >= config.repetition_threshold) & tables.pitched[seq[starts]]
+        repetition = np.zeros(n, dtype=np.int64)
+        repetition[starts[kept]] = lengths[kept]
 
     return ViolationMasks(fifths, octaves, seconds, fourths, repetition)
 
 
-def count_violations(*args, **kwargs) -> int:
+def count_violations(degrees: np.ndarray, sk: SkeletonArrays, tables: PairTables, config) -> int:
     """Total hard-rule violations: the hits of ``violation_masks``."""
-    return int(sum(map(np.count_nonzero, violation_masks(*args, **kwargs))))
+    return int(sum(map(np.count_nonzero, violation_masks(degrees, sk, tables, config))))

@@ -8,7 +8,6 @@ tick-exactly in round-trip tests.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,8 +44,7 @@ def score_note_events(score: Score) -> list[tuple[int, int, int, int]]:
     out = []
     offset = Fraction(0)
     for phrase in score.phrases:
-        num, den = phrase.meter
-        bar = Fraction(num)
+        den = phrase.meter[1]
         for e in phrase.events:
             if e.is_rest:
                 continue
@@ -62,7 +60,7 @@ def score_note_events(score: Score) -> list[tuple[int, int, int, int]]:
                     e.pitch.midi,
                 )
             )
-        offset += Fraction(math.ceil(phrase.span / bar)) * bar
+        offset += phrase.n_bars * phrase.bar_length
     if not out:
         raise PhraseValidationError("score has no notes to render")
     return out

@@ -99,8 +99,7 @@ _PAIR_TABLES = kernels.pair_tables(DEGREE_LETTER, DEGREE_SEMIS)
 class RuleContext:
     """The hard rules' view of one rhythm skeleton, built once per skeleton
     by ``build_rule_context``: the grid arrays ``kernels.violation_masks``
-    reads, plus the voice chain bounds, grid times and graph nodes that
-    locate its hits.
+    reads, plus the grid times and graph nodes that locate its hits.
 
     score() counts the violations of a per-node degree assignment. Guided
     sampling calls it once per candidate, K times a step, and most
@@ -108,7 +107,6 @@ class RuleContext:
     each distinct assignment is evaluated once and its count kept."""
 
     arrays: kernels.SkeletonArrays
-    chain_offsets: np.ndarray
     config: RuleConfig
     grid: tuple[Fraction, ...]
     nodes: tuple[GraphNode, ...]
@@ -118,52 +116,25 @@ class RuleContext:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def _kernel_args(self, degree_indices: np.ndarray) -> tuple:
-        c = self.config
-        return (
-            np.asarray(degree_indices, dtype=np.int64),
-            self.arrays,
-            _PAIR_TABLES,
-            c.repetition_threshold,
-            int(c.parallels),
-            int(c.dissonance),
-            int(c.repetition),
-        )
-
     def score(self, degree_indices: np.ndarray) -> int:
         deg = np.asarray(degree_indices, dtype=np.int64)
         key = deg.tobytes()
         loss = self._scores.get(key)
         if loss is None:
-            loss = self._scores[key] = kernels.count_violations(*self._kernel_args(deg))
+            loss = kernels.count_violations(deg, self.arrays, _PAIR_TABLES, self.config)
+            self._scores[key] = loss
         return loss
 
 
 def build_rule_context(skeleton: Phrase, config: RuleConfig = RuleConfig()) -> RuleContext:
     grid, nodes, sounding, attacked = _time_grid(skeleton, config.strong_beat_cutoff)
     strong = [metric_strength(t, skeleton.meter) >= config.strong_beat_cutoff for t in grid]
-    chains: list[int] = []
-    offsets = [0]
-    for v in range(len(skeleton.voices)):
-        chains.extend(i for i, nd in enumerate(nodes) if nd.voice == v)
-        offsets.append(len(chains))
     return RuleContext(
-        arrays=kernels.skeleton_arrays(sounding, attacked, strong, chains, offsets),
-        chain_offsets=np.array(offsets, dtype=np.int64),
+        arrays=kernels.skeleton_arrays(sounding, attacked, strong, [nd.voice for nd in nodes]),
         config=config,
         grid=tuple(grid),
         nodes=tuple(nodes),
     )
-
-
-def degree_indices(phrase: Phrase) -> np.ndarray:
-    """Node-ordered degree class indices of a degree-encoded phrase."""
-    idx = []
-    for nd in merge_tied(phrase):
-        if nd.degree is None:
-            raise PhraseValidationError("phrase has placeholder events")
-        idx.append(DEGREE_INDEX[nd.degree])
-    return np.array(idx, dtype=np.int64)
 
 
 def all_violations(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[Violation]:
@@ -172,8 +143,10 @@ def all_violations(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[Vi
     then run. Placeholder degrees count as rests."""
     ctx = build_rule_context(phrase, config)
     nodes, voices = ctx.nodes, phrase.voices
-    deg = [REST_INDEX if nd.degree is None else DEGREE_INDEX[nd.degree] for nd in nodes]
-    masks = kernels.violation_masks(*ctx._kernel_args(deg))
+    deg = np.array(
+        [REST_INDEX if nd.degree is None else DEGREE_INDEX[nd.degree] for nd in nodes], dtype=np.int64
+    )
+    masks = kernels.violation_masks(deg, ctx.arrays, _PAIR_TABLES, config)
 
     def degree_at(ti, voice) -> Degree:
         return nodes[ctx.arrays.sounding[ti, voice]].degree
@@ -205,19 +178,15 @@ def all_violations(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[Vi
                 f"{metric_strength(tau, phrase.meter):.3g}",
             )
         )
-    chains = ctx.arrays.chains
     for k in np.flatnonzero(masks.repetition):
-        head = nodes[chains[k]]
-        end = ctx.chain_offsets[head.voice + 1]
-        run = 1
-        while k + run < end and deg[chains[k + run]] == deg[chains[k]]:
-            run += 1
+        head = nodes[ctx.arrays.chains[k]]
         out.append(
             Violation(
                 rule="repetition",
                 onset=head.onset,
                 voices=(head.voice,),
-                description=f"{run}x repeated {head.degree} in {voices[head.voice]}",
+                description=f"{masks.repetition[k]}x repeated {head.degree} "
+                f"in {voices[head.voice]}",
             )
         )
     return out
@@ -522,6 +491,7 @@ class RejectionResult:
     accepted: bool
     entry: Optional[CatalogEntry]
     reasons: tuple[str, ...]
+    violations: tuple[Violation, ...] = ()  # the hard-rule breaks behind ``reasons``
 
     def __bool__(self) -> bool:
         return self.accepted
@@ -533,11 +503,11 @@ def reject(
     config: RuleConfig = RuleConfig(),
 ) -> RejectionResult:
     """Hard-rule rejection plus harmonic readability; accepted phrases get
-    a catalog entry recording their fusion-relevant boundary features."""
-    violations = all_violations(phrase, config)
-    reasons = tuple(str(v) for v in violations)
-    if reasons:
-        return RejectionResult(False, None, reasons)
+    a catalog entry recording their fusion-relevant boundary features, and
+    a phrase rejected on hard rules carries its located violations."""
+    violations = tuple(all_violations(phrase, config))
+    if violations:
+        return RejectionResult(False, None, tuple(map(str, violations)), violations)
     beats = _segment_readings(phrase, config.strong_beat_cutoff)
     readings = _best_readings(beats, grammar)
     if not readings:

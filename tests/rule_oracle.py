@@ -335,9 +335,9 @@ def reject_oracle(
     config: RuleConfig = RuleConfig(),
 ) -> RejectionResult:
     """Rejection composed from the brute-force rules and analysis."""
-    reasons = tuple(str(v) for v in oracle(phrase, config))
-    if reasons:
-        return RejectionResult(False, None, reasons)
+    violations = tuple(oracle(phrase, config))
+    if violations:
+        return RejectionResult(False, None, tuple(str(v) for v in violations), violations)
     readings = harmonic_readings(phrase, grammar, config)
     if not readings:
         return RejectionResult(False, None, (NO_READING,))

@@ -174,16 +174,15 @@ def test_generate_emits_violation_report(tmp_path):
 
 def test_plan_and_loss_files_reread(tmp_path):
     from gradus.denoiser import read_loss_csv
-    from gradus.fusion import plan_from_dict
 
     path = write_config(tmp_path)
     assert main(["train", "--config", str(path)]) == 0
     history = read_loss_csv(tmp_path / "out" / "loss.csv")
     assert [h[0] for h in history] == [1, 2, 3]
     assert main(["fuse", "--config", str(path), "--library", str(CORPUS_DIR)]) == 0
-    plan = plan_from_dict(json.loads((tmp_path / "out" / "plan.json").read_text()))
-    assert len(plan.phrase_indices) == 3
-    assert plan.pivots[0] is None
+    plan = json.loads((tmp_path / "out" / "plan.json").read_text())
+    assert len(plan["phrase_indices"]) == 3
+    assert plan["pivots"][0] is None
 
 
 def test_train_deterministic_csv(tmp_path):
@@ -235,22 +234,21 @@ def test_missing_config_file(tmp_path):
 
 
 def test_generate_rejects_each_phrase_once(tmp_path, monkeypatch):
-    # One rejection per phrase; the violations are listed again only for
-    # phrases that broke a hard rule, since a phrase that was accepted or
-    # lacks a harmonic reading has none.
-    import gradus.cli
-    import gradus.library
+    # One rejection and one hard-rule evaluation per phrase: the violations
+    # listed for a phrase are the ones its rejection found. Both functions
+    # are counted in every gradus module that binds them.
+    import sys
+
     import gradus.rules
 
     path = write_config(tmp_path, B=6, K=2)
     assert main(["train", "--config", str(path)]) == 0
     calls = {"reject": 0, "all_violations": 0}
-    for module in (gradus.cli, gradus.library):
-        monkeypatch.setattr(module, "reject", counting(calls, "reject", gradus.rules.reject))
-    for module in (gradus.cli, gradus.rules):
-        monkeypatch.setattr(
-            module, "all_violations", counting(calls, "all_violations", gradus.rules.all_violations)
-        )
+    for key in calls:
+        fn = getattr(gradus.rules, key)
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "gradus" and getattr(module, key, None) is fn:
+                monkeypatch.setattr(module, key, counting(calls, key, fn))
     assert main(["generate", "--config", str(path)]) == 0
 
     out = tmp_path / "out"
@@ -260,7 +258,7 @@ def test_generate_rejects_each_phrase_once(tmp_path, monkeypatch):
         if not r["accepted"] and r["reasons"] != ["no harmonic reading"]
     }
     assert hard, "the seed should give a phrase that breaks a hard rule"
-    assert calls == {"reject": 6, "all_violations": 6 + len(hard)}
+    assert calls == {"reject": 6, "all_violations": 6}
     listed = [json.loads(line)["phrase"] for line in (out / "violations.jsonl").read_text().splitlines()]
     assert {name: listed.count(name) for name in phrases} == {
         name: len(r["reasons"]) if name in hard else 0 for name, r in phrases.items()

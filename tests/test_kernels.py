@@ -10,7 +10,7 @@ from gradus import kernels
 from gradus.graph import merge_tied, rebuild_phrase
 from gradus.phrase import NoteEvent, Phrase, strip_to_skeleton
 from gradus.pitch import DEGREE_INDEX, DEGREES, NUM_DEGREE_CLASSES, parse_degree, parse_key
-from gradus.rules import RuleConfig, _time_grid, all_violations, build_rule_context, degree_indices
+from gradus.rules import _PAIR_TABLES, RuleConfig, _time_grid, all_violations, build_rule_context
 
 from conftest import counting
 from rule_oracle import oracle, time_grid
@@ -73,7 +73,7 @@ def test_violation_counter_matches_reference(corpus):
                     [d.letter_offset if not d.is_rest else -1 for d in DEGREES],
                     [d.semis if not d.is_rest else -1 for d in DEGREES],
                 ),
-                config.repetition_threshold,
+                config,
             )
             assert got == want
 
@@ -95,7 +95,7 @@ def test_switched_off_rules_give_empty_masks(corpus):
     skeleton = strip_to_skeleton(corpus[0])
     ctx = build_rule_context(skeleton, RuleConfig(parallels=False, dissonance=False, repetition=False))
     deg = _rule_heavy_assignment(np.random.default_rng(3), ctx.n_nodes)
-    masks = kernels.violation_masks(*ctx._kernel_args(deg))
+    masks = kernels.violation_masks(deg, ctx.arrays, _PAIR_TABLES, ctx.config)
     assert all(mask.size == 0 for mask in masks)
     assert ctx.score(deg) == 0
 
@@ -116,15 +116,6 @@ def test_score_evaluates_each_assignment_once(corpus, monkeypatch):
     assert calls["eval"] == len({d.tobytes() for d in degs}) == 5
     assert first == [len(oracle(rebuild_phrase(skeleton, [DEGREES[i] for i in d]))) for d in degs]
     assert len(set(first)) > 1
-
-
-def test_degree_indices_matches_graph_order(corpus):
-    p = corpus[0]
-    idx = degree_indices(p)
-    nodes = merge_tied(p)
-    assert len(idx) == len(nodes)
-    for i, nd in enumerate(nodes):
-        assert DEGREES[idx[i]] == nd.degree
 
 
 def _random_skeleton(rng):
@@ -197,7 +188,7 @@ def test_violation_counter_matches_reference_random_structures():
                     [d.letter_offset if not d.is_rest else -1 for d in DEGREES],
                     [d.semis if not d.is_rest else -1 for d in DEGREES],
                 ),
-                config.repetition_threshold,
+                config,
             )
             assert got == want
 
