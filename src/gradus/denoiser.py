@@ -5,7 +5,9 @@ an additive learned bias per edge class of each node pair, so the frozen
 edge classes shape message passing. Everything is plain numpy with
 hand-derived gradients; training therefore stays bit-reproducible for a
 fixed seed, and the backward pass is checked against finite differences
-in the test suite.
+in the test suite. Attention, forward and backward, is a batched matmul
+with one product per (candidate, head), and the optimizer steps all
+parameters as one flat buffer.
 """
 
 from __future__ import annotations
@@ -190,9 +192,11 @@ class Denoiser:
 
         ``graph.X`` is either one node matrix (n, C) or a stack (K, n, C)
         of candidates sharing the graph's edges and rhythm columns; the
-        output has the same leading shape. Candidates never mix: each
-        one's rows equal a forward pass on it alone, bit for bit. The
-        cache that ``backward`` reads is kept for a single graph only.
+        output has the same leading shape. Candidates never mix: every
+        product is per candidate (attention is a batched matmul with one
+        (n, n) or (n, dh) product per candidate and head), so each one's
+        rows equal a forward pass on it alone, bit for bit. The cache
+        that ``backward`` reads is kept for a single graph only.
         """
         hp = self.hp
         if not 0 <= t <= hp.T:
@@ -219,15 +223,17 @@ class Denoiser:
             pre = f"l{i}."
             h_in = H + tvec
             z1, ln1_c = _layer_norm(h_in, params[pre + "ln1.g"], params[pre + "ln1.b"])
-            q = _per_candidate(z1, params[pre + "attn.wq"], K).reshape(K, n, heads, dh)
-            k = _per_candidate(z1, params[pre + "attn.wk"], K).reshape(K, n, heads, dh)
-            v = _per_candidate(z1, params[pre + "attn.wv"], K).reshape(K, n, heads, dh)
-            scores = np.einsum("kiad,kjad->kaij", q, k) * scale
-            scores = scores + params[pre + "attn.eb"][:, ec]
+            # (K, heads, n, dh) views: one matmul per (candidate, head).
+            q, k, v = (
+                _per_candidate(z1, params[pre + w], K).reshape(K, n, heads, dh).transpose(0, 2, 1, 3)
+                for w in ("attn.wq", "attn.wk", "attn.wv")
+            )
+            scores = q @ k.transpose(0, 1, 3, 2) * scale
+            scores += params[pre + "attn.eb"][:, ec]
             scores -= scores.max(axis=3, keepdims=True)
             exps = np.exp(scores)
             attn = exps / exps.sum(axis=3, keepdims=True)
-            heads_out = np.einsum("kaij,kjad->kiad", attn, v).reshape(K * n, h)
+            heads_out = (attn @ v).transpose(0, 2, 1, 3).reshape(K * n, h)
             attn_out = _per_candidate(heads_out, params[pre + "attn.wo"], K)
             h_mid = h_in + attn_out
 
@@ -317,26 +323,27 @@ class Denoiser:
             grads[pre + "attn.wo"] += lc["heads_out"].T @ dattn_out
             grads[pre + "ln2.g"] += dg
             grads[pre + "ln2.b"] += db
-            dheads = (dattn_out @ params[pre + "attn.wo"].T).reshape(n, heads, dh)
-            dP = np.einsum("iad,jad->aij", dheads, lc["v"])
-            dv = np.einsum("aij,iad->jad", lc["attn"], dheads)
-            attn = lc["attn"]
+            # q, k, v, attn and the head gradients are (heads, n, .) views.
+            q, k, v, attn = lc["q"], lc["k"], lc["v"], lc["attn"]
+            dheads = (dattn_out @ params[pre + "attn.wo"].T).reshape(n, heads, dh).transpose(1, 0, 2)
+            dP = dheads @ v.transpose(0, 2, 1)
             dS = attn * (dP - (dP * attn).sum(axis=2, keepdims=True))
             eb_grad = grads[pre + "attn.eb"]
             for e in range(NUM_EDGE_CLASSES):
                 mask = ec == e
                 if mask.any():
                     eb_grad[:, e] += dS[:, mask].sum(axis=1)
-            dq = np.einsum("aij,jad->iad", dS, lc["k"]) * scale
-            dk = np.einsum("aij,iad->jad", dS, lc["q"]) * scale
+            dq = (dS @ k * scale).transpose(1, 0, 2).reshape(n, h)
+            dk = (dS.transpose(0, 2, 1) @ q * scale).transpose(1, 0, 2).reshape(n, h)
+            dv = (attn.transpose(0, 2, 1) @ dheads).transpose(1, 0, 2).reshape(n, h)
             z1 = lc["z1"]
-            grads[pre + "attn.wq"] += z1.T @ dq.reshape(n, h)
-            grads[pre + "attn.wk"] += z1.T @ dk.reshape(n, h)
-            grads[pre + "attn.wv"] += z1.T @ dv.reshape(n, h)
+            grads[pre + "attn.wq"] += z1.T @ dq
+            grads[pre + "attn.wk"] += z1.T @ dk
+            grads[pre + "attn.wv"] += z1.T @ dv
             dz1 = (
-                dq.reshape(n, h) @ params[pre + "attn.wq"].T
-                + dk.reshape(n, h) @ params[pre + "attn.wk"].T
-                + dv.reshape(n, h) @ params[pre + "attn.wv"].T
+                dq @ params[pre + "attn.wq"].T
+                + dk @ params[pre + "attn.wk"].T
+                + dv @ params[pre + "attn.wv"].T
             )
             dh_in, dg, db = _layer_norm_backward(dz1, params[pre + "ln1.g"], lc["ln1"])
             dh_in = dh_in + dh_mid  # residual
@@ -363,21 +370,51 @@ class TrainResult:
 
 
 class Adam:
+    """Adam over one flat float64 buffer.
+
+    The constructor copies the parameter tensors into the buffer and
+    rebinds each ``params[k]`` to a view of it, so ``step`` updates every
+    tensor with one run of whole-buffer operations. Each element gets the
+    operations, and the rounding, of a per-tensor update.
+    """
+
     def __init__(self, params: dict[str, np.ndarray], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.keys = list(params)
+        self.flat = np.concatenate([np.ravel(params[k]) for k in self.keys])
+        offset = 0
+        for k in self.keys:
+            size = params[k].size
+            params[k] = self.flat[offset : offset + size].reshape(params[k].shape)
+            offset += size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._scratch = np.empty_like(self.flat)
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+        """Update the buffer that ``params`` views, in place, from ``grads``."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for k in params:
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            params[k] -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+        g = np.concatenate([np.ravel(grads[k]) for k in self.keys])
+        m, v, s = self.m, self.v, self._scratch
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        m *= self.beta1
+        np.multiply(g, 1 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(g, 1 - self.beta2, out=s)
+        s *= g
+        v += s
+        # flat -= lr (m / b1c) / (sqrt(v / b2c) + eps), reusing g and s
+        np.divide(m, b1c, out=g)
+        g *= self.lr
+        np.divide(v, b2c, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        g /= s
+        self.flat -= g
 
 
 def train(

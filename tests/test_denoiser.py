@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradus.denoiser import (
+    Adam,
     Checkpoint,
     Denoiser,
     DenoiserHyperparams,
@@ -19,6 +20,7 @@ from gradus.graph import build_graph
 from gradus.phrase import strip_to_skeleton
 
 from conftest import make_phrase
+from denoiser_oracle import EinsumDenoiser, PerTensorAdam
 
 HP_SMALL = DenoiserHyperparams(layers=2, hidden_dim=8, heads=2, T=10, epochs=1)
 
@@ -112,6 +114,88 @@ def test_forward_stack_equals_per_graph_forwards(corpus, source, K, t, seed):
         alone = den.forward(graph.with_x(stack[k]), t, params)
         assert np.array_equal(out.p_hat[k], alone.p_hat)
         assert np.array_equal(out.logits[k], alone.logits)
+
+
+def _perturbed_params(den, graph, rng):
+    # Initial gains, biases and edge biases are constant; noise on every
+    # tensor makes each term of the pass matter.
+    params = den.init_params(rng, graph.R.shape[1])
+    return {k: w + 0.3 * rng.standard_normal(w.shape) for k, w in params.items()}
+
+
+def _one_hot(rng, shape):
+    classes = rng.integers(0, shape[-1], size=shape[:-1])
+    return (classes[..., None] == np.arange(shape[-1])).astype(float)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source=st.integers(min_value=0),
+    K=st.sampled_from([1, 2, 8]),
+    t=st.integers(min_value=0, max_value=100),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_forward_matches_einsum_reference(corpus, source, K, t, seed):
+    graph = build_graph(strip_to_skeleton(corpus[source % len(corpus)]))
+    hp = DenoiserHyperparams.toy()
+    rng = np.random.default_rng(seed)
+    params = _perturbed_params(Denoiser(hp), graph, rng)
+    stacked = graph.with_x(_one_hot(rng, (K,) + graph.X.shape))
+    out = Denoiser(hp).forward(stacked, t, params)
+    ref = EinsumDenoiser(hp).forward(stacked, t, params)
+    assert np.max(np.abs(out.p_hat - ref.p_hat)) <= 1e-12
+    assert np.max(np.abs(out.logits - ref.logits)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source=st.integers(min_value=0),
+    t=st.integers(min_value=1, max_value=100),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_backward_matches_einsum_reference(corpus, source, t, seed):
+    graph = build_graph(strip_to_skeleton(corpus[source % len(corpus)]))
+    hp = DenoiserHyperparams.toy()
+    rng = np.random.default_rng(seed)
+    params = _perturbed_params(Denoiser(hp), graph, rng)
+    noised = graph.with_x(_one_hot(rng, graph.X.shape))
+    X0 = _one_hot(rng, graph.X.shape)
+    loss, grads = Denoiser(hp).backward(noised, t, params, X0)
+    ref_loss, ref_grads = EinsumDenoiser(hp).backward(noised, t, params, X0)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert sorted(grads) == sorted(ref_grads)
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=1e-9, atol=1e-12, err_msg=name)
+
+
+def test_flat_adam_matches_per_tensor_reference(four_node_graph):
+    rng = np.random.default_rng(9)
+    init = _perturbed_params(Denoiser(HP_SMALL), four_node_graph, rng)
+    flat_params = {k: w.copy() for k, w in init.items()}
+    ref_params = {k: w.copy() for k, w in init.items()}
+    flat, ref = Adam(flat_params, 2e-3), PerTensorAdam(ref_params, 2e-3)
+    for _ in range(20):
+        grads = {k: 10.0 ** rng.uniform(-6, 2) * rng.standard_normal(w.shape) for k, w in init.items()}
+        flat.step(flat_params, grads)
+        ref.step(ref_params, grads)
+    for k in init:
+        assert flat_params[k].shape == ref_params[k].shape
+        assert flat_params[k].tobytes() == ref_params[k].tobytes(), k
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_train_flat_adam_matches_per_tensor_reference(
+    monkeypatch, corpus, schedule, corpus_marginal, batch_size
+):
+    hp = DenoiserHyperparams(layers=1, hidden_dim=16, heads=2, epochs=3, batch_size=batch_size)
+    graphs = [build_graph(p) for p in corpus[:8]]
+    flat = train(Denoiser(hp), graphs, schedule, corpus_marginal, np.random.default_rng(42))
+    monkeypatch.setattr("gradus.denoiser.Adam", PerTensorAdam)
+    ref = train(Denoiser(hp), graphs, schedule, corpus_marginal, np.random.default_rng(42))
+    assert flat.history == ref.history
+    assert list(flat.params) == list(ref.params)
+    for k in ref.params:
+        assert flat.params[k].tobytes() == ref.params[k].tobytes(), k
 
 
 def test_time_embedding_changes_output(four_node_graph):
