@@ -8,6 +8,11 @@ fixed seed, and the backward pass is checked against finite differences
 in the test suite. Attention, forward and backward, is a batched matmul
 with one product per (candidate, head), and the optimizer steps all
 parameters as one flat buffer.
+
+Training allocates nothing per parameter per step: ``backward``
+accumulates into views of one flat gradient buffer that ``train`` zeroes
+before each batch. Validation draws its (t, noise) pairs once per run and
+forwards them as stacks of candidates, each with its own step.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -28,6 +34,12 @@ from .pitch import NUM_DEGREE_CLASSES
 from .schedule import NoiseSchedule, forward_sample
 
 _LN_EPS = 1e-5
+_SQRT2 = math.sqrt(2.0)
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+# Validation forwards each graph's draws in stacks of at most this many
+# candidates, the example config's guidance stack; larger stacks cost
+# peak memory for little further speed.
+_VAL_STACK = 8
 
 
 @dataclass(frozen=True)
@@ -72,25 +84,42 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+@lru_cache(maxsize=None)
 def time_embedding(t: int, T: int, dim: int) -> np.ndarray:
-    """Sinusoidal features of the normalized step t/T."""
+    """Sinusoidal features of the normalized step t/T; memoised, so the
+    array is read-only."""
     half = dim // 2
     u = t / T
     if half == 1:
         freqs = np.array([math.pi / 2])
     else:
         freqs = (math.pi / 2) * np.power(1000.0, np.arange(half) / (half - 1))
-    return np.concatenate([np.sin(u * freqs), np.cos(u * freqs)])
+    out = np.concatenate([np.sin(u * freqs), np.cos(u * freqs)])
+    out.flags.writeable = False
+    return out
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU(x) = 0.5 x (1 + erf(x / sqrt 2)), and the 1 + erf term, which
+    the backward pass reuses."""
+    one_erf = np.divide(x, _SQRT2)
+    erf(one_erf, out=one_erf)
+    one_erf += 1.0
+    act = 0.5 * x
+    act *= one_erf
+    return act, one_erf
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return cdf + x * pdf
+def _gelu_grad(x: np.ndarray, one_erf: np.ndarray) -> np.ndarray:
+    """d GELU / dx from x and the 1 + erf(x / sqrt 2) that ``_gelu`` kept."""
+    pdf = -0.5 * x
+    pdf *= x
+    np.exp(pdf, out=pdf)
+    pdf /= _SQRT2PI
+    pdf *= x
+    grad = 0.5 * one_erf
+    grad += pdf
+    return grad
 
 
 def _per_candidate(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
@@ -116,11 +145,13 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 
 def _layer_norm_backward(dy: np.ndarray, g: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xhat, sigma = cache
+    d = dy.shape[1]
     dg = (dy * xhat).sum(axis=0)
     db = dy.sum(axis=0)
     dxhat = dy * g
-    mean_dxhat = dxhat.mean(axis=1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=1, keepdims=True)
+    # The steps of .mean(axis=1), without its per-call dispatch.
+    mean_dxhat = dxhat.sum(axis=1, keepdims=True) / d
+    mean_dxhat_xhat = (dxhat * xhat).sum(axis=1, keepdims=True) / d
     dx = (dxhat - mean_dxhat - xhat * mean_dxhat_xhat) / sigma
     return dx, dg, db
 
@@ -184,7 +215,7 @@ class Denoiser:
     def forward(
         self,
         graph: ScoreGraph,
-        t: int,
+        t: int | Sequence[int],
         params: dict[str, np.ndarray],
         want_cache: bool = False,
     ):
@@ -192,15 +223,20 @@ class Denoiser:
 
         ``graph.X`` is either one node matrix (n, C) or a stack (K, n, C)
         of candidates sharing the graph's edges and rhythm columns; the
-        output has the same leading shape. Candidates never mix: every
-        product is per candidate (attention is a batched matmul with one
-        (n, n) or (n, dh) product per candidate and head), so each one's
-        rows equal a forward pass on it alone, bit for bit. The cache
-        that ``backward`` reads is kept for a single graph only.
+        output has the same leading shape. ``t`` is one step for every
+        candidate, or a sequence of K steps, one per candidate. Candidates
+        never mix: every product is per candidate (attention is a batched
+        matmul with one (n, n) or (n, dh) product per candidate and head),
+        so each one's rows equal a forward pass on it alone at its step,
+        bit for bit. The cache that ``backward`` reads is kept for a single
+        graph only.
         """
         hp = self.hp
-        if not 0 <= t <= hp.T:
-            raise PhraseValidationError(f"step {t} outside 0..{hp.T}")
+        per_row = np.ndim(t) > 0
+        steps = list(t) if per_row else [t]
+        for step in steps:
+            if not 0 <= step <= hp.T:
+                raise PhraseValidationError(f"step {step} outside 0..{hp.T}")
         x_in = self._input_features(graph)
         if x_in.shape[1] != params["in.w"].shape[0]:
             raise PhraseValidationError(
@@ -214,11 +250,15 @@ class Denoiser:
         scale = 1.0 / math.sqrt(dh)
         ec = graph.ec
 
-        temb = time_embedding(t, hp.T, 2 * (h // 2))
-        tvec = temb @ params["time.w"] + params["time.b"]
+        if per_row and len(steps) != K:
+            raise PhraseValidationError(f"{len(steps)} steps for a stack of {K} candidates")
+        # One (h,) product per step, as for a single graph; per-candidate
+        # steps are each repeated over their candidate's n rows.
+        tvecs = [time_embedding(s, hp.T, 2 * (h // 2)) @ params["time.w"] + params["time.b"] for s in steps]
+        tvec = np.repeat(tvecs, n, axis=0) if per_row else tvecs[0]
         H = _per_candidate(x_in, params["in.w"], K) + params["in.b"]
 
-        cache = {"x_in": x_in, "temb": temb, "layers": []} if want_cache else None
+        cache = {"x_in": x_in, "layers": []} if want_cache else None
         for i in range(hp.layers):
             pre = f"l{i}."
             h_in = H + tvec
@@ -228,18 +268,22 @@ class Denoiser:
                 _per_candidate(z1, params[pre + w], K).reshape(K, n, heads, dh).transpose(0, 2, 1, 3)
                 for w in ("attn.wq", "attn.wk", "attn.wv")
             )
-            scores = q @ k.transpose(0, 1, 3, 2) * scale
-            scores += params[pre + "attn.eb"][:, ec]
-            scores -= scores.max(axis=3, keepdims=True)
-            exps = np.exp(scores)
-            attn = exps / exps.sum(axis=3, keepdims=True)
+            # Scores become the attention weights in place: a stack of
+            # candidates keeps one (K, heads, n, n) array, not four.
+            attn = q @ k.transpose(0, 1, 3, 2)
+            attn *= scale
+            attn += params[pre + "attn.eb"][:, ec]
+            attn -= attn.max(axis=3, keepdims=True)
+            np.exp(attn, out=attn)
+            attn /= attn.sum(axis=3, keepdims=True)
             heads_out = (attn @ v).transpose(0, 2, 1, 3).reshape(K * n, h)
             attn_out = _per_candidate(heads_out, params[pre + "attn.wo"], K)
             h_mid = h_in + attn_out
 
             z2, ln2_c = _layer_norm(h_mid, params[pre + "ln2.g"], params[pre + "ln2.b"])
-            mlp_pre = _per_candidate(z2, params[pre + "mlp.w1"], K) + params[pre + "mlp.b1"]
-            act = _gelu(mlp_pre)
+            mlp_pre = _per_candidate(z2, params[pre + "mlp.w1"], K)
+            mlp_pre += params[pre + "mlp.b1"]
+            act, one_erf = _gelu(mlp_pre)
             mlp_out = _per_candidate(act, params[pre + "mlp.w2"], K) + params[pre + "mlp.b2"]
             H = h_mid + mlp_out
 
@@ -248,9 +292,12 @@ class Denoiser:
                     {
                         "z1": z1, "ln1": ln1_c, "q": q[0], "k": k[0], "v": v[0], "attn": attn[0],
                         "heads_out": heads_out, "z2": z2, "ln2": ln2_c,
-                        "mlp_pre": mlp_pre, "act": act,
+                        "mlp_pre": mlp_pre, "act": act, "one_erf": one_erf,
                     }
                 )
+            # Free this layer's largest arrays before the next layer makes
+            # its own; for a stack of candidates they are most of the peak.
+            del q, k, v, attn, mlp_pre, act, one_erf
 
         zf, lnf_c = _layer_norm(H, params["out.ln.g"], params["out.ln.b"])
         logits = _per_candidate(zf, params["out.w"], K) + params["out.b"]
@@ -283,8 +330,13 @@ class Denoiser:
         t: int,
         params: dict[str, np.ndarray],
         X0: np.ndarray,
+        grads: dict[str, np.ndarray] | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Loss plus exact analytic gradients for every parameter tensor."""
+        """Loss plus exact analytic gradients for every parameter tensor.
+
+        The gradients are added (+=) into ``grads`` when it is given, and
+        into a fresh zeroed dict otherwise; that dict or ``grads`` is
+        returned."""
         hp = self.hp
         output, cache = self.forward(graph, t, params, want_cache=True)
         loss = self.loss(output, X0)
@@ -293,7 +345,8 @@ class Denoiser:
         heads, dh = hp.heads, h // hp.heads
         scale = 1.0 / math.sqrt(dh)
         ec = graph.ec
-        grads = {name: np.zeros_like(w) for name, w in params.items()}
+        if grads is None:
+            grads = {name: np.zeros_like(w) for name, w in params.items()}
 
         dlogits = cache["p_hat"] - X0
         grads["out.w"] += cache["zf"].T @ dlogits
@@ -312,7 +365,7 @@ class Denoiser:
             grads[pre + "mlp.w2"] += lc["act"].T @ dmlp_out
             grads[pre + "mlp.b2"] += dmlp_out.sum(axis=0)
             dact = dmlp_out @ params[pre + "mlp.w2"].T
-            dmlp_pre = dact * _gelu_grad(lc["mlp_pre"])
+            dmlp_pre = dact * _gelu_grad(lc["mlp_pre"], lc["one_erf"])
             grads[pre + "mlp.w1"] += lc["z2"].T @ dmlp_pre
             grads[pre + "mlp.b1"] += dmlp_pre.sum(axis=0)
             dz2 = dmlp_pre @ params[pre + "mlp.w1"].T
@@ -354,7 +407,7 @@ class Denoiser:
 
         grads["in.w"] += cache["x_in"].T @ dH
         grads["in.b"] += dH.sum(axis=0)
-        grads["time.w"] += np.outer(cache["temb"], dtvec)
+        grads["time.w"] += np.outer(time_embedding(t, hp.T, 2 * (h // 2)), dtvec)
         grads["time.b"] += dtvec
         return loss, grads
 
@@ -367,6 +420,15 @@ class Denoiser:
 class TrainResult:
     params: dict[str, np.ndarray]
     history: list[tuple[int, float, float]]  # (epoch, train_loss, val_loss) per node
+
+
+def _flat_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of ``flat`` shaped as the tensors of ``like``, in its order."""
+    views, offset = {}, 0
+    for k, w in like.items():
+        views[k] = flat[offset : offset + w.size].reshape(w.shape)
+        offset += w.size
+    return views
 
 
 class Adam:
@@ -382,11 +444,7 @@ class Adam:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.keys = list(params)
         self.flat = np.concatenate([np.ravel(params[k]) for k in self.keys])
-        offset = 0
-        for k in self.keys:
-            size = params[k].size
-            params[k] = self.flat[offset : offset + size].reshape(params[k].shape)
-            offset += size
+        params.update(_flat_views(self.flat, params))
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self._scratch = np.empty_like(self.flat)
@@ -429,9 +487,10 @@ def train(
 
     Per step a graph and a uniform step t in 1..T are drawn, the clean
     node matrix is corrupted through the schedule, and the summed node
-    cross-entropy is minimized with Adam. Validation uses frozen (t,
-    noise) draws so its loss is comparable across epochs. Reported losses
-    are per node.
+    cross-entropy is minimized with Adam. The gradients of a batch add up
+    in one flat buffer, zeroed before the batch and divided by its size.
+    Validation uses (t, noise) draws fixed once per run, so its loss is
+    comparable across epochs. Reported losses are per node.
     """
     hp = denoiser.hp
     if not graphs:
@@ -452,21 +511,33 @@ def train(
     val_seed = int(rng.integers(2**63))
     params = denoiser.init_params(rng, n_features)
     opt = Adam(params, hp.learning_rate)
+    grad_flat = np.zeros(param_count(params))
+    grads = _flat_views(grad_flat, params)
+
+    # Every validation (t, x_t) pair, drawn once in graph-then-draw order,
+    # as (clean X, stacked graph, steps) per stack of one graph's draws.
+    vrng = np.random.default_rng(val_seed)
+    val_stacks = []
+    for gi in val_idx:
+        g = graphs[gi]
+        draws = []
+        for _ in range(val_draws):
+            t = int(vrng.integers(1, hp.T + 1))
+            draws.append((t, forward_sample(g.X, t, schedule, marginal, vrng)))
+        for start in range(0, val_draws, _VAL_STACK):
+            chunk = draws[start : start + _VAL_STACK]
+            val_stacks.append((g.X, g.with_x(np.stack([xt for _, xt in chunk])), [t for t, _ in chunk]))
+    val_nodes = val_draws * sum(graphs[gi].n for gi in val_idx)
 
     def validation_loss() -> float:
         if len(val_idx) == 0:
             return float("nan")
-        vrng = np.random.default_rng(val_seed)
-        total, nodes = 0.0, 0
-        for gi in val_idx:
-            g = graphs[gi]
-            for _ in range(val_draws):
-                t = int(vrng.integers(1, hp.T + 1))
-                xt = forward_sample(g.X, t, schedule, marginal, vrng)
-                out = denoiser.forward(g.with_x(xt), t, params)
-                total += denoiser.loss(out, g.X)
-                nodes += g.n
-        return total / nodes
+        total = 0.0
+        for X0, stack, steps in val_stacks:
+            out = denoiser.forward(stack, steps, params)
+            for logits, p_hat in zip(out.logits, out.p_hat):
+                total += denoiser.loss(DenoiserOutput(logits, p_hat), X0)
+        return total / val_nodes
 
     history: list[tuple[int, float, float]] = []
     for epoch in range(1, hp.epochs + 1):
@@ -474,19 +545,16 @@ def train(
         total, nodes = 0.0, 0
         for start in range(0, len(order), hp.batch_size):
             batch = order[start : start + hp.batch_size]
-            acc = {k: np.zeros_like(w) for k, w in params.items()}
+            grad_flat.fill(0.0)
             for gi in batch:
                 g = graphs[gi]
                 t = int(rng.integers(1, hp.T + 1))
                 xt = forward_sample(g.X, t, schedule, marginal, rng)
-                loss, grads = denoiser.backward(g.with_x(xt), t, params, g.X)
-                for k in acc:
-                    acc[k] += grads[k]
+                loss, _ = denoiser.backward(g.with_x(xt), t, params, g.X, grads)
                 total += loss
                 nodes += g.n
-            for k in acc:
-                acc[k] /= len(batch)
-            opt.step(params, acc)
+            grad_flat /= len(batch)
+            opt.step(params, grads)
         history.append((epoch, total / nodes, validation_loss()))
     return TrainResult(params=params, history=history)
 

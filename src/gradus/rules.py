@@ -23,7 +23,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -137,11 +137,15 @@ def build_rule_context(skeleton: Phrase, config: RuleConfig = RuleConfig()) -> R
     )
 
 
-def all_violations(phrase: Phrase, config: RuleConfig = RuleConfig()) -> list[Violation]:
+def all_violations(
+    phrase: Phrase, config: RuleConfig = RuleConfig(), *, ctx: Optional[RuleContext] = None
+) -> list[Violation]:
     """Located hard-rule violations: parallels by voice pair, then time;
     strong-beat dissonances by time, then upper voice; repetitions by voice,
-    then run. Placeholder degrees count as rests."""
-    ctx = build_rule_context(phrase, config)
+    then run. Placeholder degrees count as rests. ``ctx``, when given, is
+    ``build_rule_context(phrase, config)`` already built by the caller."""
+    if ctx is None:
+        ctx = build_rule_context(phrase, config)
     nodes, voices = ctx.nodes, phrase.voices
     deg = np.array(
         [REST_INDEX if nd.degree is None else DEGREE_INDEX[nd.degree] for nd in nodes], dtype=np.int64
@@ -332,18 +336,18 @@ class HarmonicReading:
 _BeatReadings = list[list[tuple[RomanNumeral, int]]]
 
 
-def _segment_readings(phrase: Phrase, cutoff: float) -> _BeatReadings:
+def _segment_readings(phrase: Phrase, nodes: Sequence[GraphNode], cutoff: float) -> _BeatReadings:
     """Per integer beat, the legal chords that can read it, in table order,
-    with their non-chord-tone counts. A beat is judged by what sounds at
-    its attack point; notes struck mid-beat are ornamental and invisible
-    to chord selection. Strong beats (strength >= cutoff) allow no
+    with their non-chord-tone counts; ``nodes`` is ``merge_tied(phrase)``.
+    A beat is judged by what sounds at its attack point; notes struck
+    mid-beat are ornamental and invisible to chord selection. Strong beats (strength >= cutoff) allow no
     non-chord tone and weak beats one. A bass tone of the chord must be
     the chord's bass; a non-chord bass defaults to a root-position reading."""
     n_beats = math.ceil(phrase.span)
     sounding: list[set[Degree]] = [set() for _ in range(n_beats)]
     bass: list[Optional[Degree]] = [None] * n_beats
     bass_voice = len(phrase.voices) - 1
-    for nd in merge_tied(phrase):
+    for nd in nodes:
         beats = range(math.ceil(nd.onset), math.ceil(nd.end))
         if not beats:
             continue
@@ -419,7 +423,8 @@ def analyze_harmony(
 ) -> list[HarmonicReading]:
     """All grammar-consistent beat-level progressions, best readings first
     (fewest non-chord tones). Empty list means the phrase has no reading."""
-    return _best_readings(_segment_readings(phrase, config.strong_beat_cutoff), grammar)
+    beats = _segment_readings(phrase, merge_tied(phrase), config.strong_beat_cutoff)
+    return _best_readings(beats, grammar)
 
 
 def feasible_boundary_roots(
@@ -429,7 +434,8 @@ def feasible_boundary_roots(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Exact sets of first/last numeral roots over all valid readings
     (not limited to max_readings); both empty if there is none."""
-    return _boundary_roots(_segment_readings(phrase, config.strong_beat_cutoff), grammar)
+    beats = _segment_readings(phrase, merge_tied(phrase), config.strong_beat_cutoff)
+    return _boundary_roots(beats, grammar)
 
 
 # ----------------------------------------------------------------------
@@ -504,11 +510,13 @@ def reject(
 ) -> RejectionResult:
     """Hard-rule rejection plus harmonic readability; accepted phrases get
     a catalog entry recording their fusion-relevant boundary features, and
-    a phrase rejected on hard rules carries its located violations."""
-    violations = tuple(all_violations(phrase, config))
+    a phrase rejected on hard rules carries its located violations. Both
+    rule families read the tied notes merged once, in the rule context."""
+    ctx = build_rule_context(phrase, config)
+    violations = tuple(all_violations(phrase, config, ctx=ctx))
     if violations:
         return RejectionResult(False, None, tuple(map(str, violations)), violations)
-    beats = _segment_readings(phrase, config.strong_beat_cutoff)
+    beats = _segment_readings(phrase, ctx.nodes, config.strong_beat_cutoff)
     readings = _best_readings(beats, grammar)
     if not readings:
         return RejectionResult(False, None, (NO_READING,))

@@ -1,11 +1,15 @@
 """Reference denoiser pass and optimizer: what gradus.denoiser is tested against.
 
 ``EinsumDenoiser`` computes attention, forward and backward, with one
-4-index ``np.einsum`` per product, the plainest statement of each sum.
-``PerTensorAdam`` updates each parameter tensor on its own with fresh
-temporaries. The package's batched-matmul attention and flat-buffer Adam
-must agree with these: the attention within rounding, the optimizer bit
-for bit.
+4-index ``np.einsum`` per product, the plainest statement of each sum,
+and GELU from its formula. ``PerTensorAdam`` updates each parameter
+tensor on its own with fresh temporaries. ``reference_train`` is the
+plain training loop: a zeroed gradient dict per graph and per batch, and
+validation that redraws its (t, noise) pairs every epoch and forwards
+them one at a time. The package's batched-matmul attention, flat-buffer
+Adam and allocation-free training loop must agree with these: the
+attention within rounding, the optimizer and the training run bit for
+bit.
 """
 
 from __future__ import annotations
@@ -13,18 +17,31 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import erf
 
 from gradus.denoiser import (
+    Adam,
     Denoiser,
     DenoiserOutput,
-    _gelu,
-    _gelu_grad,
+    TrainResult,
     _layer_norm,
     _layer_norm_backward,
     _per_candidate,
     time_embedding,
 )
+from gradus.errors import PhraseValidationError
 from gradus.graph import NUM_EDGE_CLASSES
+from gradus.schedule import forward_sample
+
+
+def _gelu(x):
+    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def _gelu_grad(x):
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return cdf + x * pdf
 
 
 class EinsumDenoiser(Denoiser):
@@ -176,3 +193,55 @@ class PerTensorAdam:
             self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
             params[k] -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+
+
+def reference_train(denoiser, graphs, schedule, marginal, rng, val_draws=16):
+    """The training loop of ``gradus.denoiser.train``, written plainly."""
+    hp = denoiser.hp
+    if not graphs:
+        raise PhraseValidationError("empty corpus")
+    n_features = graphs[0].R.shape[1]
+    perm = rng.permutation(len(graphs))
+    n_val = min(int(round(hp.val_split * len(graphs))), len(graphs) - 1)
+    val_idx = perm[:n_val]
+    train_idx = perm[n_val:]
+    val_seed = int(rng.integers(2**63))
+    params = denoiser.init_params(rng, n_features)
+    opt = Adam(params, hp.learning_rate)
+
+    def validation_loss():
+        if len(val_idx) == 0:
+            return float("nan")
+        vrng = np.random.default_rng(val_seed)
+        total, nodes = 0.0, 0
+        for gi in val_idx:
+            g = graphs[gi]
+            for _ in range(val_draws):
+                t = int(vrng.integers(1, hp.T + 1))
+                xt = forward_sample(g.X, t, schedule, marginal, vrng)
+                out = denoiser.forward(g.with_x(xt), t, params)
+                total += denoiser.loss(out, g.X)
+                nodes += g.n
+        return total / nodes
+
+    history = []
+    for epoch in range(1, hp.epochs + 1):
+        order = rng.permutation(train_idx)
+        total, nodes = 0.0, 0
+        for start in range(0, len(order), hp.batch_size):
+            batch = order[start : start + hp.batch_size]
+            acc = {k: np.zeros_like(w) for k, w in params.items()}
+            for gi in batch:
+                g = graphs[gi]
+                t = int(rng.integers(1, hp.T + 1))
+                xt = forward_sample(g.X, t, schedule, marginal, rng)
+                loss, grads = denoiser.backward(g.with_x(xt), t, params, g.X)
+                for k in acc:
+                    acc[k] += grads[k]
+                total += loss
+                nodes += g.n
+            for k in acc:
+                acc[k] /= len(batch)
+            opt.step(params, acc)
+        history.append((epoch, total / nodes, validation_loss()))
+    return TrainResult(params=params, history=history)

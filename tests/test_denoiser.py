@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from gradus.graph import build_graph
 from gradus.phrase import strip_to_skeleton
 
 from conftest import make_phrase
-from denoiser_oracle import EinsumDenoiser, PerTensorAdam
+from denoiser_oracle import EinsumDenoiser, PerTensorAdam, reference_train
 
 HP_SMALL = DenoiserHyperparams(layers=2, hidden_dim=8, heads=2, T=10, epochs=1)
 
@@ -116,6 +119,37 @@ def test_forward_stack_equals_per_graph_forwards(corpus, source, K, t, seed):
         assert np.array_equal(out.logits[k], alone.logits)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    source=st.integers(min_value=0),
+    K=st.sampled_from([1, 2, 8]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_forward_stack_with_per_candidate_steps(corpus, source, K, seed, data):
+    # With one step per candidate, each row of the stack is, bit for bit,
+    # the forward pass on that candidate alone at its own step.
+    graph = build_graph(strip_to_skeleton(corpus[source % len(corpus)]))
+    hp = DenoiserHyperparams.toy()
+    den = Denoiser(hp)
+    rng = np.random.default_rng(seed)
+    params = _perturbed_params(den, graph, rng)
+    stack = _one_hot(rng, (K,) + graph.X.shape)
+    steps = data.draw(st.lists(st.integers(0, hp.T), min_size=K, max_size=K, unique=True))
+    out = den.forward(graph.with_x(stack), steps, params)
+    assert out.p_hat.shape == out.logits.shape == stack.shape
+    for k, t in enumerate(steps):
+        alone = den.forward(graph.with_x(stack[k]), t, params)
+        assert np.array_equal(out.p_hat[k], alone.p_hat)
+        assert np.array_equal(out.logits[k], alone.logits)
+    bad = data.draw(st.integers(max_value=-1) | st.integers(min_value=hp.T + 1))
+    steps[data.draw(st.integers(0, K - 1))] = bad
+    with pytest.raises(PhraseValidationError):
+        den.forward(graph.with_x(stack), steps, params)
+    with pytest.raises(PhraseValidationError):
+        den.forward(graph.with_x(stack), [0] * (K + 1), params)
+
+
 def _perturbed_params(den, graph, rng):
     # Initial gains, biases and edge biases are constant; noise on every
     # tensor makes each term of the pass matter.
@@ -196,6 +230,57 @@ def test_train_flat_adam_matches_per_tensor_reference(
     assert list(flat.params) == list(ref.params)
     for k in ref.params:
         assert flat.params[k].tobytes() == ref.params[k].tobytes(), k
+
+
+@pytest.mark.parametrize("val_draws", [16, 5])
+@pytest.mark.parametrize("batch_size", [1, 4, 8])
+def test_train_matches_reference_loop(corpus, schedule, corpus_marginal, batch_size, val_draws):
+    # The flat gradient buffer and the stacked validation draws made once
+    # give the plain loop's history and parameters, bit for bit; 5 draws
+    # leave a partial stack.
+    hp = DenoiserHyperparams(
+        layers=1, hidden_dim=16, heads=2, epochs=3, batch_size=batch_size, val_split=0.25
+    )
+    graphs = [build_graph(p) for p in corpus[:12]]
+    assert round(hp.val_split * len(graphs)) >= 2
+    got = train(Denoiser(hp), graphs, schedule, corpus_marginal, np.random.default_rng(5), val_draws)
+    ref = reference_train(
+        Denoiser(hp), graphs, schedule, corpus_marginal, np.random.default_rng(5), val_draws
+    )
+    assert got.history == ref.history
+    assert list(got.params) == list(ref.params)
+    for k in ref.params:
+        assert got.params[k].tobytes() == ref.params[k].tobytes(), k
+
+
+_TRAIN_GOLDEN = Path(__file__).resolve().parent / "data" / "train_golden.json"
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_train_golden(corpus, schedule, corpus_marginal, seed):
+    # The toy training run's loss history and parameter bytes must not move.
+    want = json.loads(_TRAIN_GOLDEN.read_text())["runs"][str(seed)]
+    graphs = [build_graph(p) for p in corpus]
+    result = train(
+        Denoiser(DenoiserHyperparams.toy()), graphs, schedule, corpus_marginal,
+        np.random.default_rng(seed),
+    )
+    assert repr(result.history) == want["history"]
+    digest = hashlib.sha256(b"".join(result.params[k].tobytes() for k in sorted(result.params)))
+    assert digest.hexdigest() == want["params_sha256"]
+
+
+def test_backward_accumulates_into_given_grads(four_node_graph):
+    # backward adds into the arrays it is given and returns them.
+    den = Denoiser(HP_SMALL)
+    params = den.init_params(np.random.default_rng(7), four_node_graph.R.shape[1])
+    g = _noisy(four_node_graph, [5, 0, 17, 2])
+    loss, fresh = den.backward(g, 3, params, four_node_graph.X)
+    given = {k: np.ones_like(w) for k, w in params.items()}
+    loss2, out = den.backward(g, 3, params, four_node_graph.X, given)
+    assert loss2 == loss and out is given
+    for k in params:
+        assert np.array_equal(given[k], 1.0 + fresh[k]), k
 
 
 def test_time_embedding_changes_output(four_node_graph):

@@ -320,3 +320,14 @@ def test_reject_reads_the_beats_once(corpus, monkeypatch):
     for p in corpus:
         assert reject(p).accepted
     assert calls["beats"] == len(corpus)
+
+
+def test_reject_merges_tied_notes_once(corpus, monkeypatch):
+    # The hard rules and the harmony pass read one merge of the tied notes.
+    calls = Counter()
+    monkeypatch.setattr(
+        gradus.rules, "merge_tied", counting(calls, "merge", gradus.rules.merge_tied)
+    )
+    for p in corpus:
+        assert reject(p).accepted
+    assert calls["merge"] == len(corpus)
