@@ -11,8 +11,9 @@ parameters as one flat buffer.
 
 Training allocates nothing per parameter per step: ``backward``
 accumulates into views of one flat gradient buffer that ``train`` zeroes
-before each batch. Validation draws its (t, noise) pairs once per run and
-forwards them as stacks of candidates, each with its own step.
+before each batch and ``Adam.step`` reads in place. Validation draws its
+(t, noise) pairs once per run and forwards them as stacks of candidates,
+each with its own step.
 """
 
 from __future__ import annotations
@@ -431,6 +432,16 @@ def _flat_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.n
     return views
 
 
+class FlatGrads(dict):
+    """Gradient tensors that are views of one flat buffer, ``flat``, laid
+    out in the order of the parameters they were made for: the layout of
+    ``Adam``'s buffer, so ``Adam.step`` reads ``flat`` whole."""
+
+    def __init__(self, params: dict[str, np.ndarray]):
+        self.flat = np.zeros(param_count(params))
+        super().__init__(_flat_views(self.flat, params))
+
+
 class Adam:
     """Adam over one flat float64 buffer.
 
@@ -448,15 +459,21 @@ class Adam:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self._scratch = np.empty_like(self.flat)
+        self._update = np.empty_like(self.flat)
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        """Update the buffer that ``params`` views, in place, from ``grads``."""
+        """Update the buffer that ``params`` views, in place, from ``grads``,
+        which it leaves as they are. ``FlatGrads`` made for the same
+        parameters are read in place; other gradients are gathered first."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        g = np.concatenate([np.ravel(grads[k]) for k in self.keys])
-        m, v, s = self.m, self.v, self._scratch
+        m, v, s, u = self.m, self.v, self._scratch, self._update
+        if isinstance(grads, FlatGrads) and list(grads) == self.keys:
+            g = grads.flat
+        else:
+            g = np.concatenate([np.ravel(grads[k]) for k in self.keys], out=u)
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         m *= self.beta1
         np.multiply(g, 1 - self.beta1, out=s)
@@ -465,14 +482,14 @@ class Adam:
         np.multiply(g, 1 - self.beta2, out=s)
         s *= g
         v += s
-        # flat -= lr (m / b1c) / (sqrt(v / b2c) + eps), reusing g and s
-        np.divide(m, b1c, out=g)
-        g *= self.lr
+        # flat -= lr (m / b1c) / (sqrt(v / b2c) + eps), in u and s
+        np.divide(m, b1c, out=u)
+        u *= self.lr
         np.divide(v, b2c, out=s)
         np.sqrt(s, out=s)
         s += self.eps
-        g /= s
-        self.flat -= g
+        u /= s
+        self.flat -= u
 
 
 def train(
@@ -511,8 +528,7 @@ def train(
     val_seed = int(rng.integers(2**63))
     params = denoiser.init_params(rng, n_features)
     opt = Adam(params, hp.learning_rate)
-    grad_flat = np.zeros(param_count(params))
-    grads = _flat_views(grad_flat, params)
+    grads = FlatGrads(params)
 
     # Every validation (t, x_t) pair, drawn once in graph-then-draw order,
     # as (clean X, stacked graph, steps) per stack of one graph's draws.
@@ -545,7 +561,7 @@ def train(
         total, nodes = 0.0, 0
         for start in range(0, len(order), hp.batch_size):
             batch = order[start : start + hp.batch_size]
-            grad_flat.fill(0.0)
+            grads.flat.fill(0.0)
             for gi in batch:
                 g = graphs[gi]
                 t = int(rng.integers(1, hp.T + 1))
@@ -553,7 +569,7 @@ def train(
                 loss, _ = denoiser.backward(g.with_x(xt), t, params, g.X, grads)
                 total += loss
                 nodes += g.n
-            grad_flat /= len(batch)
+            grads.flat /= len(batch)
             opt.step(params, grads)
         history.append((epoch, total / nodes, validation_loss()))
     return TrainResult(params=params, history=history)

@@ -10,7 +10,7 @@ degree score is re-checked against the hard rules before realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FusionInfeasibleError, PhraseValidationError, SpellingError
 from .library import PhraseLibrary
-from .phrase import NoteEvent, Phrase, transpose_phrase
+from .phrase import NoteEvent, Phrase, _derived, transpose_phrase
 from .pitch import (
     Degree,
     Interval,
@@ -28,6 +28,7 @@ from .pitch import (
     realize_degree,
 )
 from .rules import (
+    CADENCES,
     CatalogEntry,
     ProgressionGrammar,
     RuleConfig,
@@ -102,7 +103,7 @@ def realize_pitches(phrase: Phrase, profiles: dict[int, VoiceProfile]) -> Phrase
                 feasible = feasible_of[e.degree] = [
                     Pitch(spelled.step, spelled.alter, o)
                     for o in range(0, 9)
-                    if profile.low.midi <= Pitch(spelled.step, spelled.alter, o).midi <= profile.high.midi
+                    if profile.low.midi <= spelled.midi + 12 * (o - spelled.octave) <= profile.high.midi
                 ]
             if not feasible:
                 raise SpellingError(
@@ -124,10 +125,10 @@ def realize_pitches(phrase: Phrase, profiles: dict[int, VoiceProfile]) -> Phrase
                             c.midi,
                         ),
                     )
-            realized[idx] = replace(e, degree=None, pitch=chosen)
+            realized[idx] = _derived(e, degree=None, pitch=chosen)
             prev_midi = chosen.midi
     events = tuple(realized[i] for i in range(len(phrase.events)))
-    return replace(phrase, events=events)
+    return _derived(phrase, events=events)
 
 
 # ----------------------------------------------------------------------
@@ -240,25 +241,44 @@ def pivot_select(
     library: PhraseLibrary,
     grammar: ProgressionGrammar,
     home: KeyContext,
+    slot: Optional[TemplateSlot] = None,
+    meter: Optional[tuple[int, int]] = None,
 ) -> list[FusionCandidate]:
     """Library phrases able to follow the antecedent in the new local key:
     their feasible start harmonies must include a grammar successor of the
-    pivot reinterpretation of the antecedent's final harmony."""
+    pivot reinterpretation of the antecedent's final harmony. A slot and a
+    meter narrow them as in ``_opening_candidates``."""
     pivot = pivot_root(prev_local_key, antecedent.final_root, new_local_key)
-    return _opening_candidates(library, grammar.successors(pivot), pivot, home, new_local_key)
+    return _opening_candidates(
+        library, grammar.successors(pivot), pivot, home, new_local_key, slot, meter
+    )
 
 
 def _opening_candidates(
-    library: PhraseLibrary, starts: frozenset[int], pivot: int, home: KeyContext, local_key: int
+    library: PhraseLibrary,
+    starts: frozenset[int],
+    pivot: int,
+    home: KeyContext,
+    local_key: int,
+    slot: Optional[TemplateSlot] = None,
+    meter: Optional[tuple[int, int]] = None,
 ) -> list[FusionCandidate]:
     """Library phrases in the home mode whose feasible start harmonies meet
-    starts, in library order, each transposed into the local key; the
-    transposition is computed once per distinct phrase key."""
+    starts, read from the library index in library order, each transposed
+    into the local key; the transposition is computed once per distinct
+    phrase key. Given a slot, only phrases with a cadence satisfying the
+    slot's and with the slot's closing treble degree qualify; given a
+    meter, only phrases in that meter."""
+    endings = None
+    if slot is not None:
+        treble = localize_degree(slot.final_treble, home, slot.local_key)
+        endings = [(c, treble) for c in CADENCES if cadence_satisfies(c, slot.cadence)]
     target_key = local_key_context(home, local_key)
     shifts: dict[KeyContext, Interval] = {}
     out = []
-    for i, (p, entry) in enumerate(library):
-        if entry.mode != home.mode or not (entry.start_roots & starts):
+    for i in library.lookup(home.mode, starts, endings):
+        p = library[i][0]
+        if meter is not None and p.meter != meter:
             continue
         shift = shifts.get(p.key)
         if shift is None:
@@ -363,10 +383,16 @@ def templates_from_json(data: list) -> tuple[UrsatzTemplate, ...]:
 
 def concatenate_degrees(phrases: Sequence[Phrase], home: KeyContext, local_keys: Sequence[int]) -> Phrase:
     """Single home-frame degree phrase: each slot phrase is re-expressed in
-    global degrees and appended at the next bar boundary."""
+    global degrees and appended at the next bar boundary.
+
+    Each phrase's events are in canonical order and end by its bar-aligned
+    length, so the appended events stay in canonical order without a sort.
+    A phrase with an event in a voice the first phrase lacks is refused,
+    as the phrase constructor would refuse it."""
     if not phrases:
         raise PhraseValidationError("nothing to concatenate")
     meter = phrases[0].meter
+    n_voices = len(phrases[0].voices)
     events = []
     offset = Fraction(0)
     for phrase, local in zip(phrases, local_keys):
@@ -380,9 +406,17 @@ def concatenate_degrees(phrases: Sequence[Phrase], home: KeyContext, local_keys:
             g = global_of.get(d)
             if g is None:
                 g = global_of[d] = globalize_degree(d, home, local)
-            events.append(replace(e, onset=e.onset + offset, degree=g, pitch=None))
+            events.append(_derived(e, onset=e.onset + offset, degree=g, pitch=None))
+        span = offset + phrase.span
         offset += phrase.n_bars * phrase.bar_length
-    return Phrase(key=home, meter=meter, voices=phrases[0].voices, events=tuple(events))
+    if not events:
+        raise PhraseValidationError("phrase has no events")
+    for e in events:
+        if e.voice >= n_voices:
+            raise PhraseValidationError(f"event voice {e.voice} out of range")
+    return _derived(
+        phrases[0], key=home, events=tuple(events), span=span, cadence_annotation=None, structural=()
+    )
 
 
 def fuse(
@@ -406,7 +440,7 @@ def fuse(
 
     A slot state's candidates depend only on the slot, the previous
     phrase's final root and the first phrase's meter, so each distinct
-    state's list is built once per call.
+    state's list is built once per call, from the library's index.
     """
     if len(library) == 0:
         raise FusionInfeasibleError(0, "empty phrase library")
@@ -419,25 +453,14 @@ def fuse(
         slot_i: int, prev_entry: Optional[CatalogEntry], meter: Optional[tuple[int, int]]
     ) -> list[FusionCandidate]:
         slot = template.slots[slot_i]
-        required_treble = localize_degree(slot.final_treble, home, slot.local_key)
         if prev_entry is None:
-            base = _opening_candidates(library, grammar.start_roots, 0, home, slot.local_key)
-        else:
-            prev_slot = template.slots[slot_i - 1]
-            base = pivot_select(
-                prev_entry, prev_slot.local_key, slot.local_key, library, grammar, home
+            return _opening_candidates(
+                library, grammar.start_roots, 0, home, slot.local_key, slot, meter
             )
-        out = []
-        for cand in base:
-            phrase, entry = library[cand.index]
-            if not cadence_satisfies(entry.cadence, slot.cadence):
-                continue
-            if entry.final_treble != required_treble:
-                continue
-            if meter is not None and phrase.meter != meter:
-                continue
-            out.append(cand)
-        return out
+        prev_slot = template.slots[slot_i - 1]
+        return pivot_select(
+            prev_entry, prev_slot.local_key, slot.local_key, library, grammar, home, slot, meter
+        )
 
     def slot_candidates(slot_i: int, chosen: list[FusionCandidate]) -> list[FusionCandidate]:
         prev_entry, meter = None, None

@@ -3,16 +3,28 @@ drive structure-template fusion."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Collection, Iterable, Iterator, Optional
 
 from .phrase import Phrase
+from .pitch import Degree
 from .rules import CatalogEntry, ProgressionGrammar, RejectionResult, RuleConfig, reject
 
 
 @dataclass(frozen=True)
 class PhraseLibrary:
     entries: tuple[tuple[Phrase, CatalogEntry], ...]
+    # (mode, start root, cadence, final treble) -> indices of the entries
+    # with those features, in library order; an entry appears under each
+    # of its start roots. Built at construction; not compared or hashed.
+    index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index: dict[tuple, list[int]] = {}
+        for i, (_, e) in enumerate(self.entries):
+            for root in e.start_roots:
+                index.setdefault((e.mode, root, e.cadence, e.final_treble), []).append(i)
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -22,6 +34,24 @@ class PhraseLibrary:
 
     def __iter__(self) -> Iterator[tuple[Phrase, CatalogEntry]]:
         return iter(self.entries)
+
+    def lookup(
+        self,
+        mode: str,
+        starts: Collection[int],
+        endings: Optional[Collection[tuple[str, Optional[Degree]]]] = None,
+    ) -> list[int]:
+        """Indices, in library order, of the entries in the mode with a
+        start root in starts and, given endings, a (cadence, final treble)
+        pair among them."""
+        if endings is None:
+            keys = [k for k in self.index if k[0] == mode and k[1] in starts]
+        else:
+            keys = [(mode, r, c, t) for r in starts for c, t in endings]
+        hits: set[int] = set()
+        for key in keys:
+            hits.update(self.index.get(key, ()))
+        return sorted(hits)
 
     @staticmethod
     def build(

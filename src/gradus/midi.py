@@ -32,10 +32,11 @@ def _vlq(value: int) -> bytes:
 
 
 def _beats_to_ticks(beats: Fraction, den: int) -> int:
-    ticks = Fraction(beats) * 4 * TICKS_PER_QUARTER / den
-    if ticks.denominator != 1:
+    """beats * 4 * TICKS_PER_QUARTER / den, which must be a whole number."""
+    ticks, rem = divmod(beats.numerator * 4 * TICKS_PER_QUARTER, beats.denominator * den)
+    if rem:
         raise PhraseValidationError(f"duration {beats} not representable at 480 tpq")
-    return int(ticks)
+    return ticks
 
 
 def score_note_events(score: Score) -> list[tuple[int, int, int, int]]:

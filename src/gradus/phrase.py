@@ -114,6 +114,19 @@ class Phrase:
     def is_realized(self) -> bool:
         return all(e.pitch is not None or e.is_rest for e in self.events)
 
+
+def _derived(obj, **changes):
+    """A copy of a phrase or event with some fields changed, made without
+    the constructor's sort and checks. Callers derive from valid objects
+    and vouch for the rest: an event keeps a positive duration, gets a
+    non-negative onset and at most one of degree and pitch; a phrase's
+    events come in canonical order, fit its voices, do not overlap and
+    end at its ``span``."""
+    out = object.__new__(type(obj))
+    out.__dict__.update(obj.__dict__, **changes)
+    return out
+
+
 def _frac(text: str, what: str) -> Fraction:
     try:
         return Fraction(str(text))
@@ -227,10 +240,9 @@ def transpose_phrase(phrase: Phrase, interval: Interval) -> Phrase:
     therefore unchanged, pitches and the key move together."""
     new_key = interval.apply_to_key(phrase.key)
     events = tuple(
-        replace(e, pitch=interval.apply(e.pitch) if e.pitch is not None else None)
-        for e in phrase.events
+        e if e.pitch is None else _derived(e, pitch=interval.apply(e.pitch)) for e in phrase.events
     )
-    return replace(phrase, key=new_key, events=events)
+    return _derived(phrase, key=new_key, events=events)
 
 
 def strip_to_skeleton(phrase: Phrase) -> Phrase:

@@ -451,6 +451,10 @@ def final_treble_degree(phrase: Phrase) -> Optional[Degree]:
     return None
 
 
+# Every cadence class classify_cadence can return.
+CADENCES = ("perfect_authentic", "authentic", "other")
+
+
 def classify_cadence(reading: HarmonicReading, final_treble: Optional[Degree]) -> str:
     numerals = reading.numerals
     last = numerals[-1]

@@ -12,6 +12,7 @@ from gradus.denoiser import (
     Checkpoint,
     Denoiser,
     DenoiserHyperparams,
+    FlatGrads,
     load_checkpoint,
     param_count,
     save_checkpoint,
@@ -215,6 +216,25 @@ def test_flat_adam_matches_per_tensor_reference(four_node_graph):
     for k in init:
         assert flat_params[k].shape == ref_params[k].shape
         assert flat_params[k].tobytes() == ref_params[k].tobytes(), k
+
+
+def test_adam_reads_flat_grads_in_place_and_leaves_them(four_node_graph):
+    # FlatGrads made for the parameters are read without a copy; the step
+    # is the one plain gradient dicts get, and the gradients stay as given.
+    rng = np.random.default_rng(10)
+    init = _perturbed_params(Denoiser(HP_SMALL), four_node_graph, rng)
+    flat_params = {k: w.copy() for k, w in init.items()}
+    dict_params = {k: w.copy() for k, w in init.items()}
+    flat, plain = Adam(flat_params, 2e-3), Adam(dict_params, 2e-3)
+    grads = FlatGrads(flat_params)
+    assert list(grads) == list(init) and grads.flat.size == param_count(init)
+    for _ in range(5):
+        grads.flat[:] = rng.standard_normal(grads.flat.size)
+        given = grads.flat.copy()
+        flat.step(flat_params, grads)
+        plain.step(dict_params, {k: g.copy() for k, g in grads.items()})
+        assert grads.flat.tobytes() == given.tobytes()
+    assert flat.flat.tobytes() == plain.flat.tobytes()
 
 
 @pytest.mark.parametrize("batch_size", [1, 4])

@@ -28,9 +28,9 @@ from gradus.fusion import (
     templates_from_json,
 )
 from gradus.library import PhraseLibrary
-from gradus.phrase import transpose_phrase
-from gradus.pitch import Degree, Interval, parse_key, parse_pitch
-from gradus.rules import ProgressionGrammar, RuleConfig, cadence_satisfies, rule_loss
+from gradus.phrase import NoteEvent, Phrase, transpose_phrase
+from gradus.pitch import Degree, Interval, parse_degree, parse_key, parse_pitch
+from gradus.rules import CADENCES, CatalogEntry, ProgressionGrammar, RuleConfig, cadence_satisfies, rule_loss
 
 from conftest import counting, make_phrase
 
@@ -516,6 +516,158 @@ def test_fuse_matches_brute_force(corpus):
     # Both outcomes, in both modes, and failures at every slot depth.
     assert len(fused) >= 20 and "minor I-I" in fused
     assert {1, 2, 3} <= set(failed_at)
+
+
+def _random_libraries(full, rng, n):
+    """n small libraries of corpus entries, with repeats, as the
+    brute-force check draws them; every other one has its catalog entries
+    redrawn, so that every cadence class and more closing treble degrees
+    and start harmonies occur than the corpus has."""
+    trebles = [None] + [parse_degree(d) for d in ("1", "2", "3", "b3", "5", "#4")]
+    for k in range(n):
+        pool = rng.choice(len(full), size=rng.integers(3, 11), replace=False)
+        entries = [full[int(i)] for i in rng.choice(pool, size=rng.integers(3, 13))]
+        if k % 2:
+            entries = [
+                (p, replace(
+                    e,
+                    start_roots=frozenset(int(r) for r in rng.choice(range(1, 8), size=rng.integers(1, 4))),
+                    cadence=CADENCES[int(rng.integers(len(CADENCES)))],
+                    final_treble=trebles[int(rng.integers(len(trebles)))],
+                ))
+                for p, e in entries
+            ]
+        yield PhraseLibrary(tuple(entries))
+
+
+def _scanned(library, starts, pivot, home, local_key, slot=None, meter=None):
+    """The candidate list of a slot state by a plain scan of the library."""
+    target = local_key_context(home, local_key)
+    out = []
+    for i, (phrase, entry) in enumerate(library):
+        if entry.mode != home.mode or not entry.start_roots & starts:
+            continue
+        if slot is not None and not (
+            cadence_satisfies(entry.cadence, slot.cadence)
+            and entry.final_treble == localize_degree(slot.final_treble, home, slot.local_key)
+        ):
+            continue
+        if meter is not None and phrase.meter != meter:
+            continue
+        out.append(fusion.FusionCandidate(i, pivot, Interval.between(phrase.key, target)))
+    return out
+
+
+def test_index_matches_library_scan(corpus):
+    # Every slot state (slot, previous final root, meter) of the shipped
+    # templates, in both modes, over random libraries: the lists read from
+    # the index are the scan's, in library order, with its transpositions.
+    # Without a slot, pivot_select narrows by start harmony alone.
+    full, _ = PhraseLibrary.build(corpus)
+    grammar = ProgressionGrammar()
+    rng = np.random.default_rng(3)
+    meters = sorted({p.meter for p, _ in full}) + [(2, 4)]
+    checked = nonempty = 0
+    for library in _random_libraries(full, rng, 60):
+        for home in (parse_key("C", "major"), parse_key("A", "minor")):
+            for template in default_templates():
+                slots = template.slots
+                first = slots[0]
+                got = fusion._opening_candidates(library, grammar.start_roots, 0, home, first.local_key, first)
+                assert got == _scanned(library, grammar.start_roots, 0, home, first.local_key, first)
+                for slot_i in range(1, len(slots)):
+                    prev, slot = slots[slot_i - 1], slots[slot_i]
+                    for root in range(1, 8):
+                        antecedent = CatalogEntry(frozenset(), frozenset(), root, None, home.mode, "other")
+                        pivot = pivot_root(prev.local_key, root, slot.local_key)
+                        starts = grammar.successors(pivot)
+                        args = (antecedent, prev.local_key, slot.local_key, library, grammar, home)
+                        assert pivot_select(*args) == _scanned(library, starts, pivot, home, slot.local_key)
+                        for meter in meters:
+                            got = pivot_select(*args, slot, meter)
+                            assert got == _scanned(library, starts, pivot, home, slot.local_key, slot, meter)
+                            checked += 1
+                            nonempty += bool(got)
+    assert checked == 10080 and nonempty > 500
+
+
+def test_library_index_is_neither_compared_nor_hashed(corpus):
+    library, _ = PhraseLibrary.build(corpus[:6])
+    again = PhraseLibrary(library.entries)
+    assert again == library and hash(again) == hash(library)
+    assert "index" not in repr(library)
+    assert PhraseLibrary(()).index == {}
+
+
+# -- derivation without re-validation -------------------------------------
+
+def _revalidated(p):
+    """p rebuilt through the validating constructors, which sort and check."""
+    events = tuple(
+        NoteEvent(e.voice, e.onset, e.duration, e.degree, e.pitch, e.tie) for e in reversed(p.events)
+    )
+    return Phrase(p.key, p.meter, p.voices, events, p.cadence_annotation, p.structural)
+
+
+def _assert_as_validated(p):
+    q = _revalidated(p)
+    assert type(p) is Phrase and all(type(e) is NoteEvent for e in p.events)
+    assert p == q and p.events == q.events  # same events, in canonical order
+    assert p.span == q.span
+
+
+def test_derived_phrases_equal_validated_ones(corpus):
+    home = parse_key("C", "major")
+    profiles = profiles2()
+    realized = []
+    for p in corpus:
+        for shift in FIVE_KEYS:
+            moved = transpose_phrase(p, Interval(*shift))
+            _assert_as_validated(moved)
+            pitched = realize_pitches(moved, profiles)
+            _assert_as_validated(pitched)
+            back = transpose_phrase(pitched, Interval(-shift[0], -shift[1]))
+            _assert_as_validated(back)
+            assert back.key == p.key
+            realized.append(pitched)
+    rng = np.random.default_rng(11)
+    joined = 0
+    for _ in range(200):
+        picks = [corpus[int(i)] for i in rng.integers(len(corpus), size=rng.integers(1, 4))]
+        picks = [p for p in picks if p.meter == picks[0].meter]
+        if rng.random() < 0.5:
+            picks = [realized[int(rng.integers(len(realized)))]] + picks[1:]
+            picks = [p for p in picks if p.meter == picks[0].meter]
+        local_keys = [int(k) for k in rng.choice([1, 4, 5], size=len(picks))]
+        try:
+            full = concatenate_degrees(picks, home, local_keys)
+        except SpellingError:
+            continue
+        _assert_as_validated(full)
+        joined += 1
+    assert joined > 150
+
+
+def test_concatenate_refuses_mismatches_and_keeps_span():
+    home = parse_key("C", "major")
+    two = _slot1_phrase()
+    three = make_phrase(
+        [(0, 0, 4, "3"), (1, 0, 4, "1"), (2, 0, 4, "1")], voices=("treble", "alto", "bass")
+    )
+    waltz = make_phrase([(0, 0, 3, "3"), (1, 0, 3, "1")], meter=(3, 4))
+    with pytest.raises(PhraseValidationError, match="share a meter"):
+        concatenate_degrees([two, waltz], home, [1, 1])
+    with pytest.raises(PhraseValidationError, match="event voice 2 out of range"):
+        concatenate_degrees([two, three], home, [1, 1])
+    # Fewer voices in a later phrase fit the first phrase's voice list.
+    _assert_as_validated(concatenate_degrees([three, two], home, [1, 1]))
+    # A last phrase that stops short of its barline ends the span there.
+    short = make_phrase([(0, 0, 3, "3"), (1, 0, 3, "1")])
+    full = concatenate_degrees([two, short], home, [1, 1])
+    _assert_as_validated(full)
+    assert full.span == 7
+    with pytest.raises(PhraseValidationError):
+        concatenate_degrees([], home, [])
 
 
 # Plans that fuse gave, per request seed, for the corpus in five keys
