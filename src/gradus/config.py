@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Optional
 
 from .denoiser import DenoiserHyperparams
-from .errors import PhraseParseError, PhraseValidationError
+from .errors import PhraseParseError, PhraseValidationError, _get
 from .fusion import VoiceProfile
 from .graph import FeatureFlags
 from .pitch import KeyContext, parse_key, parse_pitch
@@ -45,29 +45,6 @@ _HP_KEYS = (
 )
 # Top-level keys: the RunConfig fields, with the denoiser's spelled out.
 _KEYS = {f.name for f in fields(RunConfig)} - {"denoiser"} | set(_HP_KEYS)
-_REQUIRED = object()
-_KIND_NAMES = {
-    bool: "true or false", int: "an integer", float: "a number",
-    str: "a string", dict: "a JSON object", list: "a JSON list",
-}
-
-
-def _get(obj: dict, key: str, kind: type, where: str = "config", default=_REQUIRED):
-    """obj[key] as kind, refusing a JSON value of another type: an integer
-    passes as a number, but a string never does, nor a bool as an integer."""
-    if key not in obj:
-        if default is _REQUIRED:
-            raise PhraseValidationError(f"{where} is missing required key {key!r}")
-        return default
-    value = obj[key]
-    allowed = (int, float) if kind is float else kind
-    if not isinstance(value, allowed) or (kind is not bool and isinstance(value, bool)):
-        raise PhraseValidationError(
-            f"{where} key {key!r} must be {_KIND_NAMES[kind]}, not {value!r}"
-        )
-    return kind(value)
-
-
 def _section(raw: dict, name: str, cls: type):
     """The dataclass cls from the config object under name, each key typed
     by its field's default; an unknown key is refused, not ignored."""

@@ -241,13 +241,13 @@ def pivot_select(
     library: PhraseLibrary,
     grammar: ProgressionGrammar,
     home: KeyContext,
-    slot: Optional[TemplateSlot] = None,
+    slot: TemplateSlot,
     meter: Optional[tuple[int, int]] = None,
 ) -> list[FusionCandidate]:
     """Library phrases able to follow the antecedent in the new local key:
     their feasible start harmonies must include a grammar successor of the
-    pivot reinterpretation of the antecedent's final harmony. A slot and a
-    meter narrow them as in ``_opening_candidates``."""
+    pivot reinterpretation of the antecedent's final harmony. The slot and
+    a meter narrow them as in ``_opening_candidates``."""
     pivot = pivot_root(prev_local_key, antecedent.final_root, new_local_key)
     return _opening_candidates(
         library, grammar.successors(pivot), pivot, home, new_local_key, slot, meter
@@ -260,19 +260,16 @@ def _opening_candidates(
     pivot: int,
     home: KeyContext,
     local_key: int,
-    slot: Optional[TemplateSlot] = None,
+    slot: TemplateSlot,
     meter: Optional[tuple[int, int]] = None,
 ) -> list[FusionCandidate]:
     """Library phrases in the home mode whose feasible start harmonies meet
-    starts, read from the library index in library order, each transposed
-    into the local key; the transposition is computed once per distinct
-    phrase key. Given a slot, only phrases with a cadence satisfying the
-    slot's and with the slot's closing treble degree qualify; given a
-    meter, only phrases in that meter."""
-    endings = None
-    if slot is not None:
-        treble = localize_degree(slot.final_treble, home, slot.local_key)
-        endings = [(c, treble) for c in CADENCES if cadence_satisfies(c, slot.cadence)]
+    starts, with a cadence satisfying the slot's and the slot's closing
+    treble degree, read from the library index in library order, each
+    transposed into the local key; the transposition is computed once per
+    distinct phrase key. Given a meter, only phrases in that meter."""
+    treble = localize_degree(slot.final_treble, home, slot.local_key)
+    endings = [(c, treble) for c in CADENCES if cadence_satisfies(c, slot.cadence)]
     target_key = local_key_context(home, local_key)
     shifts: dict[KeyContext, Interval] = {}
     out = []
@@ -366,13 +363,13 @@ def templates_from_json(data: list) -> tuple[UrsatzTemplate, ...]:
             lk, treble = slot["local_key"], slot["final_treble_degree"]
             if isinstance(lk, str):
                 lk = _ROMAN_TO_ROOT.get(lk.upper())
-            if not isinstance(lk, int):
+            if not isinstance(lk, int) or isinstance(lk, bool):
                 raise PhraseValidationError(f"bad local_key in {where}: {slot['local_key']!r}")
             if not isinstance(treble, str):
                 raise PhraseValidationError(f"bad final_treble_degree in {where}: {treble!r}")
             slots.append(
                 TemplateSlot(
-                    local_key=int(lk),
+                    local_key=lk,
                     cadence=slot["cadence"],
                     final_treble=parse_degree(treble),
                 )

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PhraseValidationError
-from .phrase import Phrase, metric_strength
+from .phrase import Phrase, _derived, metric_strength
 from .pitch import DEGREE_INDEX, DEGREES, NUM_DEGREE_CLASSES, Degree
 
 EDGE_CLASSES = (
@@ -193,7 +193,8 @@ def build_graph(phrase: Phrase, flags: FeatureFlags = FeatureFlags()) -> ScoreGr
 
 
 def rebuild_phrase(skeleton: Phrase, degrees: Sequence[Degree]) -> Phrase:
-    """Write per-node degree classes back onto a rhythm skeleton."""
+    """Write per-node degree classes back onto a rhythm skeleton. Only the
+    degrees change, so the events keep the skeleton's order and checks."""
     nodes = merge_tied(skeleton)
     if len(degrees) != len(nodes):
         raise PhraseValidationError(
@@ -204,10 +205,10 @@ def rebuild_phrase(skeleton: Phrase, degrees: Sequence[Degree]) -> Phrase:
         for ei in nd.event_indices:
             per_event[ei] = deg
     events = tuple(
-        replace(e, degree=per_event[i], pitch=None)
+        _derived(e, degree=per_event[i], pitch=None)
         for i, e in enumerate(skeleton.events)
     )
-    return replace(skeleton, events=events)
+    return _derived(skeleton, events=events)
 
 
 def degrees_from_x(X: np.ndarray) -> list[Degree]:

@@ -62,7 +62,7 @@ def reverse_mixture(
 # hard-rule evaluator over a precomputed rhythm-grid context
 # ----------------------------------------------------------------------
 #
-# The grid of a skeleton holds all attack onsets plus the strong beats;
+# The grid of a skeleton holds all attack onsets plus the integer beats;
 # at each grid moment every voice is sounding one node or is silent.
 
 _EMPTY = np.zeros(0, dtype=bool)
@@ -110,9 +110,10 @@ def pair_tables(letters, semis) -> PairTables:
 
 
 class SkeletonArrays(NamedTuple):
-    """A skeleton's grid in the form the evaluator reads: node indices per
+    """A skeleton's grid in the form the evaluators read: node indices per
     grid moment, with ``n_nodes`` standing for a silent voice (the padded
-    degree vector holds the silent class there)."""
+    degree vector holds the silent class there). The hard rules read the
+    attack and strong-beat moments, the harmony pass the integer beats."""
 
     sounding: np.ndarray  # (m, v): node sounding in each voice; the bass is the last voice
     pair_upper: np.ndarray  # (m, pairs): sounding in the upper voice of each pair, ``voice_pairs`` order
@@ -122,30 +123,30 @@ class SkeletonArrays(NamedTuple):
     strong_bass: np.ndarray  # (m, 1): sounding in the bass
     chains: np.ndarray  # node indices voice by voice, in time order
     voice_starts: np.ndarray  # positions in ``chains``, after the first, where a new voice begins
+    beat_sounding: np.ndarray  # (beats, v): node sounding in each voice at each integer beat
+    beat_strong: np.ndarray  # (beats,): the beat is strong
 
 
-def skeleton_arrays(sounding, attacked, strong, node_voices) -> SkeletonArrays:
-    """From the node covering each voice at each grid moment (-1 where the
-    voice is silent), whether it starts there, which moments are strong,
-    and each node's voice (nodes are in time order within a voice)."""
+def skeleton_arrays(sounding, attacked, strong, node_voices, beat_sounding, beat_strong) -> SkeletonArrays:
+    """From the node sounding in each voice at each grid moment (``n_nodes``
+    where the voice is silent), whether it starts there, which moments are
+    strong, each node's voice (nodes are in time order within a voice), and
+    the sounding rows and strength of the integer beats."""
     node_voices = np.asarray(node_voices, dtype=np.int64)
-    n_nodes = len(node_voices)
-    sounding = np.array(sounding, dtype=np.int64)
-    sounding[sounding < 0] = n_nodes
-    attacked_next = np.array(attacked, dtype=bool)[1:]
     upper, lower = voice_pairs(sounding.shape[1])
-    strong = np.array(strong, dtype=bool)[:, None]
     chains = np.argsort(node_voices, kind="stable")
     chain_voices = node_voices[chains]
     return SkeletonArrays(
         sounding=sounding,
         pair_upper=sounding[:, upper],
         pair_lower=sounding[:, lower],
-        pair_attacked=attacked_next[:, upper] & attacked_next[:, lower],
-        strong_upper=np.where(strong, sounding[:, :-1], n_nodes),
+        pair_attacked=attacked[1:, upper] & attacked[1:, lower],
+        strong_upper=np.where(strong[:, None], sounding[:, :-1], len(node_voices)),
         strong_bass=sounding[:, -1:],
         chains=chains,
         voice_starts=np.flatnonzero(chain_voices[1:] != chain_voices[:-1]) + 1,
+        beat_sounding=beat_sounding,
+        beat_strong=beat_strong,
     )
 
 

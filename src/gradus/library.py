@@ -39,18 +39,14 @@ class PhraseLibrary:
         self,
         mode: str,
         starts: Collection[int],
-        endings: Optional[Collection[tuple[str, Optional[Degree]]]] = None,
+        endings: Collection[tuple[str, Optional[Degree]]],
     ) -> list[int]:
         """Indices, in library order, of the entries in the mode with a
-        start root in starts and, given endings, a (cadence, final treble)
-        pair among them."""
-        if endings is None:
-            keys = [k for k in self.index if k[0] == mode and k[1] in starts]
-        else:
-            keys = [(mode, r, c, t) for r in starts for c, t in endings]
+        start root in starts and a (cadence, final treble) pair in endings."""
         hits: set[int] = set()
-        for key in keys:
-            hits.update(self.index.get(key, ()))
+        for r in starts:
+            for c, t in endings:
+                hits.update(self.index.get((mode, r, c, t), ()))
         return sorted(hits)
 
     @staticmethod

@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import PhraseParseError, PhraseValidationError
+from .errors import PhraseParseError, PhraseValidationError, _get
 from .pitch import (
     Degree,
     Interval,
@@ -45,6 +46,8 @@ class NoteEvent:
             raise PhraseValidationError(f"duration must be positive, got {self.duration}")
         if self.onset < 0:
             raise PhraseValidationError(f"onset must be non-negative, got {self.onset}")
+        if self.voice < 0:
+            raise PhraseValidationError(f"voice must be non-negative, got {self.voice}")
         if self.degree is not None and self.pitch is not None:
             raise PhraseValidationError("event carries both a degree and a pitch")
 
@@ -129,7 +132,7 @@ def _derived(obj, **changes):
 
 def _frac(text: str, what: str) -> Fraction:
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise PhraseParseError(f"cannot parse {what} {text!r} as a fraction") from None
 
@@ -143,36 +146,45 @@ def parse_phrase(document: str) -> Phrase:
     return phrase_from_dict(obj)
 
 
+def _event_from_dict(ev: dict, where: str) -> NoteEvent:
+    """One event object, each field of its JSON type: a voice is an
+    integer, onset, duration, degree and pitch are strings, a tie is true
+    or false."""
+    if not isinstance(ev, dict):
+        raise PhraseParseError(f"{where} must be a JSON object, not {ev!r}")
+    if "pitch" in ev and "degree" in ev:
+        raise PhraseParseError(f"{where} carries both 'pitch' and 'degree'")
+    get = partial(_get, ev, where=where, error=PhraseParseError)
+    degree, pitch = get("degree", str, default=None), get("pitch", str, default=None)
+    return NoteEvent(
+        voice=get("voice", int),
+        onset=_frac(get("onset", str), f"{where} onset"),
+        duration=_frac(get("duration", str), f"{where} duration"),
+        degree=None if degree is None else parse_degree(degree),
+        pitch=None if pitch is None else parse_pitch(pitch),
+        tie=get("tie", bool, default=False),
+    )
+
+
 def phrase_from_dict(obj: dict) -> Phrase:
     try:
         key = parse_key(obj["key"]["tonic"], obj["key"]["mode"])
         meter = (int(obj["meter"][0]), int(obj["meter"][1]))
         voices = tuple(str(v) for v in obj["voices"])
-        raw_events = obj["events"]
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise PhraseParseError(f"missing or malformed phrase field: {exc}") from exc
-    events = []
-    for ev in raw_events:
-        if "pitch" in ev and "degree" in ev:
-            raise PhraseParseError("event carries both 'pitch' and 'degree'")
-        degree = parse_degree(ev["degree"]) if "degree" in ev else None
-        pitch = parse_pitch(ev["pitch"]) if "pitch" in ev else None
-        events.append(
-            NoteEvent(
-                voice=int(ev["voice"]),
-                onset=_frac(ev["onset"], "onset"),
-                duration=_frac(ev["duration"], "duration"),
-                degree=degree,
-                pitch=pitch,
-                tie=bool(ev.get("tie", False)),
-            )
-        )
-    structural = tuple((int(a), int(b)) for a, b in obj.get("structural", []))
+    raw_events = _get(obj, "events", list, "phrase", error=PhraseParseError)
+    events = tuple(_event_from_dict(ev, f"event {i}") for i, ev in enumerate(raw_events))
+    edges = _get(obj, "structural", list, "phrase", default=[], error=PhraseParseError)
+    try:
+        structural = tuple((int(a), int(b)) for a, b in edges)
+    except (TypeError, ValueError) as exc:
+        raise PhraseParseError(f"malformed structural edge list: {exc}") from exc
     return Phrase(
         key=key,
         meter=meter,
         voices=voices,
-        events=tuple(events),
+        events=events,
         cadence_annotation=obj.get("cadence"),
         structural=structural,
     )

@@ -1,16 +1,15 @@
 """Counterpoint and harmony engine.
 
-The hard rules have one evaluator, ``kernels.violation_masks``, run over a
-flat array context built once per rhythm skeleton. Guided sampling counts
-a candidate's violations with ``RuleContext.score``, thousands of times per
-skeleton; ``all_violations`` turns the same masks into located Violation
-records for rejection reports.
-
-Harmonic analysis makes one pass per phrase: ``_segment_readings`` finds,
-per integer beat, the legal chords that can read it, from a per-mode chord
-table built at import. The best readings (a beam search) and the exact
-boundary roots (reachability over root sets) are both read from that one
-pass, which ``reject`` builds once for the readings and the catalog entry.
+Both rule families read one time grid per phrase, built by
+``build_rule_context``: the tied notes merged once and laid on integer
+ticks, with a row at every attack onset and every integer beat. The hard
+rules' one evaluator, ``kernels.violation_masks``, reads the attack and
+strong-beat rows: guidance counts a candidate's violations with
+``RuleContext.score`` and ``all_violations`` locates them for rejection
+reports. ``_segment_readings`` reads the integer-beat rows: per beat, the
+legal chords that can read it, from a per-mode table of chord tone
+classes. The best readings (a beam search) and the exact boundary roots
+(reachability over root sets) both come from that one pass.
 
 Interval classes are computed from scale degrees modulo octave, so the
 checks apply equally to degree-encoded and realized phrases.
@@ -20,10 +19,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -63,32 +61,40 @@ class RuleConfig:
 
 
 def _time_grid(phrase: Phrase, cutoff: float):
-    """All attack onsets plus every strong beat inside the span, with the
-    sounding node and attack flag per voice at each grid time."""
+    """The merged nodes laid once on a grid of integer ticks, ``tick`` to
+    the beat (the lcm of the node onset and duration denominators), with a
+    row at every attack onset and every integer beat inside the span.
+    Returns ``tick``, the nodes, the hard rules' rows (attacks and strong
+    beats) as (times, node sounding per voice or ``len(nodes)`` if silent,
+    attacked, strong), and the beat rows as (sounding, strong)."""
     nodes = merge_tied(phrase)
-    times = {nd.onset for nd in nodes}
-    span = phrase.span
-    beat = Fraction(0)
-    while beat < span:
-        if metric_strength(beat, phrase.meter) >= cutoff:
-            times.add(beat)
-        beat += 1
-    grid = sorted(times)
-    n_voices = len(phrase.voices)
-    sounding = [[-1] * n_voices for _ in grid]
-    attacked = [[False] * n_voices for _ in grid]
-    for ni, nd in enumerate(nodes):
-        # The grid is sorted, so a node covers one run of rows.
-        ti = bisect_left(grid, nd.onset)
-        while ti < len(grid) and grid[ti] < nd.end:
-            sounding[ti][nd.voice] = ni
-            attacked[ti][nd.voice] = grid[ti] == nd.onset
-            ti += 1
-    return grid, nodes, sounding, attacked
+    n = len(nodes)
+    tick = math.lcm(*(q.denominator for nd in nodes for q in (nd.onset, nd.duration)))
+    n_beats = math.ceil(phrase.span)
+    if tick * n_beats > np.iinfo(np.int64).max:  # int64 tick arithmetic would wrap
+        raise PhraseValidationError(f"onsets and durations too fine for the rule grid (1/{tick} beat)")
+    voice = np.array([nd.voice for nd in nodes])
+    start = np.array([nd.onset.numerator * (tick // nd.onset.denominator) for nd in nodes])
+    end = start + [nd.duration.numerator * (tick // nd.duration.denominator) for nd in nodes]
+    strong = np.array([metric_strength(k, phrase.meter) >= cutoff for k in range(n_beats)])
+    times = np.union1d(start, np.arange(n_beats) * tick)
+    # A node covers the run of rows from its onset up to its end.
+    lo, hi = np.searchsorted(times, start), np.searchsorted(times, end)
+    runs = hi - lo
+    rows = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs - lo, runs)
+    sounding = np.full((len(times), len(phrase.voices)), n)
+    sounding[rows, np.repeat(voice, runs)] = np.repeat(np.arange(n), runs)
+    attacked = np.zeros(sounding.shape, dtype=bool)
+    attacked[lo, voice] = True
+    on_beat = times % tick == 0
+    strong_row = on_beat & strong[times // tick]
+    hard = attacked.any(axis=1) | strong_row
+    hard_rows = (times[hard], sounding[hard], attacked[hard], strong_row[hard])
+    return tick, nodes, hard_rows, (sounding[on_beat], strong)
 
 
 # ----------------------------------------------------------------------
-# Array context for the hard-rule evaluator (kernels.violation_masks)
+# Array context for kernels.violation_masks and the harmony pass
 # ----------------------------------------------------------------------
 
 # What each pair of degree classes means to the rules, built once.
@@ -97,9 +103,9 @@ _PAIR_TABLES = kernels.pair_tables(DEGREE_LETTER, DEGREE_SEMIS)
 
 @dataclass(frozen=True)
 class RuleContext:
-    """The hard rules' view of one rhythm skeleton, built once per skeleton
-    by ``build_rule_context``: the grid arrays ``kernels.violation_masks``
-    reads, plus the grid times and graph nodes that locate its hits.
+    """Both rule families' view of one skeleton, built once per skeleton by
+    ``build_rule_context``: the grid arrays, the hard-rule rows' times in
+    ticks and the graph nodes that locate their hits, and the key's mode.
 
     score() counts the violations of a per-node degree assignment. Guided
     sampling calls it once per candidate, K times a step, and most
@@ -108,8 +114,10 @@ class RuleContext:
 
     arrays: kernels.SkeletonArrays
     config: RuleConfig
-    grid: tuple[Fraction, ...]
+    grid: tuple[int, ...]
+    tick: int
     nodes: tuple[GraphNode, ...]
+    mode: str
     _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -127,13 +135,14 @@ class RuleContext:
 
 
 def build_rule_context(skeleton: Phrase, config: RuleConfig = RuleConfig()) -> RuleContext:
-    grid, nodes, sounding, attacked = _time_grid(skeleton, config.strong_beat_cutoff)
-    strong = [metric_strength(t, skeleton.meter) >= config.strong_beat_cutoff for t in grid]
+    tick, nodes, (times, *hard), beats = _time_grid(skeleton, config.strong_beat_cutoff)
     return RuleContext(
-        arrays=kernels.skeleton_arrays(sounding, attacked, strong, [nd.voice for nd in nodes]),
+        arrays=kernels.skeleton_arrays(*hard, [nd.voice for nd in nodes], *beats),
         config=config,
-        grid=tuple(grid),
+        grid=tuple(times.tolist()),
+        tick=tick,
         nodes=tuple(nodes),
+        mode=skeleton.key.mode,
     )
 
 
@@ -162,7 +171,7 @@ def all_violations(
         out.append(
             Violation(
                 rule="parallel-fifths" if masks.fifths[pair, step] else "parallel-octaves",
-                onset=ctx.grid[ti],
+                onset=Fraction(ctx.grid[ti], ctx.tick),
                 voices=(a, b),
                 description=(
                     f"{voices[a]}/{voices[b]} move {degree_at(ti - 1, a)}-{degree_at(ti, a)} "
@@ -172,7 +181,7 @@ def all_violations(
         )
     bass = len(voices) - 1
     for ti, up in zip(*np.nonzero(masks.seconds | masks.fourths)):
-        tau = ctx.grid[ti]
+        tau = Fraction(ctx.grid[ti], ctx.tick)
         out.append(
             Violation(
                 rule="strong-beat-second" if masks.seconds[ti, up] else "strong-beat-fourth",
@@ -308,11 +317,11 @@ def legal_chords(mode: str) -> tuple[RomanNumeral, ...]:
     return tuple(out)
 
 
-def _chord_table(mode: str) -> tuple[tuple[RomanNumeral, frozenset[Degree], Degree], ...]:
-    """Each legal chord of a mode as (numeral, tone set, bass tone)."""
+def _chord_table(mode: str) -> tuple[tuple[RomanNumeral, frozenset[int], int], ...]:
+    """Each legal chord of a mode as (numeral, tone classes, bass class)."""
     rows = []
     for numeral in legal_chords(mode):
-        tones = chord_tones(numeral.root, mode, numeral.seventh)
+        tones = [DEGREE_INDEX[d] for d in chord_tones(numeral.root, mode, numeral.seventh)]
         bass = tones[("root", "6", "64").index(numeral.inversion)]
         rows.append((numeral, frozenset(tones), bass))
     return tuple(rows)
@@ -336,38 +345,28 @@ class HarmonicReading:
 _BeatReadings = list[list[tuple[RomanNumeral, int]]]
 
 
-def _segment_readings(phrase: Phrase, nodes: Sequence[GraphNode], cutoff: float) -> _BeatReadings:
+def _segment_readings(ctx: RuleContext) -> _BeatReadings:
     """Per integer beat, the legal chords that can read it, in table order,
-    with their non-chord-tone counts; ``nodes`` is ``merge_tied(phrase)``.
+    with their non-chord-tone counts, read from the context's beat rows.
     A beat is judged by what sounds at its attack point; notes struck
-    mid-beat are ornamental and invisible to chord selection. Strong beats (strength >= cutoff) allow no
-    non-chord tone and weak beats one. A bass tone of the chord must be
-    the chord's bass; a non-chord bass defaults to a root-position reading."""
-    n_beats = math.ceil(phrase.span)
-    sounding: list[set[Degree]] = [set() for _ in range(n_beats)]
-    bass: list[Optional[Degree]] = [None] * n_beats
-    bass_voice = len(phrase.voices) - 1
-    for nd in nodes:
-        beats = range(math.ceil(nd.onset), math.ceil(nd.end))
-        if not beats:
-            continue
-        if nd.degree is None:
-            raise PhraseValidationError("analysis needs degree content")
-        if nd.degree.is_rest:
-            continue
-        for k in beats:
-            sounding[k].add(nd.degree)
-            if nd.voice == bass_voice:
-                bass[k] = nd.degree
-    chords = _CHORDS[phrase.key.mode]
+    mid-beat are ornamental and invisible to chord selection. Strong beats
+    allow no non-chord tone and weak beats one. A bass tone of the chord
+    must be the chord's bass; a non-chord bass, a rest or a silent bass
+    defaults to a root-position reading."""
+    classes = [None if nd.degree is None else DEGREE_INDEX[nd.degree] for nd in ctx.nodes]
+    classes.append(REST_INDEX)  # index n_nodes: a silent voice
+    chords = _CHORDS[ctx.mode]
     out = []
-    for k in range(n_beats):
-        tolerance = 0 if metric_strength(Fraction(k), phrase.meter) >= cutoff else 1
+    for beat_nodes, strong in zip(ctx.arrays.beat_sounding.tolist(), ctx.arrays.beat_strong.tolist()):
+        here = [classes[i] for i in beat_nodes]
+        if None in here:
+            raise PhraseValidationError("analysis needs degree content")
+        sounding, bass = set(here) - {REST_INDEX}, here[-1]
         row = []
         for numeral, tones, chord_bass in chords:
-            fits = chord_bass == bass[k] if bass[k] in tones else numeral.inversion == "root"
-            nct = len(sounding[k] - tones)
-            if fits and nct <= tolerance:
+            fits = chord_bass == bass if bass in tones else numeral.inversion == "root"
+            nct = len(sounding - tones)
+            if fits and nct <= (0 if strong else 1):
                 row.append((numeral, nct))
         out.append(row)
     return out
@@ -423,8 +422,7 @@ def analyze_harmony(
 ) -> list[HarmonicReading]:
     """All grammar-consistent beat-level progressions, best readings first
     (fewest non-chord tones). Empty list means the phrase has no reading."""
-    beats = _segment_readings(phrase, merge_tied(phrase), config.strong_beat_cutoff)
-    return _best_readings(beats, grammar)
+    return _best_readings(_segment_readings(build_rule_context(phrase, config)), grammar)
 
 
 def feasible_boundary_roots(
@@ -434,8 +432,7 @@ def feasible_boundary_roots(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Exact sets of first/last numeral roots over all valid readings
     (not limited to max_readings); both empty if there is none."""
-    beats = _segment_readings(phrase, merge_tied(phrase), config.strong_beat_cutoff)
-    return _boundary_roots(beats, grammar)
+    return _boundary_roots(_segment_readings(build_rule_context(phrase, config)), grammar)
 
 
 # ----------------------------------------------------------------------
@@ -515,12 +512,13 @@ def reject(
     """Hard-rule rejection plus harmonic readability; accepted phrases get
     a catalog entry recording their fusion-relevant boundary features, and
     a phrase rejected on hard rules carries its located violations. Both
-    rule families read the tied notes merged once, in the rule context."""
+    rule families read one rule context, so the tied notes are merged and
+    laid on the time grid once."""
     ctx = build_rule_context(phrase, config)
     violations = tuple(all_violations(phrase, config, ctx=ctx))
     if violations:
         return RejectionResult(False, None, tuple(map(str, violations)), violations)
-    beats = _segment_readings(phrase, ctx.nodes, config.strong_beat_cutoff)
+    beats = _segment_readings(ctx)
     readings = _best_readings(beats, grammar)
     if not readings:
         return RejectionResult(False, None, (NO_READING,))

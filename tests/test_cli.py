@@ -114,13 +114,33 @@ def test_ingest_empty_dir(tmp_path):
     assert main(["ingest", "--config", str(path)]) == 1
 
 
-def test_ingest_invalid_phrase_reports_file(tmp_path, capsys):
+def _corpus_document(edit):
+    """The first corpus phrase file as JSON text, after edit(doc)."""
+    doc = json.loads(sorted(CORPUS_DIR.glob("*.phrase.json"))[0].read_text())
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "document,message",
+    [
+        ("{ nope", "malformed JSON"),
+        (_corpus_document(lambda d: d["events"][0].pop("onset")), "event 0 is missing required key 'onset'"),
+        (_corpus_document(lambda d: d["events"][0].update(degree=5)), "key 'degree' must be a string"),
+        (_corpus_document(lambda d: d.update(events=3)), "key 'events' must be a JSON list"),
+        (_corpus_document(lambda d: d.update(structural=[[1]])), "malformed structural edge list"),
+    ],
+    ids=["invalid-json", "no-onset", "int-degree", "int-events", "short-structural-edge"],
+)
+def test_ingest_invalid_phrase_reports_file(tmp_path, capsys, document, message):
     bad_dir = tmp_path / "bad"
     bad_dir.mkdir()
-    (bad_dir / "broken.phrase.json").write_text("{ nope")
+    (bad_dir / "broken.phrase.json").write_text(document)
     path = write_config(tmp_path, corpus_dir=str(bad_dir))
     assert main(["ingest", "--config", str(path)]) == 1
-    assert "broken.phrase.json" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "broken.phrase.json" in err and message in err
+    assert "Traceback" not in out + err
 
 
 def test_train_generate_fuse_render(tmp_path, capsys):
@@ -282,10 +302,11 @@ _SLOT = {"local_key": "I", "cadence": "perfect_authentic", "final_treble_degree"
         (json.dumps([[_SLOT, _SLOT]]), "template 0 has no slot list"),
         (json.dumps([_SLOT, {**_SLOT, "local_key": [1]}]), "bad local_key in template 0 slot 1"),
         (json.dumps([_SLOT, {**_SLOT, "final_treble_degree": 1}]), "bad final_treble_degree"),
+        (json.dumps([_SLOT, {**_SLOT, "local_key": True}]), "bad local_key in template 0 slot 1"),
     ],
     ids=[
         "missing-file", "invalid-json", "no-local-key", "no-cadence", "no-final-treble",
-        "object", "slot-list-unnamed", "list-local-key", "int-treble",
+        "object", "slot-list-unnamed", "list-local-key", "int-treble", "bool-local-key",
     ],
 )
 def test_fuse_bad_templates_exit_validation(tmp_path, capsys, document, message):

@@ -17,6 +17,7 @@ from gradus.fusion import (
     default_profiles,
     default_templates,
     fuse,
+    globalize_degree,
     local_key_context,
     localize_degree,
     pivot_root,
@@ -27,9 +28,10 @@ from gradus.fusion import (
     score_to_dict,
     templates_from_json,
 )
+from gradus.graph import merge_tied, rebuild_phrase
 from gradus.library import PhraseLibrary
-from gradus.phrase import NoteEvent, Phrase, transpose_phrase
-from gradus.pitch import Degree, Interval, parse_degree, parse_key, parse_pitch
+from gradus.phrase import NoteEvent, Phrase, strip_to_skeleton, transpose_phrase
+from gradus.pitch import DEGREES, Degree, Interval, parse_degree, parse_key, parse_pitch
 from gradus.rules import CADENCES, CatalogEntry, ProgressionGrammar, RuleConfig, cadence_satisfies, rule_loss
 
 from conftest import counting, make_phrase
@@ -208,13 +210,21 @@ def _slot3_phrase():
     )
 
 
+def _slot_fitting(entry, local_key, home):
+    """A slot in local_key whose cadence and closing treble the entry
+    satisfies, so that only the pivot filter can drop it."""
+    assert entry.cadence in ("authentic", "perfect_authentic")
+    return TemplateSlot(local_key, "authentic", globalize_degree(entry.final_treble, home, local_key))
+
+
 def test_pivot_select_dominant_target():
     library, dropped = PhraseLibrary.build([_slot1_phrase(), _slot2_phrase(), _slot3_phrase()])
     assert not dropped
     grammar = ProgressionGrammar()
     home = parse_key("C", "major")
     entry = library[0][1]
-    candidates = pivot_select(entry, 1, 5, library, grammar, home)
+    slot = _slot_fitting(library[1][1], 5, home)
+    candidates = pivot_select(entry, 1, 5, library, grammar, home, slot)
     # pivot IV: successors are the predominant/dominant family; only the
     # V-opening phrase qualifies.
     assert all(library[c.index][1].start_roots & grammar.successors(4) for c in candidates)
@@ -227,7 +237,7 @@ def test_pivot_select_identity_target():
     grammar = ProgressionGrammar()
     home = parse_key("C", "major")
     entry = library[0][1]
-    candidates = pivot_select(entry, 1, 1, library, grammar, home)
+    candidates = pivot_select(entry, 1, 1, library, grammar, home, _slot_fitting(entry, 1, home))
     assert candidates  # phrases starting on successors of I qualify
     assert all(c.pivot == 1 for c in candidates)
     assert all(c.transposition.semitones == 0 for c in candidates)
@@ -248,7 +258,7 @@ def test_pivot_select_empty():
     grammar = ProgressionGrammar()
     home = parse_key("C", "major")
     entry = library[0][1]
-    candidates = pivot_select(entry, 5, 1, library, grammar, home)
+    candidates = pivot_select(entry, 5, 1, library, grammar, home, _slot_fitting(entry, 1, home))
     assert pivot_root(5, entry.final_root, 1) == 5
     assert candidates == []
 
@@ -540,14 +550,14 @@ def _random_libraries(full, rng, n):
         yield PhraseLibrary(tuple(entries))
 
 
-def _scanned(library, starts, pivot, home, local_key, slot=None, meter=None):
+def _scanned(library, starts, pivot, home, local_key, slot, meter=None):
     """The candidate list of a slot state by a plain scan of the library."""
     target = local_key_context(home, local_key)
     out = []
     for i, (phrase, entry) in enumerate(library):
         if entry.mode != home.mode or not entry.start_roots & starts:
             continue
-        if slot is not None and not (
+        if not (
             cadence_satisfies(entry.cadence, slot.cadence)
             and entry.final_treble == localize_degree(slot.final_treble, home, slot.local_key)
         ):
@@ -562,7 +572,6 @@ def test_index_matches_library_scan(corpus):
     # Every slot state (slot, previous final root, meter) of the shipped
     # templates, in both modes, over random libraries: the lists read from
     # the index are the scan's, in library order, with its transpositions.
-    # Without a slot, pivot_select narrows by start harmony alone.
     full, _ = PhraseLibrary.build(corpus)
     grammar = ProgressionGrammar()
     rng = np.random.default_rng(3)
@@ -582,7 +591,6 @@ def test_index_matches_library_scan(corpus):
                         pivot = pivot_root(prev.local_key, root, slot.local_key)
                         starts = grammar.successors(pivot)
                         args = (antecedent, prev.local_key, slot.local_key, library, grammar, home)
-                        assert pivot_select(*args) == _scanned(library, starts, pivot, home, slot.local_key)
                         for meter in meters:
                             got = pivot_select(*args, slot, meter)
                             assert got == _scanned(library, starts, pivot, home, slot.local_key, slot, meter)
@@ -646,6 +654,16 @@ def test_derived_phrases_equal_validated_ones(corpus):
         _assert_as_validated(full)
         joined += 1
     assert joined > 150
+    # Rebuilt phrases, on pitched phrases and on their skeletons, with and
+    # without placeholder holes.
+    for p in corpus + realized[:: len(FIVE_KEYS)]:
+        skeleton = strip_to_skeleton(p)
+        degrees = [DEGREES[i] for i in rng.integers(len(DEGREES), size=len(merge_tied(p)))]
+        holes = [None if rng.random() < 0.3 else d for d in degrees]
+        for source, degs in itertools.product((p, skeleton), (degrees, holes)):
+            rebuilt = rebuild_phrase(source, degs)
+            _assert_as_validated(rebuilt)
+            assert [nd.degree for nd in merge_tied(rebuilt)] == degs
 
 
 def test_concatenate_refuses_mismatches_and_keeps_span():

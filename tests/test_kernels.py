@@ -5,15 +5,17 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from gradus import kernels
+from gradus.errors import PhraseValidationError
 from gradus.graph import merge_tied, rebuild_phrase
 from gradus.phrase import NoteEvent, Phrase, strip_to_skeleton
 from gradus.pitch import DEGREE_INDEX, DEGREES, NUM_DEGREE_CLASSES, parse_degree, parse_key
 from gradus.rules import _PAIR_TABLES, RuleConfig, _time_grid, all_violations, build_rule_context
 
 from conftest import counting
-from rule_oracle import oracle, time_grid
+from rule_oracle import oracle, segments, time_grid
 
 SINGLE_RULE_CONFIGS = (
     RuleConfig(parallels=True, dissonance=False, repetition=False),
@@ -165,10 +167,58 @@ def test_time_grid_matches_oracle(corpus):
     silences = 0
     for skeleton in skeletons:
         for cutoff in (0.25, 0.5, 1.0):
-            got = _time_grid(skeleton, cutoff)
+            tick, nodes, (times, sounding, attacked, _), _ = _time_grid(skeleton, cutoff)
+            got = (
+                [Fraction(t, tick) for t in times.tolist()],
+                nodes,
+                np.where(sounding == len(nodes), -1, sounding).tolist(),
+                attacked.tolist(),
+            )
             assert got == time_grid(skeleton, cutoff)
             silences += sum(row.count(-1) for row in got[2])
     assert silences > 0
+
+
+def test_beat_rows_match_oracle_segments(corpus):
+    # The integer-beat rows the harmony pass reads give the oracle's
+    # sounding set, bass and tolerance at every beat, rests and silences
+    # included.
+    rng = np.random.default_rng(577)  # the skeletons of test_time_grid_matches_oracle
+    skeletons = [strip_to_skeleton(p) for p in corpus]
+    skeletons += [_tie_some(_random_skeleton(rng), rng) for _ in range(80)]
+    rng = np.random.default_rng(6174)
+    rests = silences = 0
+    for skeleton in skeletons:
+        n = len(merge_tied(skeleton))
+        phrase = rebuild_phrase(skeleton, [DEGREES[i] for i in _random_degree_assignment(rng, n)])
+        for cutoff in (0.25, 0.5, 1.0):
+            ctx = build_rule_context(phrase, RuleConfig(strong_beat_cutoff=cutoff))
+            degrees = [nd.degree for nd in ctx.nodes] + [None]  # index n: a silent voice
+            got = []
+            for row, strong in zip(ctx.arrays.beat_sounding.tolist(), ctx.arrays.beat_strong.tolist()):
+                here = [degrees[i] for i in row]
+                pitched = [d for d in here if d is not None and not d.is_rest]
+                bass = here[-1] if here[-1] in pitched else None
+                got.append((set(pitched), bass, 0 if strong else 1))
+                rests += len(here) - len(pitched) - row.count(n)
+                silences += row.count(n)
+            assert got == segments(phrase, cutoff)
+    assert rests > 0 and silences > 0
+
+
+def test_grid_refuses_ticks_beyond_int64():
+    # Three duration denominators near 10**6 over ten beats need more than
+    # 2**63 ticks; the grid refuses them instead of letting int64 wrap.
+    events = [
+        NoteEvent(voice=0, onset=Fraction(k), duration=Fraction(1, den), degree=parse_degree("1"))
+        for k, den in ((0, 1000003), (1, 1000033), (2, 1000037))
+    ]
+    events.append(NoteEvent(voice=0, onset=Fraction(9), duration=Fraction(1), degree=parse_degree("1")))
+    phrase = Phrase(key=parse_key("C", "major"), meter=(4, 4), voices=("treble",), events=tuple(events))
+    with pytest.raises(PhraseValidationError, match="too fine for the rule grid"):
+        build_rule_context(phrase)
+    shorter = replace(phrase, events=phrase.events[:-1])  # three beats fit
+    assert all_violations(shorter) == oracle(shorter)
 
 
 def test_violation_counter_matches_reference_random_structures():

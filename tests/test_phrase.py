@@ -60,6 +60,35 @@ def test_parse_rejects_pitch_and_degree():
         parse_phrase(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "field,value,error,message",
+    [
+        ("voice", -1, PhraseValidationError, "voice must be non-negative"),
+        ("voice", 0.7, PhraseParseError, "key 'voice' must be an integer"),
+        ("voice", True, PhraseParseError, "key 'voice' must be an integer"),
+        ("voice", "0", PhraseParseError, "key 'voice' must be an integer"),
+        ("tie", "false", PhraseParseError, "key 'tie' must be true or false"),
+        ("tie", 0, PhraseParseError, "key 'tie' must be true or false"),
+    ],
+    ids=["negative-voice", "float-voice", "bool-voice", "string-voice", "string-tie", "int-tie"],
+)
+def test_parse_refuses_coerced_event_fields(field, value, error, message):
+    # A voice is a JSON integer >= 0 and a tie a JSON boolean; nothing is
+    # rounded, wrapped into the bass or read as truthy.
+    doc = json.loads(MINIMAL)
+    doc["events"][0][field] = value
+    with pytest.raises(error, match=message):
+        parse_phrase(json.dumps(doc))
+
+
+def test_parse_reads_typed_event_fields():
+    doc = json.loads(MINIMAL)
+    doc["events"].append({"voice": 0, "onset": "1", "duration": "1", "degree": "1", "tie": True})
+    doc["events"].append({"voice": 0, "onset": "2", "duration": "1", "degree": "2", "tie": False})
+    p = parse_phrase(json.dumps(doc))
+    assert [e.tie for e in p.events] == [False, True, False]
+
+
 def test_unknown_fields_ignored():
     doc = json.loads(MINIMAL)
     doc["composer"] = "unknown"
