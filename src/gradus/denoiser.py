@@ -1,5 +1,8 @@
 """Denoising network predicting clean node classes from a noised graph.
 
+Node classes arrive as integer vectors, as every module keeps them; the
+network's input rows are the one place they become one-hot.
+
 A small pre-norm transformer over graph nodes whose attention logits get
 an additive learned bias per edge class of each node pair, so the frozen
 edge classes shape message passing. Everything is plain numpy with
@@ -202,16 +205,9 @@ class Denoiser:
     # -- forward -------------------------------------------------------
 
     def _input_features(self, graph: ScoreGraph) -> np.ndarray:
-        """[X || R] rows, one per node of each candidate, with
-        duration/offset columns scaled by the bar length."""
-        x = graph.X.reshape(-1, graph.X.shape[-1])
-        if graph.R.shape[1] == 0:
-            return x.copy()
-        r = graph.R.copy()
-        for col, name in enumerate(graph.r_names):
-            if name in ("duration", "offset"):
-                r[:, col] /= graph.bar_length
-        return np.concatenate([x, np.concatenate([r] * (len(x) // len(r)))], axis=1)
+        """[one-hot x || R] rows, one per node of each candidate."""
+        one_hot = graph.x.reshape(-1, 1) == np.arange(NUM_DEGREE_CLASSES)
+        return np.concatenate([one_hot, np.tile(graph.R, (len(one_hot) // graph.n, 1))], axis=1)
 
     def forward(
         self,
@@ -222,9 +218,9 @@ class Denoiser:
     ):
         """Clean-class predictions for ``graph`` at step t.
 
-        ``graph.X`` is either one node matrix (n, C) or a stack (K, n, C)
-        of candidates sharing the graph's edges and rhythm columns; the
-        output has the same leading shape. ``t`` is one step for every
+        ``graph.x`` is either one class vector (n,) or a stack (K, n) of
+        candidates sharing the graph's edges and rhythm columns; the
+        output adds a class axis to that shape. ``t`` is one step for every
         candidate, or a sequence of K steps, one per candidate. Candidates
         never mix: every product is per candidate (attention is a batched
         matmul with one (n, n) or (n, dh) product per candidate and head),
@@ -244,7 +240,7 @@ class Denoiser:
                 f"input width {x_in.shape[1]} does not match parameters "
                 f"({params['in.w'].shape[0]}); check rhythm feature flags"
             )
-        n = graph.X.shape[-2]
+        n = graph.n
         K = x_in.shape[0] // n
         h = hp.hidden_dim
         heads, dh = hp.heads, h // hp.heads
@@ -305,7 +301,7 @@ class Denoiser:
         shifted = logits - logits.max(axis=1, keepdims=True)
         exps = np.exp(shifted)
         p_hat = exps / exps.sum(axis=1, keepdims=True)
-        out_shape = graph.X.shape[:-1] + (logits.shape[1],)
+        out_shape = graph.x.shape + (logits.shape[1],)
         output = DenoiserOutput(logits=logits.reshape(out_shape), p_hat=p_hat.reshape(out_shape))
         if want_cache:
             cache["zf"] = zf
@@ -317,12 +313,12 @@ class Denoiser:
     # -- loss and gradients ---------------------------------------------
 
     @staticmethod
-    def loss(output: DenoiserOutput, X0: np.ndarray) -> float:
-        """Sum over nodes of categorical cross-entropy against one-hot X0."""
+    def loss(output: DenoiserOutput, x0: np.ndarray) -> float:
+        """Sum over nodes of categorical cross-entropy against classes x0."""
         logits = output.logits
         logz = np.log(np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1))
         logz += logits.max(axis=1)
-        true_logit = (logits * X0).sum(axis=1)
+        true_logit = logits[np.arange(len(x0)), x0]
         return float(np.sum(logz - true_logit))
 
     def backward(
@@ -330,26 +326,22 @@ class Denoiser:
         graph: ScoreGraph,
         t: int,
         params: dict[str, np.ndarray],
-        X0: np.ndarray,
-        grads: dict[str, np.ndarray] | None = None,
+        x0: np.ndarray,
+        grads: dict[str, np.ndarray],
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Loss plus exact analytic gradients for every parameter tensor.
-
-        The gradients are added (+=) into ``grads`` when it is given, and
-        into a fresh zeroed dict otherwise; that dict or ``grads`` is
-        returned."""
+        """Loss against clean classes x0, plus exact analytic gradients for
+        every parameter tensor, added (+=) into ``grads`` and returned."""
         hp = self.hp
         output, cache = self.forward(graph, t, params, want_cache=True)
-        loss = self.loss(output, X0)
-        n = X0.shape[0]
+        loss = self.loss(output, x0)
+        n = len(x0)
         h = hp.hidden_dim
         heads, dh = hp.heads, h // hp.heads
         scale = 1.0 / math.sqrt(dh)
         ec = graph.ec
-        if grads is None:
-            grads = {name: np.zeros_like(w) for name, w in params.items()}
 
-        dlogits = cache["p_hat"] - X0
+        dlogits = cache["p_hat"].copy()
+        dlogits[np.arange(n), x0] -= 1.0
         grads["out.w"] += cache["zf"].T @ dlogits
         grads["out.b"] += dlogits.sum(axis=0)
         dzf = dlogits @ params["out.w"].T
@@ -453,8 +445,7 @@ class Adam:
 
     def __init__(self, params: dict[str, np.ndarray], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.keys = list(params)
-        self.flat = np.concatenate([np.ravel(params[k]) for k in self.keys])
+        self.flat = np.concatenate([np.ravel(w) for w in params.values()])
         params.update(_flat_views(self.flat, params))
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
@@ -462,18 +453,14 @@ class Adam:
         self._update = np.empty_like(self.flat)
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        """Update the buffer that ``params`` views, in place, from ``grads``,
-        which it leaves as they are. ``FlatGrads`` made for the same
-        parameters are read in place; other gradients are gathered first."""
+    def step(self, params: dict[str, np.ndarray], grads: FlatGrads):
+        """Update the buffer that ``params`` views, in place, from the flat
+        buffer of ``grads``, made for the same parameters, which it reads
+        in place and leaves as it is."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        m, v, s, u = self.m, self.v, self._scratch, self._update
-        if isinstance(grads, FlatGrads) and list(grads) == self.keys:
-            g = grads.flat
-        else:
-            g = np.concatenate([np.ravel(grads[k]) for k in self.keys], out=u)
+        m, v, s, u, g = self.m, self.v, self._scratch, self._update, grads.flat
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         m *= self.beta1
         np.multiply(g, 1 - self.beta1, out=s)
@@ -531,7 +518,7 @@ def train(
     grads = FlatGrads(params)
 
     # Every validation (t, x_t) pair, drawn once in graph-then-draw order,
-    # as (clean X, stacked graph, steps) per stack of one graph's draws.
+    # as (clean x, stacked graph, steps) per stack of one graph's draws.
     vrng = np.random.default_rng(val_seed)
     val_stacks = []
     for gi in val_idx:
@@ -539,20 +526,20 @@ def train(
         draws = []
         for _ in range(val_draws):
             t = int(vrng.integers(1, hp.T + 1))
-            draws.append((t, forward_sample(g.X, t, schedule, marginal, vrng)))
+            draws.append((t, forward_sample(g.x, t, schedule, marginal, vrng)))
         for start in range(0, val_draws, _VAL_STACK):
             chunk = draws[start : start + _VAL_STACK]
-            val_stacks.append((g.X, g.with_x(np.stack([xt for _, xt in chunk])), [t for t, _ in chunk]))
+            val_stacks.append((g.x, g.with_x(np.stack([xt for _, xt in chunk])), [t for t, _ in chunk]))
     val_nodes = val_draws * sum(graphs[gi].n for gi in val_idx)
 
     def validation_loss() -> float:
         if len(val_idx) == 0:
             return float("nan")
         total = 0.0
-        for X0, stack, steps in val_stacks:
+        for x0, stack, steps in val_stacks:
             out = denoiser.forward(stack, steps, params)
             for logits, p_hat in zip(out.logits, out.p_hat):
-                total += denoiser.loss(DenoiserOutput(logits, p_hat), X0)
+                total += denoiser.loss(DenoiserOutput(logits, p_hat), x0)
         return total / val_nodes
 
     history: list[tuple[int, float, float]] = []
@@ -565,8 +552,8 @@ def train(
             for gi in batch:
                 g = graphs[gi]
                 t = int(rng.integers(1, hp.T + 1))
-                xt = forward_sample(g.X, t, schedule, marginal, rng)
-                loss, _ = denoiser.backward(g.with_x(xt), t, params, g.X, grads)
+                xt = forward_sample(g.x, t, schedule, marginal, rng)
+                loss, _ = denoiser.backward(g.with_x(xt), t, params, g.x, grads)
                 total += loss
                 nodes += g.n
             grads.flat /= len(batch)

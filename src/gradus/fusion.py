@@ -18,13 +18,15 @@ import numpy as np
 
 from .errors import FusionInfeasibleError, PhraseValidationError, SpellingError
 from .library import PhraseLibrary
-from .phrase import NoteEvent, Phrase, _derived, transpose_phrase
+from .phrase import NoteEvent, Phrase, _derived, phrase_from_dict, phrase_to_dict, transpose_phrase
 from .pitch import (
     Degree,
     Interval,
     KeyContext,
     Pitch,
     degree_of,
+    parse_degree,
+    parse_key,
     realize_degree,
 )
 from .rules import (
@@ -315,8 +317,6 @@ class Score:
 
 
 def score_to_dict(score: Score) -> dict:
-    from .phrase import phrase_to_dict
-
     return {
         "home_key": {"tonic": score.home_key.tonic_name, "mode": score.home_key.mode},
         "phrases": [phrase_to_dict(p) for p in score.phrases],
@@ -324,9 +324,6 @@ def score_to_dict(score: Score) -> dict:
 
 
 def score_from_dict(obj: dict) -> Score:
-    from .phrase import phrase_from_dict
-    from .pitch import parse_key
-
     try:
         home = parse_key(obj["home_key"]["tonic"], obj["home_key"]["mode"])
         phrases = tuple(phrase_from_dict(p) for p in obj["phrases"])
@@ -344,8 +341,6 @@ def templates_from_json(data: list) -> tuple[UrsatzTemplate, ...]:
     """Template file format: a JSON list of slots
     {local_key, cadence, final_treble_degree} describing one template, or
     a list of {name, slots} objects describing several."""
-    from .pitch import parse_degree
-
     if not isinstance(data, list):
         raise PhraseValidationError("template file must hold a JSON list")
     if data and isinstance(data[0], dict) and "local_key" in data[0]:

@@ -1,5 +1,5 @@
-"""Heterogeneous score graphs: one-hot node classes, an edge class per
-node pair and rhythm features.
+"""Heterogeneous score graphs: a class index per node, an edge class per
+node pair and rhythm features, with durations and offsets in bars.
 
 Edges are derived purely from rhythm and voice structure, so they are
 identical for a phrase and its skeleton and stay frozen throughout
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PhraseValidationError
 from .phrase import Phrase, _derived, metric_strength
-from .pitch import DEGREE_INDEX, DEGREES, NUM_DEGREE_CLASSES, Degree
+from .pitch import DEGREE_INDEX, Degree
 
 EDGE_CLASSES = (
     "forward",
@@ -69,24 +69,26 @@ class GraphNode:
 
 @dataclass(frozen=True)
 class ScoreGraph:
-    X: np.ndarray  # (n, |classes|) one-hot (zero rows for skeletons) or a (K, n, |classes|) stack
+    x: np.ndarray  # (n,) int64 node classes (-1 for skeletons) or a (K, n) stack
     ec: np.ndarray  # (n, n) int64 edge class indices, frozen
-    R: np.ndarray  # (n, |features|)
+    R: np.ndarray  # (n, |features|), durations and offsets in bars
     r_names: tuple[str, ...]
     nodes: tuple[GraphNode, ...]
-    bar_length: float
-    has_labels: bool
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
-    def with_x(self, X: np.ndarray) -> "ScoreGraph":
-        """The same graph with node matrix X: one (n, C) matrix or a
-        (K, n, C) stack of candidates sharing these edges and rhythm."""
-        if X.ndim not in (2, 3) or X.shape[-2:] != self.X.shape[-2:]:
-            raise PhraseValidationError(f"X shape {X.shape} does not fit {self.X.shape[-2:]}")
-        return replace(self, X=X, has_labels=True)
+    @property
+    def has_labels(self) -> bool:
+        return bool((self.x >= 0).all())
+
+    def with_x(self, x: np.ndarray) -> "ScoreGraph":
+        """The same graph with node classes x: one (n,) vector or a (K, n)
+        stack of candidates sharing these edges and rhythm."""
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
+            raise PhraseValidationError(f"x shape {x.shape} does not fit {self.n} nodes")
+        return replace(self, x=x)
 
 
 def merge_tied(phrase: Phrase) -> list[GraphNode]:
@@ -117,14 +119,15 @@ def merge_tied(phrase: Phrase) -> list[GraphNode]:
 
 
 def rhythm_features(phrase: Phrase, flags: FeatureFlags = FeatureFlags()) -> np.ndarray:
-    """Per-node rhythm feature rows in the order given by flags.names."""
+    """Per-node rhythm feature rows in the order given by flags.names;
+    durations and offsets are in bars."""
     nodes = merge_tied(phrase)
     cols = []
     bar = phrase.bar_length
     if flags.duration:
-        cols.append([float(nd.duration) for nd in nodes])
+        cols.append([float(nd.duration) / float(bar) for nd in nodes])
     if flags.offset:
-        cols.append([float(nd.onset % bar) for nd in nodes])
+        cols.append([float(nd.onset % bar) / float(bar) for nd in nodes])
     if flags.strength:
         cols.append([metric_strength(nd.onset, phrase.meter) for nd in nodes])
     if not cols:
@@ -175,20 +178,16 @@ def build_graph(phrase: Phrase, flags: FeatureFlags = FeatureFlags()) -> ScoreGr
             elif nodes[i].onset < nodes[j].onset < nodes[i].end:
                 ec[i, j] = _SUSTAIN
 
-    has_labels = all(nd.degree is not None for nd in nodes)
-    X = np.zeros((n, NUM_DEGREE_CLASSES), dtype=np.float64)
-    if has_labels:
-        for i, nd in enumerate(nodes):
-            X[i, DEGREE_INDEX[nd.degree]] = 1.0
+    x = np.full(n, -1, dtype=np.int64)
+    if all(nd.degree is not None for nd in nodes):
+        x[:] = [DEGREE_INDEX[nd.degree] for nd in nodes]
 
     return ScoreGraph(
-        X=X,
+        x=x,
         ec=ec,
         R=rhythm_features(phrase, flags),
         r_names=flags.names,
         nodes=tuple(nodes),
-        bar_length=float(phrase.bar_length),
-        has_labels=has_labels,
     )
 
 
@@ -209,11 +208,6 @@ def rebuild_phrase(skeleton: Phrase, degrees: Sequence[Degree]) -> Phrase:
         for i, e in enumerate(skeleton.events)
     )
     return _derived(skeleton, events=events)
-
-
-def degrees_from_x(X: np.ndarray) -> list[Degree]:
-    """Argmax classes of a (possibly soft) node matrix."""
-    return [DEGREES[i] for i in np.argmax(X, axis=1)]
 
 
 def graph_to_adjacency(graph: ScoreGraph) -> dict:

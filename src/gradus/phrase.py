@@ -166,26 +166,41 @@ def _event_from_dict(ev: dict, where: str) -> NoteEvent:
     )
 
 
+def _int_pair(value, what: str) -> tuple[int, int]:
+    """A JSON list of two integers; a bool or a float is refused."""
+    if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
+        raise PhraseParseError(f"{what} must be a list of two integers, not {value!r}")
+    return value[0], value[1]
+
+
 def phrase_from_dict(obj: dict) -> Phrase:
-    try:
-        key = parse_key(obj["key"]["tonic"], obj["key"]["mode"])
-        meter = (int(obj["meter"][0]), int(obj["meter"][1]))
-        voices = tuple(str(v) for v in obj["voices"])
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise PhraseParseError(f"missing or malformed phrase field: {exc}") from exc
-    raw_events = _get(obj, "events", list, "phrase", error=PhraseParseError)
+    """A phrase object, each field of its JSON type: the key is an object
+    of the strings tonic and mode, the meter a list of two integers, the
+    voices a list of strings, the cadence a string and the structural
+    edges a list of [a, b] lists of event indices."""
+    if not isinstance(obj, dict):
+        raise PhraseParseError(f"phrase must be a JSON object, not {obj!r}")
+    get = partial(_get, where="phrase", error=PhraseParseError)
+    key_obj = get(obj, "key", dict)
+    tonic, mode = (get(key_obj, name, str, where="key object") for name in ("tonic", "mode"))
+    voices = tuple(get(obj, "voices", list))
+    if not all(isinstance(v, str) for v in voices):
+        raise PhraseParseError(f"phrase voices must be strings, not {list(voices)!r}")
+    raw_events = get(obj, "events", list)
     events = tuple(_event_from_dict(ev, f"event {i}") for i, ev in enumerate(raw_events))
-    edges = _get(obj, "structural", list, "phrase", default=[], error=PhraseParseError)
-    try:
-        structural = tuple((int(a), int(b)) for a, b in edges)
-    except (TypeError, ValueError) as exc:
-        raise PhraseParseError(f"malformed structural edge list: {exc}") from exc
+    structural = tuple(
+        _int_pair(edge, f"malformed structural edge list: edge {i}")
+        for i, edge in enumerate(get(obj, "structural", list, default=[]))
+    )
+    for a, b in structural:
+        if not (0 <= a < len(events) and 0 <= b < len(events)):
+            raise PhraseParseError(f"structural edge ({a}, {b}) references a missing event")
     return Phrase(
-        key=key,
-        meter=meter,
+        key=parse_key(tonic, mode),
+        meter=_int_pair(get(obj, "meter", list), "phrase meter"),
         voices=voices,
         events=events,
-        cadence_annotation=obj.get("cadence"),
+        cadence_annotation=get(obj, "cadence", str, default=None),
         structural=structural,
     )
 

@@ -1,10 +1,12 @@
 """Reverse-diffusion inference with optional rule-guided candidate selection.
 
-Each reverse step samples nodes independently from the exact posterior
-mixture. Guidance draws K candidate steps from that mixture, scores each
-candidate's one-step clean estimate against the hard counterpoint rules,
-and keeps the least-violating candidate; K=1 reduces to the unguided
-step, bit for bit, under a shared random stream. The K estimates come
+Node classes are integer vectors throughout: the noise draw, every
+reverse step and every guidance candidate. Each reverse step samples
+nodes independently from the exact posterior mixture. Guidance draws K
+candidate steps from that mixture, scores each candidate's one-step
+clean estimate against the hard counterpoint rules, and keeps the
+least-violating candidate; K=1 reduces to the unguided step, bit for
+bit, under a shared random stream. The K estimates come
 from one denoiser pass over the step's distinct candidates, stacked in
 first-drawn order (the K draws often repeat an assignment), and the
 winner's estimate is the next step's prediction, so a phrase costs T
@@ -22,8 +24,9 @@ import numpy as np
 from . import kernels
 from .denoiser import Denoiser
 from .errors import PhraseValidationError
-from .graph import FeatureFlags, build_graph, degrees_from_x, rebuild_phrase
+from .graph import FeatureFlags, build_graph, rebuild_phrase
 from .phrase import Phrase, sample_rhythm
+from .pitch import DEGREES
 from .rules import RuleConfig, build_rule_context
 # The transition matrices come from NoiseSchedule.transitions; qbar and
 # q_step stay importable from here, as perfbench/tracer.py wraps them here.
@@ -43,7 +46,7 @@ class GuidanceConfig:
 
 
 def reverse_mixture(
-    Xt: np.ndarray,
+    xt: np.ndarray,
     t: int,
     p_hat: np.ndarray,
     schedule: NoiseSchedule,
@@ -54,21 +57,20 @@ def reverse_mixture(
     if not 1 <= t <= schedule.T:
         raise PhraseValidationError(f"reverse step undefined at t={t}")
     tables = schedule.transitions(m)
-    xt_idx = np.argmax(Xt, axis=1).astype(np.int64)
     return kernels.reverse_mixture(
-        p_hat, xt_idx, tables.qbar[t - 1], tables.q_step[t - 1], tables.qbar[t]
+        p_hat, xt, tables.qbar[t - 1], tables.q_step[t - 1], tables.qbar[t]
     )
 
 
 def _reverse_probs(
-    Xt: np.ndarray,
+    xt: np.ndarray,
     t: int,
     p_hat: np.ndarray,
     schedule: NoiseSchedule,
     m: np.ndarray,
 ) -> np.ndarray:
     """Per-node distribution of x^{t-1}: the reverse mixture, normalized."""
-    mix = reverse_mixture(Xt, t, p_hat, schedule, m)
+    mix = reverse_mixture(xt, t, p_hat, schedule, m)
     totals = mix.sum(axis=1)
     if np.any(totals <= 0.0):
         bad = int(np.argmin(totals))
@@ -79,26 +81,21 @@ def _reverse_probs(
     return mix / totals[:, None]
 
 
-def _draw_one_hot(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Categorical draws from the rows of probs as one-hot rows: one draw
-    per row for each row of uniforms in u, which is (n,) or (K, n)."""
-    idx = kernels.categorical_sample(probs, u)
-    return (idx[..., None] == np.arange(probs.shape[1])).astype(probs.dtype)
-
-
 def reverse_step(
-    Xt: np.ndarray,
+    xt: np.ndarray,
     t: int,
     p_hat: np.ndarray,
     schedule: NoiseSchedule,
     m: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    return _draw_one_hot(_reverse_probs(Xt, t, p_hat, schedule, m), rng.random(len(Xt)))
+    """The classes x^{t-1}, one draw per node from the reverse mixture."""
+    probs = _reverse_probs(xt, t, p_hat, schedule, m)
+    return kernels.categorical_sample(probs, rng.random(len(xt)))
 
 
 def scg_reverse_step(
-    Xt: np.ndarray,
+    xt: np.ndarray,
     t: int,
     p_hat: np.ndarray,
     schedule: NoiseSchedule,
@@ -112,23 +109,21 @@ def scg_reverse_step(
     The K candidates are drawn from one reverse mixture with one (K, n)
     block of uniforms, which consumes the stream exactly as K calls of
     ``reverse_step`` would.
-    score_candidates receives them as a (K, n, C) stack and returns K rule
-    losses; ties keep the first-drawn candidate so runs are reproducible.
+    score_candidates receives them as a (K, n) stack of class vectors and
+    returns K rule losses; ties keep the first-drawn candidate so runs are
+    reproducible.
     """
     if config.K == 1 or score_candidates is None:
-        return reverse_step(Xt, t, p_hat, schedule, m, rng)
-    probs = _reverse_probs(Xt, t, p_hat, schedule, m)
-    cands = _draw_one_hot(probs, rng.random((config.K, len(Xt))))
+        return reverse_step(xt, t, p_hat, schedule, m, rng)
+    probs = _reverse_probs(xt, t, p_hat, schedule, m)
+    cands = kernels.categorical_sample(probs, rng.random((config.K, len(xt))))
     return cands[int(np.argmin(score_candidates(cands)))]
 
 
 def sample_noise_x(n: int, m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. draws from the marginal: the t=T starting point."""
+    """n i.i.d. class draws from the marginal: the t=T starting point."""
     probs = np.tile(validate_marginal(m), (n, 1))
-    idx = kernels.categorical_sample(probs, rng.random(n))
-    out = np.zeros((n, len(m)))
-    out[np.arange(n), idx] = 1.0
-    return out
+    return kernels.categorical_sample(probs, rng.random(n))
 
 
 def generate_phrase(
@@ -168,21 +163,21 @@ def generate_phrase(
             stack = denoiser.forward(graph.with_x(cands[rows]), t_prev, params).p_hat
             deg = np.argmax(stack, axis=2)[inv]
         else:
-            deg = np.argmax(cands, axis=2)
+            deg = cands
         losses = np.array([float(ctx.score(d)) for d in deg])
         if t_prev >= 1:
             # np.argmin keeps the first minimum, as scg_reverse_step does.
             p_hat = stack[inv[int(np.argmin(losses))]]
         return losses
 
-    X = sample_noise_x(graph.n, m, rng)
-    p_hat = denoiser.forward(graph.with_x(X), schedule.T, params).p_hat
+    x = sample_noise_x(graph.n, m, rng)
+    p_hat = denoiser.forward(graph.with_x(x), schedule.T, params).p_hat
     for t in range(schedule.T, 0, -1):
         scorer = (lambda cands, tp=t - 1: score(cands, tp)) if ctx is not None else None
-        X = scg_reverse_step(X, t, p_hat, schedule, m, config, rng, scorer)
+        x = scg_reverse_step(x, t, p_hat, schedule, m, config, rng, scorer)
         if ctx is None and t > 1:
-            p_hat = denoiser.forward(graph.with_x(X), t - 1, params).p_hat
-    return rebuild_phrase(skeleton, degrees_from_x(X))
+            p_hat = denoiser.forward(graph.with_x(x), t - 1, params).p_hat
+    return rebuild_phrase(skeleton, [DEGREES[i] for i in x])
 
 
 def generate_library(

@@ -1,5 +1,6 @@
 """Closed-form diffusion math: cosine schedule, marginal-noise transition
-matrices, forward corruption, and the exact categorical posterior.
+matrices, forward corruption of node-class vectors, and the exact
+categorical posterior.
 
 The cumulative coefficient follows the squared-cosine convention
 abar(t) = f(t)/f(0) with f(t) = cos(((t/T + s)/(1 + s)) * pi/2)^2, so
@@ -137,20 +138,17 @@ def marginals(corpus: Sequence[Phrase]) -> np.ndarray:
 
 
 def forward_sample(
-    X0: np.ndarray,
+    x0: np.ndarray,
     t: int,
     schedule: NoiseSchedule,
     m: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Corrupt clean one-hot rows to step t; edges are frozen elsewhere."""
+    """Corrupt a vector of clean node classes to step t; edges are frozen
+    elsewhere."""
     if t == 0:
-        return X0.copy()
-    probs = X0 @ schedule.transitions(m).qbar[t]
-    idx = kernels.categorical_sample(probs, rng.random(X0.shape[0]))
-    out = np.zeros_like(X0)
-    out[np.arange(X0.shape[0]), idx] = 1.0
-    return out
+        return x0.copy()
+    return kernels.categorical_sample(schedule.transitions(m).qbar[t][x0], rng.random(len(x0)))
 
 
 def posterior(

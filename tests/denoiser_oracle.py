@@ -2,11 +2,12 @@
 
 ``EinsumDenoiser`` computes attention, forward and backward, with one
 4-index ``np.einsum`` per product, the plainest statement of each sum,
-and GELU from its formula. ``PerTensorAdam`` updates each parameter
-tensor on its own with fresh temporaries. ``reference_train`` is the
-plain training loop: a zeroed gradient dict per graph and per batch, and
-validation that redraws its (t, noise) pairs every epoch and forwards
-them one at a time. The package's batched-matmul attention, flat-buffer
+and GELU from its formula; it builds its own one-hot input rows and
+targets from the graph's class vectors. ``PerTensorAdam`` updates each
+parameter tensor on its own with fresh temporaries. ``reference_train``
+is the plain training loop: a zeroed gradient dict per graph and per
+batch, stepped by ``PerTensorAdam``, and validation that redraws its
+(t, noise) pairs every epoch and forwards them one at a time. The package's batched-matmul attention, flat-buffer
 Adam and allocation-free training loop must agree with these: the
 attention within rounding, the optimizer and the training run bit for
 bit.
@@ -20,7 +21,6 @@ import numpy as np
 from scipy.special import erf
 
 from gradus.denoiser import (
-    Adam,
     Denoiser,
     DenoiserOutput,
     TrainResult,
@@ -31,6 +31,7 @@ from gradus.denoiser import (
 )
 from gradus.errors import PhraseValidationError
 from gradus.graph import NUM_EDGE_CLASSES
+from gradus.pitch import NUM_DEGREE_CLASSES
 from gradus.schedule import forward_sample
 
 
@@ -44,12 +45,16 @@ def _gelu_grad(x):
     return cdf + x * pdf
 
 
+def _one_hot(classes):
+    return np.eye(NUM_DEGREE_CLASSES)[classes]
+
+
 class EinsumDenoiser(Denoiser):
     def forward(self, graph, t, params, want_cache=False):
         hp = self.hp
-        x_in = self._input_features(graph)
-        n = graph.X.shape[-2]
-        K = x_in.shape[0] // n
+        n = graph.n
+        K = graph.x.size // n
+        x_in = np.hstack([_one_hot(graph.x.reshape(-1)), np.vstack([graph.R] * K)])
         h = hp.hidden_dim
         heads, dh = hp.heads, h // hp.heads
         scale = 1.0 / math.sqrt(dh)
@@ -96,7 +101,7 @@ class EinsumDenoiser(Denoiser):
         shifted = logits - logits.max(axis=1, keepdims=True)
         exps = np.exp(shifted)
         p_hat = exps / exps.sum(axis=1, keepdims=True)
-        out_shape = graph.X.shape[:-1] + (logits.shape[1],)
+        out_shape = graph.x.shape + (logits.shape[1],)
         output = DenoiserOutput(logits=logits.reshape(out_shape), p_hat=p_hat.reshape(out_shape))
         if want_cache:
             cache["zf"] = zf
@@ -105,18 +110,18 @@ class EinsumDenoiser(Denoiser):
             return output, cache
         return output
 
-    def backward(self, graph, t, params, X0):
+    def backward(self, graph, t, params, x0):
         hp = self.hp
         output, cache = self.forward(graph, t, params, want_cache=True)
-        loss = self.loss(output, X0)
-        n = X0.shape[0]
+        loss = self.loss(output, x0)
+        n = len(x0)
         h = hp.hidden_dim
         heads, dh = hp.heads, h // hp.heads
         scale = 1.0 / math.sqrt(dh)
         ec = graph.ec
         grads = {name: np.zeros_like(w) for name, w in params.items()}
 
-        dlogits = cache["p_hat"] - X0
+        dlogits = cache["p_hat"] - _one_hot(x0)
         grads["out.w"] += cache["zf"].T @ dlogits
         grads["out.b"] += dlogits.sum(axis=0)
         dzf = dlogits @ params["out.w"].T
@@ -207,7 +212,7 @@ def reference_train(denoiser, graphs, schedule, marginal, rng, val_draws=16):
     train_idx = perm[n_val:]
     val_seed = int(rng.integers(2**63))
     params = denoiser.init_params(rng, n_features)
-    opt = Adam(params, hp.learning_rate)
+    opt = PerTensorAdam(params, hp.learning_rate)
 
     def validation_loss():
         if len(val_idx) == 0:
@@ -218,9 +223,9 @@ def reference_train(denoiser, graphs, schedule, marginal, rng, val_draws=16):
             g = graphs[gi]
             for _ in range(val_draws):
                 t = int(vrng.integers(1, hp.T + 1))
-                xt = forward_sample(g.X, t, schedule, marginal, vrng)
+                xt = forward_sample(g.x, t, schedule, marginal, vrng)
                 out = denoiser.forward(g.with_x(xt), t, params)
-                total += denoiser.loss(out, g.X)
+                total += denoiser.loss(out, g.x)
                 nodes += g.n
         return total / nodes
 
@@ -234,8 +239,9 @@ def reference_train(denoiser, graphs, schedule, marginal, rng, val_draws=16):
             for gi in batch:
                 g = graphs[gi]
                 t = int(rng.integers(1, hp.T + 1))
-                xt = forward_sample(g.X, t, schedule, marginal, rng)
-                loss, grads = denoiser.backward(g.with_x(xt), t, params, g.X)
+                xt = forward_sample(g.x, t, schedule, marginal, rng)
+                grads = {k: np.zeros_like(w) for k, w in params.items()}
+                loss, grads = denoiser.backward(g.with_x(xt), t, params, g.x, grads)
                 for k in acc:
                     acc[k] += grads[k]
                 total += loss

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from gradus.denoiser import Denoiser, DenoiserHyperparams, train
+from gradus.denoiser import Denoiser, DenoiserHyperparams, FlatGrads, train
 from gradus.errors import FusionInfeasibleError
 from gradus.fusion import default_profiles, default_templates, fuse
 from gradus.graph import FeatureFlags, build_graph, merge_tied, rebuild_phrase
@@ -88,12 +88,11 @@ def test_criterion_04_reverse_mixture_sampling():
         t = 40
         n = 100_000
         for z in range(3):
-            Xt = np.zeros((n, 3))
-            Xt[:, z] = 1.0
+            xt = np.full(n, z)
             phat = np.tile(phat_row, (n, 1))
-            out = reverse_step(Xt, t, phat, schedule, m, np.random.default_rng(400 + z))
-            counts = out.sum(axis=0)
-            mix = reverse_mixture(Xt[:1], t, phat_row[None, :], schedule, m)[0]
+            out = reverse_step(xt, t, phat, schedule, m, np.random.default_rng(400 + z))
+            counts = np.bincount(out, minlength=3)
+            mix = reverse_mixture(xt[:1], t, phat_row[None, :], schedule, m)[0]
             expected = n * mix / mix.sum()
             result = chisquare(counts, expected)
             assert result.pvalue > 0.001, f"chi-square p={result.pvalue} at x_t={z}"
@@ -108,11 +107,9 @@ def test_criterion_05_gradient_check():
         graph = build_graph(phrase)
         den = Denoiser(hp)
         params = den.init_params(np.random.default_rng(5), graph.R.shape[1])
-        noisy = np.zeros_like(graph.X)
-        noisy[np.arange(4), [5, 0, 17, 2]] = 1.0
-        gnoisy = graph.with_x(noisy)
-        X0 = graph.X
-        _, grads = den.backward(gnoisy, 3, params, X0)
+        gnoisy = graph.with_x(np.array([5, 0, 17, 2]))
+        x0 = graph.x
+        _, grads = den.backward(gnoisy, 3, params, x0, FlatGrads(params))
         h = 1e-5
         worst = 0.0
         for name, w in params.items():
@@ -122,9 +119,9 @@ def test_criterion_05_gradient_check():
                 idx = it.multi_index
                 orig = w[idx]
                 w[idx] = orig + h
-                up = Denoiser.loss(den.forward(gnoisy, 3, params), X0)
+                up = Denoiser.loss(den.forward(gnoisy, 3, params), x0)
                 w[idx] = orig - h
-                down = Denoiser.loss(den.forward(gnoisy, 3, params), X0)
+                down = Denoiser.loss(den.forward(gnoisy, 3, params), x0)
                 w[idx] = orig
                 fd[idx] = (up - down) / (2 * h)
             scale = max(np.max(np.abs(fd)), np.max(np.abs(grads[name])), 1e-12)
@@ -166,12 +163,11 @@ def test_criterion_07_scg_degeneracy(schedule):
         for trial in range(100):
             state = np.random.default_rng(trial)
             phat = state.dirichlet(np.ones(18), size=5)
-            Xt = np.zeros((5, 18))
-            Xt[np.arange(5), state.integers(0, 18, 5)] = 1.0
+            xt = state.integers(0, 18, 5)
             t = int(state.integers(1, 101))
-            a = reverse_step(Xt, t, phat, schedule, m, np.random.default_rng(7000 + trial))
+            a = reverse_step(xt, t, phat, schedule, m, np.random.default_rng(7000 + trial))
             b = scg_reverse_step(
-                Xt, t, phat, schedule, m, cfg, np.random.default_rng(7000 + trial),
+                xt, t, phat, schedule, m, cfg, np.random.default_rng(7000 + trial),
                 score_candidates=lambda cands: [0.0] * len(cands),
             )
             assert np.array_equal(a, b)

@@ -129,8 +129,16 @@ def _corpus_document(edit):
         (_corpus_document(lambda d: d["events"][0].update(degree=5)), "key 'degree' must be a string"),
         (_corpus_document(lambda d: d.update(events=3)), "key 'events' must be a JSON list"),
         (_corpus_document(lambda d: d.update(structural=[[1]])), "malformed structural edge list"),
+        (_corpus_document(lambda d: d.update(meter=[4.5, 4])), "meter must be a list of two integers"),
+        (_corpus_document(lambda d: d.update(meter=[True, 4])), "meter must be a list of two integers"),
+        (_corpus_document(lambda d: d.update(voices=[1, 2])), "voices must be strings"),
+        (_corpus_document(lambda d: d.update(cadence=5)), "key 'cadence' must be a string"),
+        (_corpus_document(lambda d: d.update(structural=[[0, 999]])), "references a missing event"),
     ],
-    ids=["invalid-json", "no-onset", "int-degree", "int-events", "short-structural-edge"],
+    ids=[
+        "invalid-json", "no-onset", "int-degree", "int-events", "short-structural-edge",
+        "float-meter", "bool-meter", "int-voices", "int-cadence", "missing-event-structural",
+    ],
 )
 def test_ingest_invalid_phrase_reports_file(tmp_path, capsys, document, message):
     bad_dir = tmp_path / "bad"

@@ -22,6 +22,7 @@ from gradus.denoiser import (
 from gradus.errors import CheckpointError, PhraseValidationError
 from gradus.graph import build_graph
 from gradus.phrase import strip_to_skeleton
+from gradus.pitch import NUM_DEGREE_CLASSES
 
 from conftest import make_phrase
 from denoiser_oracle import EinsumDenoiser, PerTensorAdam, reference_train
@@ -38,9 +39,7 @@ def four_node_graph():
 
 
 def _noisy(graph, classes):
-    X = np.zeros_like(graph.X)
-    X[np.arange(len(classes)), classes] = 1.0
-    return graph.with_x(X)
+    return graph.with_x(np.array(classes))
 
 
 def test_hyperparam_validation():
@@ -86,7 +85,7 @@ def test_permutation_equivariance(four_node_graph):
     perm = np.array([2, 0, 3, 1])
     gp = replace(
         g,
-        X=g.X[perm],
+        x=g.x[perm],
         ec=g.ec[perm][:, perm],
         R=g.R[perm],
         nodes=tuple(g.nodes[i] for i in perm),
@@ -103,17 +102,15 @@ def test_permutation_equivariance(four_node_graph):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_forward_stack_equals_per_graph_forwards(corpus, source, K, t, seed):
-    # A (K, n, C) stack of candidates on one skeleton gives, bit for bit,
+    # A (K, n) stack of candidates on one skeleton gives, bit for bit,
     # the K outputs of forward passes on each candidate alone.
     graph = build_graph(strip_to_skeleton(corpus[source % len(corpus)]))
     den = Denoiser(DenoiserHyperparams.toy())
     rng = np.random.default_rng(seed)
     params = den.init_params(rng, graph.R.shape[1])
-    stack = np.zeros((K,) + graph.X.shape)
-    classes = rng.integers(0, graph.X.shape[1], size=(K, graph.n))
-    stack[np.arange(K)[:, None], np.arange(graph.n), classes] = 1.0
+    stack = _classes(rng, (K, graph.n))
     out = den.forward(graph.with_x(stack), t, params)
-    assert out.p_hat.shape == out.logits.shape == stack.shape
+    assert out.p_hat.shape == out.logits.shape == stack.shape + (NUM_DEGREE_CLASSES,)
     for k in range(K):
         alone = den.forward(graph.with_x(stack[k]), t, params)
         assert np.array_equal(out.p_hat[k], alone.p_hat)
@@ -135,10 +132,10 @@ def test_forward_stack_with_per_candidate_steps(corpus, source, K, seed, data):
     den = Denoiser(hp)
     rng = np.random.default_rng(seed)
     params = _perturbed_params(den, graph, rng)
-    stack = _one_hot(rng, (K,) + graph.X.shape)
+    stack = _classes(rng, (K, graph.n))
     steps = data.draw(st.lists(st.integers(0, hp.T), min_size=K, max_size=K, unique=True))
     out = den.forward(graph.with_x(stack), steps, params)
-    assert out.p_hat.shape == out.logits.shape == stack.shape
+    assert out.p_hat.shape == out.logits.shape == stack.shape + (NUM_DEGREE_CLASSES,)
     for k, t in enumerate(steps):
         alone = den.forward(graph.with_x(stack[k]), t, params)
         assert np.array_equal(out.p_hat[k], alone.p_hat)
@@ -158,9 +155,8 @@ def _perturbed_params(den, graph, rng):
     return {k: w + 0.3 * rng.standard_normal(w.shape) for k, w in params.items()}
 
 
-def _one_hot(rng, shape):
-    classes = rng.integers(0, shape[-1], size=shape[:-1])
-    return (classes[..., None] == np.arange(shape[-1])).astype(float)
+def _classes(rng, shape):
+    return rng.integers(0, NUM_DEGREE_CLASSES, size=shape)
 
 
 @settings(max_examples=30, deadline=None)
@@ -175,7 +171,7 @@ def test_forward_matches_einsum_reference(corpus, source, K, t, seed):
     hp = DenoiserHyperparams.toy()
     rng = np.random.default_rng(seed)
     params = _perturbed_params(Denoiser(hp), graph, rng)
-    stacked = graph.with_x(_one_hot(rng, (K,) + graph.X.shape))
+    stacked = graph.with_x(_classes(rng, (K, graph.n)))
     out = Denoiser(hp).forward(stacked, t, params)
     ref = EinsumDenoiser(hp).forward(stacked, t, params)
     assert np.max(np.abs(out.p_hat - ref.p_hat)) <= 1e-12
@@ -193,10 +189,10 @@ def test_backward_matches_einsum_reference(corpus, source, t, seed):
     hp = DenoiserHyperparams.toy()
     rng = np.random.default_rng(seed)
     params = _perturbed_params(Denoiser(hp), graph, rng)
-    noised = graph.with_x(_one_hot(rng, graph.X.shape))
-    X0 = _one_hot(rng, graph.X.shape)
-    loss, grads = Denoiser(hp).backward(noised, t, params, X0)
-    ref_loss, ref_grads = EinsumDenoiser(hp).backward(noised, t, params, X0)
+    noised = graph.with_x(_classes(rng, graph.n))
+    x0 = _classes(rng, graph.n)
+    loss, grads = Denoiser(hp).backward(noised, t, params, x0, FlatGrads(params))
+    ref_loss, ref_grads = EinsumDenoiser(hp).backward(noised, t, params, x0)
     assert loss == pytest.approx(ref_loss, rel=1e-12)
     assert sorted(grads) == sorted(ref_grads)
     for name, ref in ref_grads.items():
@@ -209,8 +205,10 @@ def test_flat_adam_matches_per_tensor_reference(four_node_graph):
     flat_params = {k: w.copy() for k, w in init.items()}
     ref_params = {k: w.copy() for k, w in init.items()}
     flat, ref = Adam(flat_params, 2e-3), PerTensorAdam(ref_params, 2e-3)
+    grads = FlatGrads(flat_params)
     for _ in range(20):
-        grads = {k: 10.0 ** rng.uniform(-6, 2) * rng.standard_normal(w.shape) for k, w in init.items()}
+        for k, w in init.items():
+            grads[k][...] = 10.0 ** rng.uniform(-6, 2) * rng.standard_normal(w.shape)
         flat.step(flat_params, grads)
         ref.step(ref_params, grads)
     for k in init:
@@ -220,21 +218,21 @@ def test_flat_adam_matches_per_tensor_reference(four_node_graph):
 
 def test_adam_reads_flat_grads_in_place_and_leaves_them(four_node_graph):
     # FlatGrads made for the parameters are read without a copy; the step
-    # is the one plain gradient dicts get, and the gradients stay as given.
+    # is the per-tensor reference's, and the gradients stay as given.
     rng = np.random.default_rng(10)
     init = _perturbed_params(Denoiser(HP_SMALL), four_node_graph, rng)
     flat_params = {k: w.copy() for k, w in init.items()}
-    dict_params = {k: w.copy() for k, w in init.items()}
-    flat, plain = Adam(flat_params, 2e-3), Adam(dict_params, 2e-3)
+    ref_params = {k: w.copy() for k, w in init.items()}
+    flat, ref = Adam(flat_params, 2e-3), PerTensorAdam(ref_params, 2e-3)
     grads = FlatGrads(flat_params)
     assert list(grads) == list(init) and grads.flat.size == param_count(init)
     for _ in range(5):
         grads.flat[:] = rng.standard_normal(grads.flat.size)
         given = grads.flat.copy()
         flat.step(flat_params, grads)
-        plain.step(dict_params, {k: g.copy() for k, g in grads.items()})
+        ref.step(ref_params, {k: g.copy() for k, g in grads.items()})
         assert grads.flat.tobytes() == given.tobytes()
-    assert flat.flat.tobytes() == plain.flat.tobytes()
+    assert flat.flat.tobytes() == b"".join(ref_params[k].tobytes() for k in init)
 
 
 @pytest.mark.parametrize("batch_size", [1, 4])
@@ -295,9 +293,9 @@ def test_backward_accumulates_into_given_grads(four_node_graph):
     den = Denoiser(HP_SMALL)
     params = den.init_params(np.random.default_rng(7), four_node_graph.R.shape[1])
     g = _noisy(four_node_graph, [5, 0, 17, 2])
-    loss, fresh = den.backward(g, 3, params, four_node_graph.X)
+    loss, fresh = den.backward(g, 3, params, four_node_graph.x, FlatGrads(params))
     given = {k: np.ones_like(w) for k, w in params.items()}
-    loss2, out = den.backward(g, 3, params, four_node_graph.X, given)
+    loss2, out = den.backward(g, 3, params, four_node_graph.x, given)
     assert loss2 == loss and out is given
     for k in params:
         assert np.array_equal(given[k], 1.0 + fresh[k]), k
@@ -315,10 +313,11 @@ def test_time_embedding_changes_output(four_node_graph):
 def test_loss_zero_iff_one_hot_correct(four_node_graph):
     from gradus.denoiser import DenoiserOutput
 
-    X0 = four_node_graph.X
-    logits = np.where(X0 > 0, 1e4, -1e4)
-    out = DenoiserOutput(logits=logits, p_hat=X0)
-    assert Denoiser.loss(out, X0) == pytest.approx(0.0, abs=1e-8)
+    x0 = four_node_graph.x
+    one_hot = x0[:, None] == np.arange(NUM_DEGREE_CLASSES)
+    logits = np.where(one_hot, 1e4, -1e4)
+    out = DenoiserOutput(logits=logits, p_hat=one_hot.astype(float))
+    assert Denoiser.loss(out, x0) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_loss_uniform_closed_form(four_node_graph):
@@ -327,7 +326,7 @@ def test_loss_uniform_closed_form(four_node_graph):
     n = four_node_graph.n
     logits = np.zeros((n, 18))
     out = DenoiserOutput(logits=logits, p_hat=np.full((n, 18), 1 / 18))
-    assert Denoiser.loss(out, four_node_graph.X) == pytest.approx(n * math.log(18), rel=1e-12)
+    assert Denoiser.loss(out, four_node_graph.x) == pytest.approx(n * math.log(18), rel=1e-12)
 
 
 def test_gradients_match_finite_differences(four_node_graph):
@@ -336,8 +335,8 @@ def test_gradients_match_finite_differences(four_node_graph):
     den = Denoiser(HP_SMALL)
     params = den.init_params(np.random.default_rng(4), four_node_graph.R.shape[1])
     g = _noisy(four_node_graph, [5, 0, 17, 2])
-    X0 = four_node_graph.X
-    _, grads = den.backward(g, 3, params, X0)
+    x0 = four_node_graph.x
+    _, grads = den.backward(g, 3, params, x0, FlatGrads(params))
     h = 1e-5
     for name, w in params.items():
         fd = np.zeros_like(w)
@@ -346,9 +345,9 @@ def test_gradients_match_finite_differences(four_node_graph):
             idx = it.multi_index
             orig = w[idx]
             w[idx] = orig + h
-            up = Denoiser.loss(den.forward(g, 3, params), X0)
+            up = Denoiser.loss(den.forward(g, 3, params), x0)
             w[idx] = orig - h
-            down = Denoiser.loss(den.forward(g, 3, params), X0)
+            down = Denoiser.loss(den.forward(g, 3, params), x0)
             w[idx] = orig
             fd[idx] = (up - down) / (2 * h)
         scale = max(np.max(np.abs(fd)), np.max(np.abs(grads[name])), 1e-12)
@@ -364,9 +363,8 @@ def test_gradient_zero_at_perfect_fit(four_node_graph):
     params["out.w"][:] = 0.0
     params["out.b"][:] = -1e3
     params["out.b"][0] = 0.0
-    X0 = np.zeros_like(four_node_graph.X)
-    X0[:, 0] = 1.0
-    loss, grads = den.backward(four_node_graph, 1, params, X0)
+    x0 = np.zeros(four_node_graph.n, dtype=np.int64)
+    loss, grads = den.backward(four_node_graph, 1, params, x0, FlatGrads(params))
     norm = math.sqrt(sum(float(np.sum(gr * gr)) for gr in grads.values()))
     assert loss < 1e-6
     assert norm < 1e-8
@@ -376,7 +374,7 @@ def test_gradients_finite_random(four_node_graph):
     den = Denoiser(HP_SMALL)
     params = den.init_params(np.random.default_rng(6), four_node_graph.R.shape[1])
     g = _noisy(four_node_graph, [1, 2, 3, 4])
-    _, grads = den.backward(g, 7, params, four_node_graph.X)
+    _, grads = den.backward(g, 7, params, four_node_graph.x, FlatGrads(params))
     for name, gr in grads.items():
         assert np.all(np.isfinite(gr)), name
 

@@ -6,13 +6,12 @@ from gradus.graph import (
     EDGE_CLASSES,
     FeatureFlags,
     build_graph,
-    degrees_from_x,
     merge_tied,
     rebuild_phrase,
     rhythm_features,
 )
 from gradus.phrase import strip_to_skeleton
-from gradus.pitch import DEGREE_INDEX, Degree, parse_degree
+from gradus.pitch import NUM_DEGREE_CLASSES, Degree, parse_degree
 
 from conftest import make_phrase
 
@@ -53,16 +52,24 @@ def test_bass_whole_note_sustains():
 
 
 def test_one_hot_validity(corpus):
+    # A corpus graph holds one class in 0..17 per node, a skeleton's graph
+    # holds -1 for every node, and with_x refuses a vector of another length.
     for p in corpus:
         g = build_graph(p)
-        assert np.array_equal(g.X.sum(axis=1), np.ones(g.n))
+        assert g.x.shape == (g.n,) and g.x.min() >= 0 and g.x.max() < NUM_DEGREE_CLASSES
+        assert g.has_labels
         assert g.ec.shape == (g.n, g.n) and g.ec.min() >= 0 and g.ec.max() < len(EDGE_CLASSES)
+        skeleton = build_graph(strip_to_skeleton(p))
+        assert np.array_equal(skeleton.x, np.full(g.n, -1)) and not skeleton.has_labels
+        for bad in (np.zeros(g.n + 1, dtype=np.int64), np.zeros((2, g.n - 1), dtype=np.int64)):
+            with pytest.raises(PhraseValidationError):
+                g.with_x(bad)
 
 
 def test_build_graph_deterministic(corpus):
     a = build_graph(corpus[0])
     b = build_graph(corpus[0])
-    assert np.array_equal(a.X, b.X)
+    assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.ec, b.ec)
     assert np.array_equal(a.R, b.R)
 
@@ -110,10 +117,11 @@ def test_tied_events_merge():
 
 
 def test_rhythm_features_values():
+    # Durations and offsets in bars of 4/4.
     p = make_phrase([(0, 0, 1, "1"), (0, 2, 2, "5")], voices=("m",))
     r = rhythm_features(p)
-    assert np.allclose(r[0], [1.0, 0.0, 1.0])
-    assert np.allclose(r[1], [2.0, 2.0, 0.5])
+    assert np.allclose(r[0], [0.25, 0.0, 1.0])
+    assert np.allclose(r[1], [0.5, 0.5, 0.5])
 
 
 def test_rhythm_features_ablation():
@@ -157,11 +165,3 @@ def test_zero_event_phrase_rejected():
     with pytest.raises(PhraseValidationError):
         Phrase(key=parse_key("C", "major"), meter=(4, 4), voices=("m",), events=())
 
-
-def test_degrees_from_x():
-    X = np.zeros((2, 18))
-    X[0, DEGREE_INDEX[Degree(3)]] = 1
-    X[1, 17] = 1
-    out = degrees_from_x(X)
-    assert out[0] == Degree(3)
-    assert out[1].is_rest

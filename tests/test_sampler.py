@@ -6,8 +6,9 @@ from gradus import sampler
 from gradus import schedule as schedule_module
 from gradus.denoiser import Denoiser
 from gradus.errors import PhraseValidationError
-from gradus.graph import build_graph, degrees_from_x, rebuild_phrase
+from gradus.graph import build_graph, rebuild_phrase
 from gradus.phrase import sample_rhythm, strip_to_skeleton
+from gradus.pitch import DEGREES
 from gradus.rules import RuleContext, build_rule_context
 from gradus.sampler import (
     GuidanceConfig,
@@ -43,8 +44,7 @@ def test_reverse_step_one_hot_phat_reduces_to_posterior(schedule):
         for c in range(k):
             for z in range(k):
                 phat = _one_hot([c], k)
-                Xt = _one_hot([z], k)
-                mix = reverse_mixture(Xt, t, phat, schedule, m)
+                mix = reverse_mixture(np.array([z]), t, phat, schedule, m)
                 post = posterior(z, c, t, schedule, m)
                 total = mix.sum()
                 if total > 0:
@@ -58,7 +58,7 @@ def test_reverse_mixture_matches_brute_force(schedule):
     for t in (1, 2, 17, 100):
         phat = rng.dirichlet(np.ones(k), size=5)
         xt_idx = rng.integers(0, k, size=5)
-        mix = reverse_mixture(_one_hot(xt_idx, k), t, phat, schedule, m)
+        mix = reverse_mixture(xt_idx, t, phat, schedule, m)
         for i in range(5):
             want = np.zeros(k)
             for c in range(k):
@@ -70,9 +70,9 @@ def test_reverse_step_output_one_hot(schedule):
     rng = np.random.default_rng(1)
     m = np.full(18, 1 / 18)
     phat = rng.dirichlet(np.ones(18), size=12)
-    Xt = _one_hot(rng.integers(0, 18, 12), 18)
-    out = reverse_step(Xt, 50, phat, schedule, m, rng)
-    assert np.array_equal(out.sum(axis=1), np.ones(12))
+    xt = rng.integers(0, 18, 12)
+    out = reverse_step(xt, 50, phat, schedule, m, rng)
+    assert out.shape == (12,) and out.min() >= 0 and out.max() < 18
 
 
 def test_reverse_step_empty_support_raises(schedule):
@@ -80,9 +80,9 @@ def test_reverse_step_empty_support_raises(schedule):
     # reach: the whole mixture vanishes and that is an invariant failure.
     m = np.array([0.7, 0.3, 0.0])
     phat = _one_hot([0], 3)
-    Xt = _one_hot([2], 3)  # unreachable state under this marginal
+    xt = np.array([2])  # unreachable state under this marginal
     with pytest.raises(PhraseValidationError):
-        reverse_step(Xt, 60, phat, NoiseSchedule(), m, np.random.default_rng(0))
+        reverse_step(xt, 60, phat, NoiseSchedule(), m, np.random.default_rng(0))
 
 
 def test_scg_k1_bitwise_identical(schedule):
@@ -91,11 +91,11 @@ def test_scg_k1_bitwise_identical(schedule):
     for trial in range(100):
         rng_state = np.random.default_rng(trial)
         phat = rng_state.dirichlet(np.ones(18), size=6)
-        Xt = _one_hot(rng_state.integers(0, 18, 6), 18)
+        xt = rng_state.integers(0, 18, 6)
         t = int(rng_state.integers(1, schedule.T + 1))
-        a = reverse_step(Xt, t, phat, schedule, m, np.random.default_rng(1000 + trial))
+        a = reverse_step(xt, t, phat, schedule, m, np.random.default_rng(1000 + trial))
         b = scg_reverse_step(
-            Xt, t, phat, schedule, m, cfg, np.random.default_rng(1000 + trial),
+            xt, t, phat, schedule, m, cfg, np.random.default_rng(1000 + trial),
             score_candidates=lambda cands: [0.0] * len(cands),
         )
         assert np.array_equal(a, b)
@@ -107,10 +107,10 @@ def test_scg_argmin_contract(schedule):
     # draws that K sequential reverse steps make from the same stream.
     m = np.full(3, 1 / 3)
     phat = np.full((6, 3), 1 / 3)
-    Xt = _one_hot([1, 2, 0, 1, 2, 0], 3)
+    xt = np.array([1, 2, 0, 1, 2, 0])
 
     def forbid(cand):
-        return float(np.argmax(cand[0]) != 0)
+        return float(cand[0] != 0)
 
     for K in (2, 8):
         cfg = GuidanceConfig(K=K, seed=0)
@@ -121,9 +121,9 @@ def test_scg_argmin_contract(schedule):
             return [forbid(c) for c in cands]
 
         rng = np.random.default_rng(5)
-        kept = scg_reverse_step(Xt, 40, phat, schedule, m, cfg, rng, score)
+        kept = scg_reverse_step(xt, 40, phat, schedule, m, cfg, rng, score)
         rng2 = np.random.default_rng(5)
-        cands = [reverse_step(Xt, 40, phat, schedule, m, rng2) for _ in range(K)]
+        cands = [reverse_step(xt, 40, phat, schedule, m, rng2) for _ in range(K)]
         losses = [forbid(c) for c in cands]
         assert len(scored) == 1
         assert np.array_equal(scored[0], np.stack(cands))
@@ -137,10 +137,10 @@ def test_scg_reduces_expected_rule_loss(schedule):
     # expected loss under the forbidding rule.
     m = np.full(4, 0.25)
     phat = np.full((2, 4), 0.25)
-    Xt = _one_hot([0, 1], 4)
+    xt = np.array([0, 1])
 
     def loss(cand):
-        return float(np.argmax(cand[0]) == 3) + float(np.argmax(cand[1]) == 3)
+        return float(cand[0] == 3) + float(cand[1] == 3)
 
     totals = {}
     for K in (1, 8):
@@ -149,7 +149,7 @@ def test_scg_reduces_expected_rule_loss(schedule):
         for trial in range(500):
             rng = np.random.default_rng(trial)
             kept = scg_reverse_step(
-                Xt, 30, phat, schedule, m, cfg, rng, lambda cands: [loss(c) for c in cands]
+                xt, 30, phat, schedule, m, cfg, rng, lambda cands: [loss(c) for c in cands]
             )
             total += loss(kept)
         totals[K] = total / 500
@@ -159,8 +159,8 @@ def test_scg_reduces_expected_rule_loss(schedule):
 def test_sample_noise_x_matches_marginal(schedule):
     rng = np.random.default_rng(3)
     m = np.array([0.6, 0.3, 0.1])
-    X = sample_noise_x(30_000, m, rng)
-    freq = X.mean(axis=0)
+    x = sample_noise_x(30_000, m, rng)
+    freq = np.bincount(x, minlength=len(m)) / len(x)
     assert np.max(np.abs(freq - m)) < 0.01
 
 
@@ -239,20 +239,20 @@ def _per_candidate_guided_phrase(skeleton, den, params, schedule, m, config, rng
         if t_prev >= 1:
             deg = np.argmax(den.forward(graph.with_x(cand), t_prev, params).p_hat, axis=1)
         else:
-            deg = np.argmax(cand, axis=1)
+            deg = cand
         return float(ctx.score(deg.astype(np.int64)))
 
-    X = sample_noise_x(graph.n, m, rng)
+    x = sample_noise_x(graph.n, m, rng)
     for t in range(schedule.T, 0, -1):
-        p_hat = den.forward(graph.with_x(X), t, params).p_hat
+        p_hat = den.forward(graph.with_x(x), t, params).p_hat
         best, best_loss = None, None
         for _ in range(config.K):
-            cand = reverse_step(X, t, p_hat, schedule, m, rng)
+            cand = reverse_step(x, t, p_hat, schedule, m, rng)
             cand_loss = score(cand, t - 1)
             if best_loss is None or cand_loss < best_loss:
                 best, best_loss = cand, cand_loss
-        X = best
-    return rebuild_phrase(skeleton, degrees_from_x(X))
+        x = best
+    return rebuild_phrase(skeleton, [DEGREES[i] for i in x])
 
 
 @pytest.mark.parametrize("K", [2, 8])
@@ -306,10 +306,10 @@ def test_generate_phrase_forwards_distinct_candidates(
     forward = Denoiser.forward
 
     def recording(self, graph, t, params, want_cache=False):
-        if graph.X.ndim == 3:
-            rows = {c.tobytes() for c in graph.X}
-            assert len(rows) == len(graph.X), f"step {t} forwards a repeated candidate"
-            stacked.append(len(graph.X))
+        if graph.x.ndim == 2:
+            rows = {c.tobytes() for c in graph.x}
+            assert len(rows) == len(graph.x), f"step {t} forwards a repeated candidate"
+            stacked.append(len(graph.x))
         return forward(self, graph, t, params, want_cache)
 
     calls = {"score": 0}
