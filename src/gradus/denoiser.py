@@ -27,7 +27,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -73,6 +73,18 @@ class DenoiserHyperparams:
         )
 
 
+class GraphConstants(NamedTuple):
+    """What a forward pass reads from a graph and the parameters but not
+    from node classes or the step (``Denoiser.constants``)."""
+
+    edge_bias: tuple[np.ndarray, ...]  # per layer, (heads, n, n): each pair's learned edge-class bias
+    rhythm: np.ndarray  # (K*n, |features|): the rhythm columns of a stack of up to K candidates
+
+
+def _discard(**arrays) -> None:
+    """Stands in for a layer cache's update when no cache is kept."""
+
+
 @dataclass(frozen=True)
 class DenoiserOutput:
     logits: np.ndarray
@@ -103,13 +115,14 @@ def time_embedding(t: int, T: int, dim: int) -> np.ndarray:
     return out
 
 
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gelu(x: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """GELU(x) = 0.5 x (1 + erf(x / sqrt 2)), and the 1 + erf term, which
-    the backward pass reuses."""
+    the backward pass reuses. With ``overwrite`` the result is written
+    into x, with the same rounding."""
     one_erf = np.divide(x, _SQRT2)
     erf(one_erf, out=one_erf)
     one_erf += 1.0
-    act = 0.5 * x
+    act = np.multiply(x, 0.5, out=x if overwrite else None)
     act *= one_erf
     return act, one_erf
 
@@ -142,10 +155,12 @@ def _per_candidate(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     # The steps of x.mean and x.var, with the centred rows computed once.
     d = x.shape[1]
-    xc = x - x.sum(axis=1, keepdims=True) / d
-    sigma = np.sqrt((xc * xc).sum(axis=1, keepdims=True) / d + _LN_EPS)
-    xhat = xc / sigma
-    return xhat * g + b, (xhat, sigma)
+    xhat = x - x.sum(axis=1, keepdims=True) / d
+    sigma = np.sqrt((xhat * xhat).sum(axis=1, keepdims=True) / d + _LN_EPS)
+    xhat /= sigma
+    out = xhat * g
+    out += b
+    return out, (xhat, sigma)
 
 def _layer_norm_backward(dy: np.ndarray, g: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xhat, sigma = cache
@@ -204,10 +219,16 @@ class Denoiser:
 
     # -- forward -------------------------------------------------------
 
-    def _input_features(self, graph: ScoreGraph) -> np.ndarray:
-        """[one-hot x || R] rows, one per node of each candidate."""
-        one_hot = graph.x.reshape(-1, 1) == np.arange(NUM_DEGREE_CLASSES)
-        return np.concatenate([one_hot, np.tile(graph.R, (len(one_hot) // graph.n, 1))], axis=1)
+    def constants(self, graph: ScoreGraph, params: dict[str, np.ndarray], K: int = 1) -> GraphConstants:
+        """What ``forward`` reads from the graph and the parameters alone,
+        for stacks of up to K candidates on ``graph``. Valid while the
+        parameters are: training changes them in place, so nothing keeps
+        these; a caller that forwards one graph many times with fixed
+        parameters builds them once and passes them in."""
+        return GraphConstants(
+            edge_bias=tuple(params[f"l{i}.attn.eb"][:, graph.ec] for i in range(self.hp.layers)),
+            rhythm=np.tile(graph.R, (K, 1)),
+        )
 
     def forward(
         self,
@@ -215,6 +236,7 @@ class Denoiser:
         t: int | Sequence[int],
         params: dict[str, np.ndarray],
         want_cache: bool = False,
+        consts: Optional[GraphConstants] = None,
     ):
         """Clean-class predictions for ``graph`` at step t.
 
@@ -225,8 +247,11 @@ class Denoiser:
         never mix: every product is per candidate (attention is a batched
         matmul with one (n, n) or (n, dh) product per candidate and head),
         so each one's rows equal a forward pass on it alone at its step,
-        bit for bit. The cache that ``backward`` reads is kept for a single
-        graph only.
+        bit for bit. ``consts`` is ``constants(graph, params, K')`` for
+        some K' >= K, built here when not given. The cache that
+        ``backward`` reads is kept for a single graph only; without it,
+        each intermediate is released once the next one is made, and the
+        residual adds run in place.
         """
         hp = self.hp
         per_row = np.ndim(t) > 0
@@ -234,18 +259,21 @@ class Denoiser:
         for step in steps:
             if not 0 <= step <= hp.T:
                 raise PhraseValidationError(f"step {step} outside 0..{hp.T}")
-        x_in = self._input_features(graph)
+        n = graph.n
+        K = graph.x.size // n
+        if consts is None:
+            consts = self.constants(graph, params, K)
+        # [one-hot x || R] rows, one per node of each candidate.
+        one_hot = graph.x.reshape(-1, 1) == np.arange(NUM_DEGREE_CLASSES)
+        x_in = np.concatenate([one_hot, consts.rhythm[: K * n]], axis=1)
         if x_in.shape[1] != params["in.w"].shape[0]:
             raise PhraseValidationError(
                 f"input width {x_in.shape[1]} does not match parameters "
                 f"({params['in.w'].shape[0]}); check rhythm feature flags"
             )
-        n = graph.n
-        K = x_in.shape[0] // n
         h = hp.hidden_dim
         heads, dh = hp.heads, h // hp.heads
         scale = 1.0 / math.sqrt(dh)
-        ec = graph.ec
 
         if per_row and len(steps) != K:
             raise PhraseValidationError(f"{len(steps)} steps for a stack of {K} candidates")
@@ -258,43 +286,51 @@ class Denoiser:
         cache = {"x_in": x_in, "layers": []} if want_cache else None
         for i in range(hp.layers):
             pre = f"l{i}."
-            h_in = H + tvec
-            z1, ln1_c = _layer_norm(h_in, params[pre + "ln1.g"], params[pre + "ln1.b"])
+            # keep() records what backward reads; each ``del`` then frees
+            # an array unless the cache holds it.
+            lc: dict = {}
+            keep = lc.update if want_cache else _discard
+            H += tvec  # h_in
+            z1, ln1 = _layer_norm(H, params[pre + "ln1.g"], params[pre + "ln1.b"])
             # (K, heads, n, dh) views: one matmul per (candidate, head).
             q, k, v = (
                 _per_candidate(z1, params[pre + w], K).reshape(K, n, heads, dh).transpose(0, 2, 1, 3)
                 for w in ("attn.wq", "attn.wk", "attn.wv")
             )
+            keep(z1=z1, ln1=ln1, q=q[0], k=k[0], v=v[0])
+            del z1, ln1
             # Scores become the attention weights in place: a stack of
             # candidates keeps one (K, heads, n, n) array, not four.
             attn = q @ k.transpose(0, 1, 3, 2)
+            del q, k
             attn *= scale
-            attn += params[pre + "attn.eb"][:, ec]
+            attn += consts.edge_bias[i]
             attn -= attn.max(axis=3, keepdims=True)
             np.exp(attn, out=attn)
             attn /= attn.sum(axis=3, keepdims=True)
             heads_out = (attn @ v).transpose(0, 2, 1, 3).reshape(K * n, h)
+            keep(attn=attn[0], heads_out=heads_out)
+            del attn, v
             attn_out = _per_candidate(heads_out, params[pre + "attn.wo"], K)
-            h_mid = h_in + attn_out
+            del heads_out
+            H += attn_out  # h_mid = h_in + attn_out
+            del attn_out
 
-            z2, ln2_c = _layer_norm(h_mid, params[pre + "ln2.g"], params[pre + "ln2.b"])
+            z2, ln2 = _layer_norm(H, params[pre + "ln2.g"], params[pre + "ln2.b"])
             mlp_pre = _per_candidate(z2, params[pre + "mlp.w1"], K)
             mlp_pre += params[pre + "mlp.b1"]
-            act, one_erf = _gelu(mlp_pre)
-            mlp_out = _per_candidate(act, params[pre + "mlp.w2"], K) + params[pre + "mlp.b2"]
-            H = h_mid + mlp_out
-
+            keep(z2=z2, ln2=ln2, mlp_pre=mlp_pre)
+            del z2, ln2
+            act, one_erf = _gelu(mlp_pre, overwrite=not want_cache)
+            keep(act=act, one_erf=one_erf)
+            del mlp_pre, one_erf
+            mlp_out = _per_candidate(act, params[pre + "mlp.w2"], K)
+            del act
+            mlp_out += params[pre + "mlp.b2"]
+            H += mlp_out  # h_mid + mlp_out
+            del mlp_out
             if want_cache:
-                cache["layers"].append(
-                    {
-                        "z1": z1, "ln1": ln1_c, "q": q[0], "k": k[0], "v": v[0], "attn": attn[0],
-                        "heads_out": heads_out, "z2": z2, "ln2": ln2_c,
-                        "mlp_pre": mlp_pre, "act": act, "one_erf": one_erf,
-                    }
-                )
-            # Free this layer's largest arrays before the next layer makes
-            # its own; for a stack of candidates they are most of the peak.
-            del q, k, v, attn, mlp_pre, act, one_erf
+                cache["layers"].append(lc)
 
         zf, lnf_c = _layer_norm(H, params["out.ln.g"], params["out.ln.b"])
         logits = _per_candidate(zf, params["out.w"], K) + params["out.b"]

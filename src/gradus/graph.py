@@ -121,7 +121,11 @@ def merge_tied(phrase: Phrase) -> list[GraphNode]:
 def rhythm_features(phrase: Phrase, flags: FeatureFlags = FeatureFlags()) -> np.ndarray:
     """Per-node rhythm feature rows in the order given by flags.names;
     durations and offsets are in bars."""
-    nodes = merge_tied(phrase)
+    return _rhythm_columns(phrase, merge_tied(phrase), flags)
+
+
+def _rhythm_columns(phrase: Phrase, nodes: Sequence[GraphNode], flags: FeatureFlags) -> np.ndarray:
+    """``rhythm_features`` of the phrase's merged nodes, ``nodes``."""
     cols = []
     bar = phrase.bar_length
     if flags.duration:
@@ -185,7 +189,7 @@ def build_graph(phrase: Phrase, flags: FeatureFlags = FeatureFlags()) -> ScoreGr
     return ScoreGraph(
         x=x,
         ec=ec,
-        R=rhythm_features(phrase, flags),
+        R=_rhythm_columns(phrase, nodes, flags),
         r_names=flags.names,
         nodes=tuple(nodes),
     )

@@ -9,9 +9,10 @@ It reads a skeleton's grid as ``SkeletonArrays``, built once per skeleton,
 and looks up what a pair of degree classes means to a rule in
 ``PairTables``, built once from the classes' letter and semitone offsets,
 so scoring a degree assignment takes gathers and comparisons, with no
-interval arithmetic. Guidance scores each of its K candidates per step with
-``count_violations``, the sum of the masks, and ``rules.all_violations``
-turns the same masks into located reports.
+interval arithmetic. Guidance scores its candidates with
+``count_violations``, the sum of the masks (the first-drawn candidate
+each step, and the others only when that one breaks a rule), and
+``rules.all_violations`` turns the same masks into located reports.
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ reports. ``_segment_readings`` reads the integer-beat rows: per beat, the
 legal chords that can read it, from a per-mode table of chord tone
 classes. The best readings (a beam search) and the exact boundary roots
 (reachability over root sets) both come from that one pass.
+``analyze_harmony`` and ``feasible_boundary_roots``, which read no hard
+rule, lay the nodes on the integer beats alone.
 
 Interval classes are computed from scale degrees modulo octave, so the
 checks apply equally to degree-encoded and realized phrases.
@@ -60,15 +62,12 @@ class RuleConfig:
             raise PhraseValidationError("strong beat cutoff must lie in (0.125, 1]")
 
 
-def _time_grid(phrase: Phrase, cutoff: float):
-    """The merged nodes laid once on a grid of integer ticks, ``tick`` to
-    the beat (the lcm of the node onset and duration denominators), with a
-    row at every attack onset and every integer beat inside the span.
-    Returns ``tick``, the nodes, the hard rules' rows (attacks and strong
-    beats) as (times, node sounding per voice or ``len(nodes)`` if silent,
-    attacked, strong), and the beat rows as (sounding, strong)."""
+def _node_ticks(phrase: Phrase, cutoff: float):
+    """The merged nodes on integer ticks, ``tick`` to the beat (the lcm of
+    the node onset and duration denominators): ``tick``, the nodes, each
+    node's voice, start and end tick, and the strength of each integer
+    beat inside the span."""
     nodes = merge_tied(phrase)
-    n = len(nodes)
     tick = math.lcm(*(q.denominator for nd in nodes for q in (nd.onset, nd.duration)))
     n_beats = math.ceil(phrase.span)
     if tick * n_beats > np.iinfo(np.int64).max:  # int64 tick arithmetic would wrap
@@ -77,13 +76,30 @@ def _time_grid(phrase: Phrase, cutoff: float):
     start = np.array([nd.onset.numerator * (tick // nd.onset.denominator) for nd in nodes])
     end = start + [nd.duration.numerator * (tick // nd.duration.denominator) for nd in nodes]
     strong = np.array([metric_strength(k, phrase.meter) >= cutoff for k in range(n_beats)])
-    times = np.union1d(start, np.arange(n_beats) * tick)
+    return tick, nodes, voice, start, end, strong
+
+
+def _sounding(times, voice, start, end, n_voices: int):
+    """The node sounding per voice at each of the sorted ``times`` (the
+    node count where a voice is silent), and each node's first row."""
     # A node covers the run of rows from its onset up to its end.
     lo, hi = np.searchsorted(times, start), np.searchsorted(times, end)
     runs = hi - lo
     rows = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs - lo, runs)
-    sounding = np.full((len(times), len(phrase.voices)), n)
-    sounding[rows, np.repeat(voice, runs)] = np.repeat(np.arange(n), runs)
+    sounding = np.full((len(times), n_voices), len(voice))
+    sounding[rows, np.repeat(voice, runs)] = np.repeat(np.arange(len(voice)), runs)
+    return sounding, lo
+
+
+def _time_grid(phrase: Phrase, cutoff: float):
+    """The merged nodes laid once on the grid of ``_node_ticks``, with a
+    row at every attack onset and every integer beat inside the span.
+    Returns ``tick``, the nodes, the hard rules' rows (attacks and strong
+    beats) as (times, node sounding per voice or ``len(nodes)`` if silent,
+    attacked, strong), and the beat rows as (sounding, strong)."""
+    tick, nodes, voice, start, end, strong = _node_ticks(phrase, cutoff)
+    times = np.union1d(start, np.arange(len(strong)) * tick)
+    sounding, lo = _sounding(times, voice, start, end, len(phrase.voices))
     attacked = np.zeros(sounding.shape, dtype=bool)
     attacked[lo, voice] = True
     on_beat = times % tick == 0
@@ -108,9 +124,10 @@ class RuleContext:
     ticks and the graph nodes that locate their hits, and the key's mode.
 
     score() counts the violations of a per-node degree assignment. Guided
-    sampling calls it once per candidate, K times a step, and most
-    candidates repeat an assignment already scored on the skeleton, so
-    each distinct assignment is evaluated once and its count kept."""
+    sampling calls it once per scored candidate, up to K times a step,
+    and many candidates' estimates repeat an assignment already scored on
+    the skeleton, so each distinct assignment is evaluated once and its
+    count kept."""
 
     arrays: kernels.SkeletonArrays
     config: RuleConfig
@@ -345,19 +362,21 @@ class HarmonicReading:
 _BeatReadings = list[list[tuple[RomanNumeral, int]]]
 
 
-def _segment_readings(ctx: RuleContext) -> _BeatReadings:
+def _segment_readings(nodes, mode: str, beat_sounding: np.ndarray, beat_strong: np.ndarray) -> _BeatReadings:
     """Per integer beat, the legal chords that can read it, in table order,
-    with their non-chord-tone counts, read from the context's beat rows.
+    with their non-chord-tone counts, read from the beat rows of the time
+    grid: the node sounding per voice (``len(nodes)`` if silent) and the
+    strength of each beat.
     A beat is judged by what sounds at its attack point; notes struck
     mid-beat are ornamental and invisible to chord selection. Strong beats
     allow no non-chord tone and weak beats one. A bass tone of the chord
     must be the chord's bass; a non-chord bass, a rest or a silent bass
     defaults to a root-position reading."""
-    classes = [None if nd.degree is None else DEGREE_INDEX[nd.degree] for nd in ctx.nodes]
+    classes = [None if nd.degree is None else DEGREE_INDEX[nd.degree] for nd in nodes]
     classes.append(REST_INDEX)  # index n_nodes: a silent voice
-    chords = _CHORDS[ctx.mode]
+    chords = _CHORDS[mode]
     out = []
-    for beat_nodes, strong in zip(ctx.arrays.beat_sounding.tolist(), ctx.arrays.beat_strong.tolist()):
+    for beat_nodes, strong in zip(beat_sounding.tolist(), beat_strong.tolist()):
         here = [classes[i] for i in beat_nodes]
         if None in here:
             raise PhraseValidationError("analysis needs degree content")
@@ -415,6 +434,14 @@ def _boundary_roots(
     return frozenset(live), frozenset(reach[-1])
 
 
+def _phrase_beats(phrase: Phrase, config: RuleConfig) -> _BeatReadings:
+    """``_segment_readings`` of a phrase, from its beat rows alone: the
+    hard rules' rows and arrays are not built."""
+    tick, nodes, voice, start, end, strong = _node_ticks(phrase, config.strong_beat_cutoff)
+    sounding, _ = _sounding(np.arange(len(strong)) * tick, voice, start, end, len(phrase.voices))
+    return _segment_readings(nodes, phrase.key.mode, sounding, strong)
+
+
 def analyze_harmony(
     phrase: Phrase,
     grammar: ProgressionGrammar = ProgressionGrammar(),
@@ -422,7 +449,7 @@ def analyze_harmony(
 ) -> list[HarmonicReading]:
     """All grammar-consistent beat-level progressions, best readings first
     (fewest non-chord tones). Empty list means the phrase has no reading."""
-    return _best_readings(_segment_readings(build_rule_context(phrase, config)), grammar)
+    return _best_readings(_phrase_beats(phrase, config), grammar)
 
 
 def feasible_boundary_roots(
@@ -432,7 +459,7 @@ def feasible_boundary_roots(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Exact sets of first/last numeral roots over all valid readings
     (not limited to max_readings); both empty if there is none."""
-    return _boundary_roots(_segment_readings(build_rule_context(phrase, config)), grammar)
+    return _boundary_roots(_phrase_beats(phrase, config), grammar)
 
 
 # ----------------------------------------------------------------------
@@ -518,7 +545,7 @@ def reject(
     violations = tuple(all_violations(phrase, config, ctx=ctx))
     if violations:
         return RejectionResult(False, None, tuple(map(str, violations)), violations)
-    beats = _segment_readings(ctx)
+    beats = _segment_readings(ctx.nodes, ctx.mode, ctx.arrays.beat_sounding, ctx.arrays.beat_strong)
     readings = _best_readings(beats, grammar)
     if not readings:
         return RejectionResult(False, None, (NO_READING,))

@@ -3,15 +3,18 @@
 Node classes are integer vectors throughout: the noise draw, every
 reverse step and every guidance candidate. Each reverse step samples
 nodes independently from the exact posterior mixture. Guidance draws K
-candidate steps from that mixture, scores each candidate's one-step
-clean estimate against the hard counterpoint rules, and keeps the
+candidate steps from that mixture, scores candidates' one-step clean
+estimates against the hard counterpoint rules, and keeps the first
 least-violating candidate; K=1 reduces to the unguided step, bit for
-bit, under a shared random stream. The K estimates come
-from one denoiser pass over the step's distinct candidates, stacked in
-first-drawn order (the K draws often repeat an assignment), and the
-winner's estimate is the next step's prediction, so a phrase costs T
-passes whatever K is. The transition matrices are the schedule's
-tables, built once per schedule and marginal.
+bit, under a shared random stream. Scoring is lazy: the first-drawn
+candidate is forwarded and scored alone, and a loss of 0 makes it the
+winner at once. Otherwise one more denoiser pass takes the step's other
+distinct candidates, stacked in first-drawn order (the K draws often
+repeat an assignment), and each is scored once. The winner's estimate is
+the next step's prediction, so a phrase costs T passes plus at most one
+for each step whose first candidate breaks a rule, whatever K is. A
+phrase's transition tables and the forward pass's graph constants are
+built once, before the first step.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .pitch import DEGREES
 from .rules import RuleConfig, build_rule_context
 # The transition matrices come from NoiseSchedule.transitions; qbar and
 # q_step stay importable from here, as perfbench/tracer.py wraps them here.
-from .schedule import NoiseSchedule, q_step, qbar, validate_marginal  # noqa: F401
+from .schedule import NoiseSchedule, TransitionTables, q_step, qbar, validate_marginal  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -51,12 +54,15 @@ def reverse_mixture(
     p_hat: np.ndarray,
     schedule: NoiseSchedule,
     m: np.ndarray,
+    tables: Optional[TransitionTables] = None,
 ) -> np.ndarray:
     """Per-node unnormalized distribution over x^{t-1}, marginalizing the
-    network's clean-class predictions through the exact posterior."""
+    network's clean-class predictions through the exact posterior.
+    ``tables``, when given, is ``schedule.transitions(m)``."""
     if not 1 <= t <= schedule.T:
         raise PhraseValidationError(f"reverse step undefined at t={t}")
-    tables = schedule.transitions(m)
+    if tables is None:
+        tables = schedule.transitions(m)
     return kernels.reverse_mixture(
         p_hat, xt, tables.qbar[t - 1], tables.q_step[t - 1], tables.qbar[t]
     )
@@ -68,9 +74,10 @@ def _reverse_probs(
     p_hat: np.ndarray,
     schedule: NoiseSchedule,
     m: np.ndarray,
+    tables: Optional[TransitionTables] = None,
 ) -> np.ndarray:
     """Per-node distribution of x^{t-1}: the reverse mixture, normalized."""
-    mix = reverse_mixture(xt, t, p_hat, schedule, m)
+    mix = reverse_mixture(xt, t, p_hat, schedule, m, tables)
     totals = mix.sum(axis=1)
     if np.any(totals <= 0.0):
         bad = int(np.argmin(totals))
@@ -88,9 +95,10 @@ def reverse_step(
     schedule: NoiseSchedule,
     m: np.ndarray,
     rng: np.random.Generator,
+    tables: Optional[TransitionTables] = None,
 ) -> np.ndarray:
     """The classes x^{t-1}, one draw per node from the reverse mixture."""
-    probs = _reverse_probs(xt, t, p_hat, schedule, m)
+    probs = _reverse_probs(xt, t, p_hat, schedule, m, tables)
     return kernels.categorical_sample(probs, rng.random(len(xt)))
 
 
@@ -103,6 +111,7 @@ def scg_reverse_step(
     config: GuidanceConfig,
     rng: np.random.Generator,
     score_candidates: Optional[Callable[[np.ndarray], Sequence[float]]] = None,
+    tables: Optional[TransitionTables] = None,
 ) -> np.ndarray:
     """Best-of-K guided reverse step.
 
@@ -111,11 +120,11 @@ def scg_reverse_step(
     ``reverse_step`` would.
     score_candidates receives them as a (K, n) stack of class vectors and
     returns K rule losses; ties keep the first-drawn candidate so runs are
-    reproducible.
+    reproducible. ``tables``, when given, is ``schedule.transitions(m)``.
     """
     if config.K == 1 or score_candidates is None:
-        return reverse_step(xt, t, p_hat, schedule, m, rng)
-    probs = _reverse_probs(xt, t, p_hat, schedule, m)
+        return reverse_step(xt, t, p_hat, schedule, m, rng, tables)
+    probs = _reverse_probs(xt, t, p_hat, schedule, m, tables)
     cands = kernels.categorical_sample(probs, rng.random((config.K, len(xt))))
     return cands[int(np.argmin(score_candidates(cands)))]
 
@@ -145,38 +154,58 @@ def generate_phrase(
     graph = build_graph(skeleton, flags)
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     ctx = build_rule_context(skeleton, rule_config) if config.K > 1 else None
+    # Fixed for the whole phrase: the transition tables, and what every
+    # forward pass reads from the graph and parameters.
+    tables = schedule.transitions(m)
+    consts = denoiser.constants(graph, params, config.K)
+
+    def estimate(x: np.ndarray, t: int) -> np.ndarray:
+        return denoiser.forward(graph.with_x(x), t, params, consts=consts).p_hat
 
     def score(cands: np.ndarray, t_prev: int) -> np.ndarray:
-        """Rule losses of the candidates' one-step clean estimates; keeps
-        the winner's prediction, which the next step needs anyway.
+        """Rule losses of the candidates' one-step clean estimates, +inf
+        for every candidate not scored; keeps the winner's prediction,
+        which the next step needs anyway.
 
-        Each distinct candidate is forwarded once, in first-drawn order,
-        and ``inv`` maps every candidate to its row of that stack. A dict
-        on the row bytes costs microseconds a step where np.unique(axis=0)
-        costs a millisecond. Every candidate is still scored; repeats are
-        memo hits in ``ctx.score``."""
+        The first-drawn candidate is forwarded alone and scored. A loss
+        of 0 is the least possible and ties keep the first-drawn
+        candidate, so it wins and no other candidate is forwarded or
+        scored. Otherwise the other distinct candidates are forwarded as
+        one stack, in first-drawn order, and each is scored once; a
+        repeated draw stays +inf, as it cannot win over its first
+        occurrence. A dict on the row bytes costs microseconds a step
+        where np.unique(axis=0) costs a millisecond."""
         nonlocal p_hat
-        if t_prev >= 1:
-            slot: dict[bytes, int] = {}
-            inv = [slot.setdefault(c.tobytes(), len(slot)) for c in cands]
-            rows = [inv.index(j) for j in range(len(slot))]
-            stack = denoiser.forward(graph.with_x(cands[rows]), t_prev, params).p_hat
-            deg = np.argmax(stack, axis=2)[inv]
-        else:
-            deg = cands
-        losses = np.array([float(ctx.score(d)) for d in deg])
-        if t_prev >= 1:
+        losses = np.full(len(cands), np.inf)
+        estimates = {}  # candidate row -> the p_hat of its clean estimate
+
+        def score_rows(rows: list[int]) -> None:
+            deg = cands[rows]
+            if t_prev >= 1:
+                probs = estimate(deg, t_prev)
+                estimates.update(zip(rows, probs))
+                deg = np.argmax(probs, axis=2)
+            for i, d in zip(rows, deg):
+                losses[i] = ctx.score(d)
+
+        score_rows([0])
+        if losses[0] > 0:
+            seen = {cands[0].tobytes(): 0}
+            rows = [i for i, c in enumerate(cands[1:], 1) if seen.setdefault(c.tobytes(), i) == i]
+            if rows:
+                score_rows(rows)
+        if estimates:
             # np.argmin keeps the first minimum, as scg_reverse_step does.
-            p_hat = stack[inv[int(np.argmin(losses))]]
+            p_hat = estimates[int(np.argmin(losses))]
         return losses
 
     x = sample_noise_x(graph.n, m, rng)
-    p_hat = denoiser.forward(graph.with_x(x), schedule.T, params).p_hat
+    p_hat = estimate(x, schedule.T)
     for t in range(schedule.T, 0, -1):
         scorer = (lambda cands, tp=t - 1: score(cands, tp)) if ctx is not None else None
-        x = scg_reverse_step(x, t, p_hat, schedule, m, config, rng, scorer)
+        x = scg_reverse_step(x, t, p_hat, schedule, m, config, rng, scorer, tables)
         if ctx is None and t > 1:
-            p_hat = denoiser.forward(graph.with_x(x), t - 1, params).p_hat
+            p_hat = estimate(x, t - 1)
     return rebuild_phrase(skeleton, [DEGREES[i] for i in x])
 
 

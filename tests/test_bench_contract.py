@@ -20,6 +20,8 @@ from gradus import (
 )
 from gradus.phrase import strip_to_skeleton
 
+from conftest import counting
+
 _TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER_PATH)
 tracer = importlib.util.module_from_spec(_spec)
@@ -49,10 +51,11 @@ def test_every_traced_target_resolves():
         assert required in names
 
 
-def test_traced_guided_phrase_reads_graph_and_nests_scoring(corpus, corpus_marginal):
+def test_traced_guided_phrase_reads_graph_and_nests_scoring(corpus, corpus_marginal, monkeypatch):
     # The tracer reads args[1].n of Denoiser.forward as the node count,
     # and counts guidance candidates from RuleContext.score spans whose
-    # parent is scg_reverse_step.
+    # parent is scg_reverse_step: one span per scored candidate, which a
+    # separate counting wrapper under the tracer's must confirm.
     params_of = inspect.signature(denoiser.Denoiser.forward).parameters
     assert list(params_of)[:3] == ["self", "graph", "t"]
     T, K = 3, 2
@@ -61,6 +64,8 @@ def test_traced_guided_phrase_reads_graph_and_nests_scoring(corpus, corpus_margi
     skel = strip_to_skeleton(corpus[0])
     n = graph.build_graph(skel).n
     params = den.init_params(np.random.default_rng(0), 3)
+    calls = {"score": 0}
+    monkeypatch.setattr(rules.RuleContext, "score", counting(calls, "score", rules.RuleContext.score))
     rec = tracer.Tracer()
     with rec.installed(_targets()):
         sampler.generate_phrase(
@@ -72,7 +77,8 @@ def test_traced_guided_phrase_reads_graph_and_nests_scoring(corpus, corpus_margi
     shape = tracer.ForwardShape(hp.layers, hp.hidden_dim, hp.mlp_ratio, 21, 18)
     metrics = tracer.per_layer_metrics(rec.spans, 1.0, 1.0, shape, [], 18)
     assert metrics["sampler.guidance.steps"] == T
-    assert metrics["sampler.guidance.candidates"] == K * T
+    assert 0 < calls["score"] <= K * T
+    assert metrics["sampler.guidance.candidates"] == calls["score"]
 
 
 def test_kernels_keep_the_flag_the_machine_block_reads():

@@ -163,6 +163,37 @@ def _classes(rng, shape):
 @given(
     source=st.integers(min_value=0),
     K=st.sampled_from([1, 2, 8]),
+    spare=st.integers(min_value=0, max_value=8),
+    t=st.integers(min_value=0, max_value=100),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_forward_with_graph_constants_equals_without(corpus, source, K, spare, t, seed):
+    # Constants built once for stacks of up to K + spare candidates give,
+    # bit for bit, what a pass that builds its own gives, for a stack of K
+    # and for a single graph. A pass without them reads the parameters as
+    # they are now, so in-place updates (Adam's) are never missed.
+    graph = build_graph(strip_to_skeleton(corpus[source % len(corpus)]))
+    den = Denoiser(DenoiserHyperparams.toy())
+    rng = np.random.default_rng(seed)
+    params = _perturbed_params(den, graph, rng)
+    consts = den.constants(graph, params, K + spare)
+    for x in (_classes(rng, (K, graph.n)), _classes(rng, graph.n)):
+        given_consts = den.forward(graph.with_x(x), t, params, consts=consts)
+        own = den.forward(graph.with_x(x), t, params)
+        assert np.array_equal(given_consts.p_hat, own.p_hat)
+        assert np.array_equal(given_consts.logits, own.logits)
+    for w in params.values():
+        w += 0.1 * rng.standard_normal(w.shape)
+    fresh = {k: w.copy() for k, w in params.items()}
+    updated = den.forward(graph.with_x(x), t, params).logits
+    assert np.array_equal(updated, den.forward(graph.with_x(x), t, fresh).logits)
+    assert not np.array_equal(updated, own.logits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source=st.integers(min_value=0),
+    K=st.sampled_from([1, 2, 8]),
     t=st.integers(min_value=0, max_value=100),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )

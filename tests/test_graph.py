@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradus import graph as graph_module
 from gradus.errors import PhraseValidationError
 from gradus.graph import (
     EDGE_CLASSES,
@@ -13,7 +14,7 @@ from gradus.graph import (
 from gradus.phrase import strip_to_skeleton
 from gradus.pitch import NUM_DEGREE_CLASSES, Degree, parse_degree
 
-from conftest import make_phrase
+from conftest import counting, make_phrase
 
 
 def edge(graph, i, j):
@@ -131,6 +132,18 @@ def test_rhythm_features_ablation():
     g = build_graph(p, FeatureFlags.none())
     assert g.R.shape == (1, 0)
     assert g.r_names == ()
+
+
+def test_build_graph_merges_tied_notes_once(corpus, monkeypatch):
+    # The rhythm columns read the nodes build_graph has already merged,
+    # and equal the columns rhythm_features merges for itself.
+    calls = {"merge": 0}
+    monkeypatch.setattr(graph_module, "merge_tied", counting(calls, "merge", merge_tied))
+    flag_sets = (FeatureFlags(), FeatureFlags.none(), FeatureFlags(duration=False))
+    graphs = [build_graph(p, flags) for p in corpus for flags in flag_sets]
+    assert calls["merge"] == len(graphs)
+    for g, (p, flags) in zip(graphs, [(p, f) for p in corpus for f in flag_sets]):
+        assert np.array_equal(g.R, rhythm_features(p, flags))
 
 
 def test_rebuild_phrase_round_trip(corpus):

@@ -322,6 +322,22 @@ def test_reject_reads_the_beats_once(corpus, monkeypatch):
     assert calls["beats"] == len(corpus)
 
 
+def test_harmony_builds_beat_rows_only(corpus, monkeypatch):
+    # analyze_harmony and feasible_boundary_roots read no hard rule, so
+    # they build none of the hard rules' arrays; reject builds them once.
+    calls = Counter()
+    monkeypatch.setattr(
+        gradus.kernels, "skeleton_arrays",
+        counting(calls, "arrays", gradus.kernels.skeleton_arrays),
+    )
+    for p in corpus:
+        assert analyze_harmony(p) and feasible_boundary_roots(p) != (frozenset(), frozenset())
+    assert calls["arrays"] == 0
+    for p in corpus:
+        assert reject(p).accepted
+    assert calls["arrays"] == len(corpus)
+
+
 def test_reject_merges_tied_notes_once(corpus, monkeypatch):
     # The hard rules and the harmony pass read one merge of the tied notes.
     calls = Counter()

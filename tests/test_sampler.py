@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from gradus.sampler import (
 from gradus.schedule import NoiseSchedule, posterior
 
 from conftest import counting
+from rule_oracle import oracle
 
 
 def _one_hot(indices, k):
@@ -255,8 +258,10 @@ def _per_candidate_guided_phrase(skeleton, den, params, schedule, m, config, rng
     return rebuild_phrase(skeleton, [DEGREES[i] for i in x])
 
 
-@pytest.mark.parametrize("K", [2, 8])
-@pytest.mark.parametrize("source,seed", [(1, 3), (8, 11), (15, 29)])
+@pytest.mark.parametrize("K", [2, 8, 16])
+@pytest.mark.parametrize(
+    "source,seed", [(1, 3), (8, 11), (15, 29), (0, 101), (4, 7919), (12, 5), (19, 2024)]
+)
 def test_generate_phrase_matches_per_candidate_oracle(
     corpus, schedule, corpus_marginal, toy_model, K, source, seed
 ):
@@ -272,11 +277,27 @@ def test_generate_phrase_matches_per_candidate_oracle(
 
 @pytest.mark.parametrize("K", [1, 8])
 def test_generate_phrase_costs_t_passes(corpus, schedule, corpus_marginal, toy_model, monkeypatch, K):
-    # One denoiser pass and one reverse mixture per step, whatever K is;
-    # the per-candidate reference makes (K+1)T-K passes and KT mixtures.
-    # The transition matrices are built once per schedule and marginal, so
-    # a second phrase builds none.
+    # One reverse mixture per step, whatever K is. Unguided, one denoiser
+    # pass per step. Guided, one pass per step for the first-drawn
+    # candidate alone, and one more for the step's other distinct
+    # candidates when the first one's clean estimate breaks a rule (the
+    # last step scores the candidates themselves, with no pass). Those
+    # steps are counted independently: each step's K draws are repeated as
+    # K reverse steps on a copy of its stream, and the first draw's
+    # estimate is checked by the brute-force rule oracle. The
+    # per-candidate reference makes (K+1)T-K passes and KT mixtures. The
+    # transition matrices are built once per schedule and marginal, so a
+    # second phrase builds none.
     den, result = toy_model
+    forward, step = Denoiser.forward, sampler.scg_reverse_step
+    steps = []  # per guided step: its inputs and a copy of its stream before the draws
+
+    def recording(xt, t, p_hat, sched, m, config, rng, score_candidates=None, tables=None):
+        if score_candidates is not None:
+            steps.append((xt.copy(), t, p_hat.copy(), config.K, copy.deepcopy(rng)))
+        return step(xt, t, p_hat, sched, m, config, rng, score_candidates, tables)
+
+    monkeypatch.setattr(sampler, "scg_reverse_step", recording)
     calls = {"forward": 0, "mixture": 0, "build": 0}
     monkeypatch.setattr(Denoiser, "forward", counting(calls, "forward", Denoiser.forward))
     monkeypatch.setattr(sampler, "reverse_mixture", counting(calls, "mixture", sampler.reverse_mixture))
@@ -284,43 +305,86 @@ def test_generate_phrase_costs_t_passes(corpus, schedule, corpus_marginal, toy_m
         schedule_module, "transition_matrix",
         counting(calls, "build", schedule_module.transition_matrix),
     )
-    skel = strip_to_skeleton(corpus[2])
-    generate_phrase(skel, den, result.params, schedule, corpus_marginal, GuidanceConfig(K=K, seed=4))
-    assert (calls["forward"], calls["mixture"]) == (schedule.T, schedule.T)
-    assert calls["build"] <= 2 * schedule.T + 1
-    calls.update(forward=0, mixture=0, build=0)
-    skel = strip_to_skeleton(corpus[5])
-    generate_phrase(skel, den, result.params, schedule, corpus_marginal, GuidanceConfig(K=K, seed=6))
-    assert calls == {"forward": schedule.T, "mixture": schedule.T, "build": 0}
+    for source, seed, max_builds in ((2, 4, 2 * schedule.T + 1), (5, 6, 0)):
+        skel = strip_to_skeleton(corpus[source])
+        steps.clear()
+        generate_phrase(skel, den, result.params, schedule, corpus_marginal, GuidanceConfig(K=K, seed=seed))
+        counted = dict(calls)
+        graph = build_graph(skel)
+        second_passes = 0
+        for xt, t, p_hat, k, rng in steps:
+            cands = [reverse_step(xt, t, p_hat, schedule, corpus_marginal, rng) for _ in range(k)]
+            if t == 1:
+                continue
+            est = forward(den, graph.with_x(cands[0]), t - 1, result.params).p_hat
+            first = rebuild_phrase(skel, [DEGREES[i] for i in np.argmax(est, axis=1)])
+            others = any(not np.array_equal(c, cands[0]) for c in cands)
+            second_passes += bool(oracle(first)) and others
+        assert len(steps) == (schedule.T if K > 1 else 0)
+        assert counted["forward"] == schedule.T + second_passes
+        assert counted["mixture"] == schedule.T
+        assert counted["build"] <= max_builds
+        if K > 1:
+            assert 0 < second_passes < schedule.T - 1
+        calls.update(forward=0, mixture=0, build=0)
 
 
 def test_generate_phrase_forwards_distinct_candidates(
     corpus, schedule, corpus_marginal, toy_model, monkeypatch
 ):
-    # A step's K draws often repeat an assignment; the stacked pass gets
-    # each distinct one once, while every candidate is still scored. Late
-    # steps, where the draws agree, forward a stack of one.
+    # Each guided step forwards its first-drawn candidate alone, as its
+    # first pass; a second pass, when there is one, stacks the step's other
+    # distinct candidates. No candidate is forwarded twice in a step, and
+    # each forwarded candidate is scored once, right after its pass.
+    # Repeated draws, and every draw after a first one at loss 0, are never
+    # forwarded, so fewer rows are forwarded than the steps drew distinct
+    # candidates (counted from the stacks the scorer receives).
     den, result = toy_model
     K = 8
-    stacked = []
-    forward = Denoiser.forward
+    events = []  # ("forward", t, candidate rows) and ("score",), in call order
+    distinct = {}  # t - 1 -> the distinct candidates drawn at step t
+    forward, score, step = Denoiser.forward, RuleContext.score, sampler.scg_reverse_step
 
-    def recording(self, graph, t, params, want_cache=False):
+    def recording(self, graph, t, params, want_cache=False, consts=None):
         if graph.x.ndim == 2:
-            rows = {c.tobytes() for c in graph.x}
-            assert len(rows) == len(graph.x), f"step {t} forwards a repeated candidate"
-            stacked.append(len(graph.x))
-        return forward(self, graph, t, params, want_cache)
+            events.append(("forward", t, [c.tobytes() for c in graph.x]))
+        return forward(self, graph, t, params, want_cache, consts)
 
-    calls = {"score": 0}
+    def scoring(self, degrees):
+        events.append(("score",))
+        return score(self, degrees)
+
+    def drawing(xt, t, p_hat, sched, m, config, rng, score_candidates=None, tables=None):
+        def scorer(cands):
+            distinct[t - 1] = {c.tobytes() for c in cands}
+            return score_candidates(cands)
+
+        return step(xt, t, p_hat, sched, m, config, rng, scorer, tables)
+
     monkeypatch.setattr(Denoiser, "forward", recording)
-    monkeypatch.setattr(RuleContext, "score", counting(calls, "score", RuleContext.score))
+    monkeypatch.setattr(RuleContext, "score", scoring)
+    monkeypatch.setattr(sampler, "scg_reverse_step", drawing)
     skel = strip_to_skeleton(corpus[2])
     generate_phrase(skel, den, result.params, schedule, corpus_marginal, GuidanceConfig(K=K, seed=4))
-    assert len(stacked) == schedule.T - 1
-    assert sum(stacked) < K * (schedule.T - 1)
-    assert min(stacked) == 1 and max(stacked) > 1
-    assert calls["score"] == K * schedule.T
+
+    passes: dict[int, list[list[bytes]]] = {}
+    at = [i for i, e in enumerate(events) if e[0] == "forward"]
+    for i, j in zip(at, at[1:] + [len(events)]):
+        _, t, rows = events[i]
+        passes.setdefault(t, []).append(rows)
+        scored = events[i + 1 : j]
+        assert scored[: len(rows)] == [("score",)] * len(rows)
+        # Only the last step, which forwards nothing, scores after the last pass.
+        assert len(scored) == len(rows) or j == len(events)
+    assert sorted(passes) == list(range(1, schedule.T))
+    for t, stacks in passes.items():
+        assert len(stacks[0]) == 1 and len(stacks) <= 2
+        rows = [r for stack in stacks for r in stack]
+        assert len(set(rows)) == len(rows), f"step {t + 1} forwards a candidate twice"
+        assert set(rows) <= distinct[t]
+    forwarded = sum(len(r) for stacks in passes.values() for r in stacks)
+    assert forwarded < sum(len(distinct[t]) for t in passes)
+    assert any(len(stacks) == 2 for stacks in passes.values())
 
 
 # Degree strings per voice that generate_phrase gave (K=8, T=100, the toy
