@@ -45,7 +45,7 @@ from .library import PhraseLibrary
 from .midi import write_midi
 from .phrase import Phrase, load_corpus, parse_phrase, serialize_phrase
 from .pitch import DEGREES
-from .rules import ProgressionGrammar, reject
+from .rules import NO_READING, ProgressionGrammar, reject
 from .sampler import GuidanceConfig, generate_library
 from .schedule import NoiseSchedule, marginals
 
@@ -166,6 +166,8 @@ def cmd_generate(config: RunConfig, checkpoint_path: Path, out_dir: Path) -> int
     accepted_dir.mkdir(parents=True, exist_ok=True)
     rejected_dir.mkdir(parents=True, exist_ok=True)
     results = {}
+    rejected_by = {"hard rule": 0, NO_READING: 0}
+    violations_by_rule: dict[str, int] = {}
     with open(out_dir / "violations.jsonl", "w") as violations_fh:
         for i, p in enumerate(phrases):
             res = reject(p, config=config.rules)
@@ -173,7 +175,10 @@ def cmd_generate(config: RunConfig, checkpoint_path: Path, out_dir: Path) -> int
             target = accepted_dir if res.accepted else rejected_dir
             (target / name).write_text(serialize_phrase(p))
             results[name] = {"accepted": res.accepted, "reasons": list(res.reasons)}
+            if not res.accepted:
+                rejected_by["hard rule" if res.violations else NO_READING] += 1
             for v in res.violations:
+                violations_by_rule[v.rule] = violations_by_rule.get(v.rule, 0) + 1
                 violations_fh.write(
                     json.dumps(
                         {
@@ -195,6 +200,8 @@ def cmd_generate(config: RunConfig, checkpoint_path: Path, out_dir: Path) -> int
         "accepted": accepted,
         "rejected": len(results) - accepted,
         "rejection_rate": rate,
+        "rejected_by": rejected_by,
+        "violations_by_rule": dict(sorted(violations_by_rule.items())),
         "phrases": results,
     }
     (out_dir / "generation_report.json").write_text(json.dumps(report, indent=2) + "\n")

@@ -5,11 +5,13 @@ Fusion fills template slots from the phrase catalog: the first slot by
 cadence and closing treble degree, later slots by reinterpreting the
 previous slot's final harmony in the new local key and demanding the
 next phrase start on a grammar successor of that pivot. The assembled
-degree score is re-checked against the hard rules before realization.
+degree score is re-checked against the hard rules before realization,
+from the library's per-entry nodes on integer ticks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -17,9 +19,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FusionInfeasibleError, PhraseValidationError, SpellingError
-from .library import PhraseLibrary
+from .library import EntryTicks, PhraseLibrary
 from .phrase import NoteEvent, Phrase, _derived, phrase_from_dict, phrase_to_dict, transpose_phrase
 from .pitch import (
+    DEGREE_LETTER,
+    DEGREE_SEMIS,
+    DEGREES,
+    LETTERS,
+    MAJOR_SCALE_SEMIS,
+    REST_INDEX,
     Degree,
     Interval,
     KeyContext,
@@ -34,8 +42,10 @@ from .rules import (
     CatalogEntry,
     ProgressionGrammar,
     RuleConfig,
+    _check_ticks,
     cadence_satisfies,
     rule_loss,
+    tick_loss,
 )
 
 
@@ -76,21 +86,26 @@ def realize_pitches(phrase: Phrase, profiles: dict[int, VoiceProfile]) -> Phrase
     major second of the previous pitch when one exists (the smallest such
     interval, ties downward); otherwise the in-range placement nearest
     the central pitch (ties toward the previous pitch, then downward).
+    Placements are chosen as MIDI numbers; only the chosen ones are spelled.
     """
     for v in range(len(phrase.voices)):
         if v not in profiles:
             raise PhraseValidationError(f"no voice profile for voice {v}")
     realized: dict[int, NoteEvent] = {}
+    spelled_of: dict[Degree, Pitch] = {}  # each degree spelled at octave 4
     for v in range(len(phrase.voices)):
         profile = profiles[v]
-        prev_midi: Optional[int] = None
-        feasible_of: dict[Degree, list[Pitch]] = {}  # in-range placements per degree
+        low, high, central = profile.low.midi, profile.high.midi, profile.central.midi
+        prev: Optional[int] = None
+        # Per degree: its in-range MIDI numbers, ascending, and the pitch
+        # spelled at each one chosen so far.
+        placements: dict[Degree, tuple[list[int], dict[int, Pitch]]] = {}
         for idx, e in enumerate(phrase.events):
             if e.voice != v:
                 continue
             if e.pitch is not None:
                 realized[idx] = e
-                prev_midi = e.pitch.midi
+                prev = e.pitch.midi
                 continue
             if e.degree is None:
                 raise PhraseValidationError(
@@ -99,36 +114,37 @@ def realize_pitches(phrase: Phrase, profiles: dict[int, VoiceProfile]) -> Phrase
             if e.degree.is_rest:
                 realized[idx] = e
                 continue
-            feasible = feasible_of.get(e.degree)
-            if feasible is None:
-                spelled = realize_degree(e.degree, phrase.key, 4)
-                feasible = feasible_of[e.degree] = [
-                    Pitch(spelled.step, spelled.alter, o)
-                    for o in range(0, 9)
-                    if profile.low.midi <= spelled.midi + 12 * (o - spelled.octave) <= profile.high.midi
-                ]
+            got = placements.get(e.degree)
+            if got is None:
+                spelled = spelled_of.get(e.degree)
+                if spelled is None:
+                    spelled = spelled_of[e.degree] = realize_degree(e.degree, phrase.key, 4)
+                midi = spelled.midi
+                feasible = [m for m in range(midi - 48, midi + 49, 12) if low <= m <= high]
+                got = placements[e.degree] = (feasible, {})
+            feasible, pitches = got
             if not feasible:
                 raise SpellingError(
                     f"degree {e.degree} unrealizable in range of voice "
                     f"{phrase.voices[v]!r} at onset {e.onset}"
                 )
-            if prev_midi is None:
-                chosen = min(feasible, key=lambda c: (abs(c.midi - profile.central.midi), c.midi))
+            # feasible ascends, so min keeps the lowest of tied placements.
+            if prev is None:
+                chosen = min(feasible, key=lambda m: abs(m - central))
             else:
-                steps = [c for c in feasible if abs(c.midi - prev_midi) <= 2]
+                # Placements lie an octave apart, so at most one is a step away.
+                steps = [m for m in feasible if abs(m - prev) <= 2]
                 if steps:
-                    chosen = min(steps, key=lambda c: (abs(c.midi - prev_midi), c.midi))
+                    chosen = steps[0]
                 else:
-                    chosen = min(
-                        feasible,
-                        key=lambda c: (
-                            abs(c.midi - profile.central.midi),
-                            abs(c.midi - prev_midi),
-                            c.midi,
-                        ),
-                    )
-            realized[idx] = _derived(e, degree=None, pitch=chosen)
-            prev_midi = chosen.midi
+                    chosen = min(feasible, key=lambda m: (abs(m - central), abs(m - prev)))
+            pitch = pitches.get(chosen)
+            if pitch is None:
+                spelled = spelled_of[e.degree]
+                octave = 4 + (chosen - spelled.midi) // 12
+                pitch = pitches[chosen] = Pitch(spelled.step, spelled.alter, octave)
+            realized[idx] = _derived(e, degree=None, pitch=pitch)
+            prev = chosen
     events = tuple(realized[i] for i in range(len(phrase.events)))
     return _derived(phrase, events=events)
 
@@ -411,6 +427,100 @@ def concatenate_degrees(phrases: Sequence[Phrase], home: KeyContext, local_keys:
     )
 
 
+# The class of each (number, alteration) pair, -1 if it is not one.
+_CLASS_OF = {(d.number, d.alter): c for c, d in enumerate(DEGREES)}
+
+
+def _home_classes(home: KeyContext, local_root: int) -> np.ndarray:
+    """Per degree class in the local key, its class in the home frame, as
+    ``globalize_degree`` re-expresses it, or -1 where that raises
+    SpellingError; the same spelling arithmetic on plain integers."""
+    if local_root == 1:
+        return np.arange(len(DEGREES))
+    table = [-1] * REST_INDEX + [REST_INDEX]
+    try:
+        key = local_key_context(home, local_root)
+    except SpellingError:
+        return np.array(table)
+    key_letter, home_letter = LETTERS.index(key.tonic_step), LETTERS.index(home.tonic_step)
+    key_pc, home_pc = key.tonic_pc, home.tonic_pc
+    for c in range(REST_INDEX):
+        # realize_degree in the local key: a letter and its alteration ...
+        letter = (key_letter + DEGREE_LETTER[c]) % 7
+        pc = key_pc + DEGREE_SEMIS[c]
+        if abs((pc - MAJOR_SCALE_SEMIS[letter] + 6) % 12 - 6) > 2:
+            continue
+        # ... then degree_of in the home key.
+        number = (letter - home_letter) % 7
+        alter = (pc - home_pc - MAJOR_SCALE_SEMIS[number] + 6) % 12 - 6
+        table[c] = _CLASS_OF.get((number + 1, alter), -1)
+    return np.array(table)
+
+
+def _join_ties(voice, start, end, classes, tied):
+    """``merge_tied`` on nodes given as arrays: a node whose head event is
+    tied joins the node before it in its voice when that one ends where it
+    starts, and the joined node keeps the first node's start and class and
+    takes the last one's end. The nodes come out by voice, then time."""
+    order = np.lexsort((start, voice))
+    v, s, e = voice[order], start[order], end[order]
+    joins = np.zeros(len(order), dtype=bool)
+    joins[1:] = tied[order][1:] & (v[1:] == v[:-1]) & (e[:-1] == s[1:])
+    heads = np.flatnonzero(~joins)
+    last = np.append(heads[1:] - 1, len(order) - 1)
+    kept = order[heads]
+    return voice[kept], start[kept], e[last], classes[kept]
+
+
+def _plan_loss(
+    library: PhraseLibrary,
+    indices: Sequence[int],
+    home: KeyContext,
+    local_keys: Sequence[int],
+    rule_config: RuleConfig,
+    tables: dict[int, np.ndarray],
+) -> Optional[int]:
+    """``rule_loss(concatenate_degrees(...))`` of the entries at indices in
+    the local keys, or None where ``concatenate_degrees`` refuses them.
+    The entries' ``EntryTicks`` are laid end to end at their bar offsets
+    on the lcm of their ticks, their classes mapped into the home frame
+    and ties across a seam joined, so no phrase is built. ``tables`` keeps
+    each local key's ``_home_classes`` for the caller's request. An entry
+    with no ``EntryTicks`` is checked on the phrases."""
+    parts: list[Optional[EntryTicks]] = [library.ticks[i] for i in indices]
+    phrases = [library[i][0] for i in indices]
+    if any(part is None for part in parts):
+        try:
+            full = concatenate_degrees(phrases, home, local_keys)
+        except (PhraseValidationError, SpellingError):
+            return None
+        return rule_loss(full, rule_config)
+    meter, n_voices = phrases[0].meter, len(phrases[0].voices)
+    maps = []
+    for phrase, part, local in zip(phrases, parts, local_keys):
+        table = tables.get(local)
+        if table is None:
+            table = tables[local] = _home_classes(home, local)
+        if phrase.meter != meter or part.n_voices > n_voices or (table[part.event_classes] < 0).any():
+            return None
+        maps.append(table)
+    tick = math.lcm(*(part.tick for part in parts))
+    scales = [tick // part.tick for part in parts]
+    offsets = [0]
+    for part, scale in zip(parts, scales):
+        offsets.append(offsets[-1] + part.length * scale)
+    n_beats = -(-(offsets[-2] + parts[-1].span * scales[-1]) // tick)
+    _check_ticks(tick, n_beats)
+    voice = np.concatenate([part.voice for part in parts])
+    start = np.concatenate([part.start * k + o for part, k, o in zip(parts, scales, offsets)])
+    end = np.concatenate([part.end * k + o for part, k, o in zip(parts, scales, offsets)])
+    classes = np.concatenate([table[part.classes] for part, table in zip(parts, maps)])
+    tied = np.concatenate([part.tied for part in parts])
+    if tied.any():
+        voice, start, end, classes = _join_ties(voice, start, end, classes, tied)
+    return tick_loss(classes, tick, voice, start, end, meter, n_beats, n_voices, rule_config)
+
+
 def fuse(
     template: UrsatzTemplate,
     library: PhraseLibrary,
@@ -433,6 +543,10 @@ def fuse(
     A slot state's candidates depend only on the slot, the previous
     phrase's final root and the first phrase's meter, so each distinct
     state's list is built once per call, from the library's index.
+
+    The final rule check of a filled template is ``_plan_loss`` on the
+    library's per-entry tick arrays: the verdict of ``rule_loss`` on the
+    ``concatenate_degrees`` phrase, without building it.
     """
     if len(library) == 0:
         raise FusionInfeasibleError(0, "empty phrase library")
@@ -440,6 +554,8 @@ def fuse(
     n_slots = len(template.slots)
     failed_slot = 0
     built: dict[tuple, list[FusionCandidate]] = {}
+    local_keys = [s.local_key for s in template.slots]
+    tables: dict[int, np.ndarray] = {}  # local key -> _home_classes, for this request
 
     def build(
         slot_i: int, prev_entry: Optional[CatalogEntry], meter: Optional[tuple[int, int]]
@@ -466,13 +582,7 @@ def fuse(
         return [out[i] for i in rng.permutation(len(out))]
 
     def verify(chosen: list[FusionCandidate]) -> bool:
-        phrases = [library[c.index][0] for c in chosen]
-        locals_ = [s.local_key for s in template.slots]
-        try:
-            full = concatenate_degrees(phrases, home, locals_)
-        except (PhraseValidationError, SpellingError):
-            return False
-        return rule_loss(full, rule_config) == 0
+        return _plan_loss(library, [c.index for c in chosen], home, local_keys, rule_config, tables) == 0
 
     def search(chosen: list[FusionCandidate]) -> Optional[list[FusionCandidate]]:
         nonlocal failed_slot
@@ -494,6 +604,7 @@ def fuse(
         # search refers to itself, so its closure (and this dict) would
         # otherwise wait for the cycle collector instead of the return.
         built.clear()
+        tables.clear()
     if chosen is None:
         raise FusionInfeasibleError(
             failed_slot + 1, f"no feasible phrase assignment for slot {failed_slot + 1}"

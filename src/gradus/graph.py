@@ -88,7 +88,7 @@ class ScoreGraph:
         stack of candidates sharing these edges and rhythm."""
         if x.ndim not in (1, 2) or x.shape[-1] != self.n:
             raise PhraseValidationError(f"x shape {x.shape} does not fit {self.n} nodes")
-        return replace(self, x=x)
+        return _derived(self, x=x)
 
 
 def merge_tied(phrase: Phrase) -> list[GraphNode]:

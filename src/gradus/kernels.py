@@ -174,7 +174,9 @@ def violation_masks(
     ``config`` is a ``rules.RuleConfig``: its ``parallels``, ``dissonance``
     and ``repetition`` switches and its ``repetition_threshold``."""
     # Index n_nodes, a silent voice, reads the silent class C.
-    padded = np.append(degrees, len(tables.pitched))
+    padded = np.empty(len(degrees) + 1, dtype=degrees.dtype)
+    padded[:-1] = degrees
+    padded[-1] = len(tables.pitched)
 
     fifths = octaves = seconds = fourths = repetition = _EMPTY
     if config.parallels:

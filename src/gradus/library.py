@@ -4,11 +4,54 @@ drive structure-template fusion."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
+import numpy as np
+
+from .errors import PhraseValidationError, SpellingError
 from .phrase import Phrase
-from .pitch import Degree
-from .rules import CatalogEntry, ProgressionGrammar, RejectionResult, RuleConfig, reject
+from .pitch import DEGREE_INDEX, Degree
+from .rules import CatalogEntry, ProgressionGrammar, RejectionResult, RuleConfig, _node_ticks, reject
+
+
+class EntryTicks(NamedTuple):
+    """An entry's merged nodes on integer ticks, ``tick`` to the beat, in
+    the form fusion lays them end to end: no phrase is rebuilt."""
+
+    tick: int
+    voice: np.ndarray  # per node
+    start: np.ndarray  # per node, in ticks
+    end: np.ndarray  # per node, in ticks
+    classes: np.ndarray  # per node: the degree class of its head event, in the entry's key
+    tied: np.ndarray  # per node: its head event is tied, so it joins a node ending where it starts
+    event_classes: np.ndarray  # the distinct degree classes of all events, tied continuations included
+    n_voices: int  # one more than the highest voice with an event
+    length: int  # bar-aligned length, in ticks
+    span: int  # end of the last event, in ticks
+
+
+def entry_ticks(phrase: Phrase) -> Optional[EntryTicks]:
+    """The phrase's ``EntryTicks``; None if an event has no degree content
+    in the phrase's key or its grid would not fit int64."""
+    try:
+        degrees = [e.degree_in(phrase.key) for e in phrase.events]
+        if None in degrees:
+            return None
+        tick, nodes, voice, start, end = _node_ticks(phrase)
+    except (PhraseValidationError, SpellingError):
+        return None
+    return EntryTicks(
+        tick=tick,
+        voice=voice,
+        start=start,
+        end=end,
+        classes=np.array([DEGREE_INDEX[nd.degree] for nd in nodes]),
+        tied=np.array([phrase.events[nd.event_indices[0]].tie for nd in nodes]),
+        event_classes=np.array(sorted({DEGREE_INDEX[d] for d in degrees})),
+        n_voices=int(voice.max()) + 1,
+        length=phrase.n_bars * phrase.meter[0] * tick,
+        span=int(phrase.span * tick),
+    )
 
 
 @dataclass(frozen=True)
@@ -18,6 +61,9 @@ class PhraseLibrary:
     # with those features, in library order; an entry appears under each
     # of its start roots. Built at construction; not compared or hashed.
     index: dict = field(init=False, repr=False, compare=False)
+    # Per entry, its ``entry_ticks``, for fusion to check a plan on.
+    # Built at construction; not compared or hashed.
+    ticks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict[tuple, list[int]] = {}
@@ -25,6 +71,7 @@ class PhraseLibrary:
             for root in e.start_roots:
                 index.setdefault((e.mode, root, e.cadence, e.final_treble), []).append(i)
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "ticks", tuple(entry_ticks(p) for p, _ in self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)

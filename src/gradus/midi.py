@@ -31,21 +31,28 @@ def _vlq(value: int) -> bytes:
     return bytes(reversed(chunks))
 
 
-def _beats_to_ticks(beats: Fraction, den: int) -> int:
-    """beats * 4 * TICKS_PER_QUARTER / den, which must be a whole number."""
+def _beats_to_ticks(beats: Fraction, den: int, offset: int = 0) -> int:
+    """offset + beats * 4 * TICKS_PER_QUARTER / den, which must be a whole
+    number of ticks; offset is in ticks. A refusal names the beat counted
+    from the offset, in beats of den."""
     ticks, rem = divmod(beats.numerator * 4 * TICKS_PER_QUARTER, beats.denominator * den)
     if rem:
+        beats += Fraction(offset * den, 4 * TICKS_PER_QUARTER)
         raise PhraseValidationError(f"duration {beats} not representable at 480 tpq")
-    return ticks
+    return offset + ticks
 
 
 def score_note_events(score: Score) -> list[tuple[int, int, int, int]]:
     """(voice, start_tick, duration_tick, midi_pitch) for every note; each
-    phrase begins at the bar boundary after its predecessor."""
+    phrase begins at the bar boundary after its predecessor, in ticks, so
+    phrases in different meters follow each other without a gap."""
     out = []
-    offset = Fraction(0)
-    for phrase in score.phrases:
+    offset = 0  # ticks
+    for i, phrase in enumerate(score.phrases):
         den = phrase.meter[1]
+        if i:
+            prev = score.phrases[i - 1]
+            offset = _beats_to_ticks(prev.n_bars * prev.bar_length, prev.meter[1], offset)
         for e in phrase.events:
             if e.is_rest:
                 continue
@@ -56,12 +63,11 @@ def score_note_events(score: Score) -> list[tuple[int, int, int, int]]:
             out.append(
                 (
                     e.voice,
-                    _beats_to_ticks(offset + e.onset, den),
+                    _beats_to_ticks(e.onset, den, offset),
                     _beats_to_ticks(e.duration, den),
                     e.pitch.midi,
                 )
             )
-        offset += phrase.n_bars * phrase.bar_length
     if not out:
         raise PhraseValidationError("score has no notes to render")
     return out

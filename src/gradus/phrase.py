@@ -248,10 +248,10 @@ def load_corpus(directory: str | Path) -> list[Phrase]:
     return phrases
 
 
-def metric_strength(onset: Fraction, meter: tuple[int, int]) -> float:
+def metric_strength(onset: Fraction | int, meter: tuple[int, int]) -> float:
     """Accent weight of a beat position; periodic with the bar length."""
     num, _ = meter
-    pos = Fraction(onset) % num
+    pos = onset % num
     if pos.denominator != 1:
         return 0.125
     beat = int(pos)

@@ -6,10 +6,12 @@ ticks, with a row at every attack onset and every integer beat. The hard
 rules' one evaluator, ``kernels.violation_masks``, reads the attack and
 strong-beat rows: guidance counts a candidate's violations with
 ``RuleContext.score`` and ``all_violations`` locates them for rejection
-reports. ``_segment_readings`` reads the integer-beat rows: per beat, the
-legal chords that can read it, from a per-mode table of chord tone
-classes. The best readings (a beam search) and the exact boundary roots
-(reachability over root sets) both come from that one pass.
+reports; ``tick_loss`` counts them on nodes already laid on ticks, as
+fusion concatenates its phrases' nodes. ``_segment_readings`` reads the
+integer-beat rows: per beat, the legal chords that can read it, from a
+per-mode table of chord tone classes. The best readings (a beam search)
+and the exact boundary roots (reachability over root sets) both come
+from that one pass.
 ``analyze_harmony`` and ``feasible_boundary_roots``, which read no hard
 rule, lay the nodes on the integer beats alone.
 
@@ -62,21 +64,30 @@ class RuleConfig:
             raise PhraseValidationError("strong beat cutoff must lie in (0.125, 1]")
 
 
-def _node_ticks(phrase: Phrase, cutoff: float):
+def _node_ticks(phrase: Phrase):
     """The merged nodes on integer ticks, ``tick`` to the beat (the lcm of
-    the node onset and duration denominators): ``tick``, the nodes, each
-    node's voice, start and end tick, and the strength of each integer
-    beat inside the span."""
+    the node onset and duration denominators): ``tick``, the nodes, and
+    each node's voice, start and end tick."""
     nodes = merge_tied(phrase)
     tick = math.lcm(*(q.denominator for nd in nodes for q in (nd.onset, nd.duration)))
-    n_beats = math.ceil(phrase.span)
-    if tick * n_beats > np.iinfo(np.int64).max:  # int64 tick arithmetic would wrap
-        raise PhraseValidationError(f"onsets and durations too fine for the rule grid (1/{tick} beat)")
+    _check_ticks(tick, math.ceil(phrase.span))
     voice = np.array([nd.voice for nd in nodes])
     start = np.array([nd.onset.numerator * (tick // nd.onset.denominator) for nd in nodes])
     end = start + [nd.duration.numerator * (tick // nd.duration.denominator) for nd in nodes]
-    strong = np.array([metric_strength(k, phrase.meter) >= cutoff for k in range(n_beats)])
-    return tick, nodes, voice, start, end, strong
+    return tick, nodes, voice, start, end
+
+
+def _check_ticks(tick: int, n_beats: int) -> None:
+    """Refuse a grid of n_beats beats whose ticks would not fit int64."""
+    if tick * n_beats > np.iinfo(np.int64).max:  # int64 tick arithmetic would wrap
+        raise PhraseValidationError(f"onsets and durations too fine for the rule grid (1/{tick} beat)")
+
+
+def _strong_beats(meter: tuple[int, int], n_beats: int, cutoff: float) -> np.ndarray:
+    """Whether each of the first n_beats integer beats is strong; metric
+    strength repeats every bar."""
+    bar = np.array([metric_strength(k, meter) >= cutoff for k in range(meter[0])])
+    return bar[np.arange(n_beats) % meter[0]]
 
 
 def _sounding(times, voice, start, end, n_voices: int):
@@ -91,22 +102,21 @@ def _sounding(times, voice, start, end, n_voices: int):
     return sounding, lo
 
 
-def _time_grid(phrase: Phrase, cutoff: float):
-    """The merged nodes laid once on the grid of ``_node_ticks``, with a
-    row at every attack onset and every integer beat inside the span.
-    Returns ``tick``, the nodes, the hard rules' rows (attacks and strong
-    beats) as (times, node sounding per voice or ``len(nodes)`` if silent,
+def _tick_grid(tick: int, voice, start, end, strong: np.ndarray, n_voices: int):
+    """Nodes given by voice, start and end tick, laid once on a grid with a
+    row at every attack onset and every integer beat of ``strong`` (whether
+    each beat is strong). Returns the hard rules' rows (attacks and strong
+    beats) as (times, node sounding per voice or the node count if silent,
     attacked, strong), and the beat rows as (sounding, strong)."""
-    tick, nodes, voice, start, end, strong = _node_ticks(phrase, cutoff)
     times = np.union1d(start, np.arange(len(strong)) * tick)
-    sounding, lo = _sounding(times, voice, start, end, len(phrase.voices))
+    sounding, lo = _sounding(times, voice, start, end, n_voices)
     attacked = np.zeros(sounding.shape, dtype=bool)
     attacked[lo, voice] = True
     on_beat = times % tick == 0
     strong_row = on_beat & strong[times // tick]
     hard = attacked.any(axis=1) | strong_row
     hard_rows = (times[hard], sounding[hard], attacked[hard], strong_row[hard])
-    return tick, nodes, hard_rows, (sounding[on_beat], strong)
+    return hard_rows, (sounding[on_beat], strong)
 
 
 # ----------------------------------------------------------------------
@@ -152,15 +162,31 @@ class RuleContext:
 
 
 def build_rule_context(skeleton: Phrase, config: RuleConfig = RuleConfig()) -> RuleContext:
-    tick, nodes, (times, *hard), beats = _time_grid(skeleton, config.strong_beat_cutoff)
+    tick, nodes, voice, start, end = _node_ticks(skeleton)
+    strong = _strong_beats(skeleton.meter, math.ceil(skeleton.span), config.strong_beat_cutoff)
+    (times, *hard), beats = _tick_grid(tick, voice, start, end, strong, len(skeleton.voices))
     return RuleContext(
-        arrays=kernels.skeleton_arrays(*hard, [nd.voice for nd in nodes], *beats),
+        arrays=kernels.skeleton_arrays(*hard, voice, *beats),
         config=config,
         grid=tuple(times.tolist()),
         tick=tick,
         nodes=tuple(nodes),
         mode=skeleton.key.mode,
     )
+
+
+def tick_loss(
+    classes: np.ndarray, tick: int, voice, start, end, meter: tuple[int, int], n_beats: int,
+    n_voices: int, config: RuleConfig = RuleConfig(),
+) -> int:
+    """``rule_loss`` of merged nodes given on integer ticks, ``tick`` to the
+    beat, with their degree classes, in a phrase of the meter whose span
+    reaches n_beats integer beats and which has n_voices voices. It reads
+    the grid of ``build_rule_context`` and needs no phrase."""
+    strong = _strong_beats(meter, n_beats, config.strong_beat_cutoff)
+    (_, *hard), beats = _tick_grid(tick, voice, start, end, strong, n_voices)
+    arrays = kernels.skeleton_arrays(*hard, voice, *beats)
+    return kernels.count_violations(classes, arrays, _PAIR_TABLES, config)
 
 
 def all_violations(
@@ -437,7 +463,8 @@ def _boundary_roots(
 def _phrase_beats(phrase: Phrase, config: RuleConfig) -> _BeatReadings:
     """``_segment_readings`` of a phrase, from its beat rows alone: the
     hard rules' rows and arrays are not built."""
-    tick, nodes, voice, start, end, strong = _node_ticks(phrase, config.strong_beat_cutoff)
+    tick, nodes, voice, start, end = _node_ticks(phrase)
+    strong = _strong_beats(phrase.meter, math.ceil(phrase.span), config.strong_beat_cutoff)
     sounding, _ = _sounding(np.arange(len(strong)) * tick, voice, start, end, len(phrase.voices))
     return _segment_readings(nodes, phrase.key.mode, sounding, strong)
 

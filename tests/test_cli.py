@@ -326,3 +326,23 @@ def test_fuse_bad_templates_exit_validation(tmp_path, capsys, document, message)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_generation_report_counts_rejections(tmp_path):
+    # The report counts the rejected phrases by class (a hard rule, or no
+    # harmonic reading) and the located violations by rule, as the per
+    # phrase reasons and violations.jsonl list them.
+    path = write_config(tmp_path, B=6, K=2)
+    assert main(["train", "--config", str(path)]) == 0
+    assert main(["generate", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    report = json.loads((out / "generation_report.json").read_text())
+    rejected = [r for r in report["phrases"].values() if not r["accepted"]]
+    no_reading = sum(r["reasons"] == ["no harmonic reading"] for r in rejected)
+    assert report["rejected_by"] == {
+        "hard rule": len(rejected) - no_reading, "no harmonic reading": no_reading,
+    }
+    assert report["rejected_by"]["hard rule"] > 0
+    assert sum(report["rejected_by"].values()) == report["rejected"]
+    rules = [json.loads(line)["rule"] for line in (out / "violations.jsonl").read_text().splitlines()]
+    assert report["violations_by_rule"] == {rule: rules.count(rule) for rule in sorted(set(rules))}

@@ -2,12 +2,14 @@ import gc
 import itertools
 import json
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gradus import fusion
+from gradus import pitch as pitch_module
 from gradus.errors import FusionInfeasibleError, PhraseValidationError, SpellingError
 from gradus.fusion import (
     TemplateSlot,
@@ -31,10 +33,13 @@ from gradus.fusion import (
 from gradus.graph import merge_tied, rebuild_phrase
 from gradus.library import PhraseLibrary
 from gradus.phrase import NoteEvent, Phrase, strip_to_skeleton, transpose_phrase
-from gradus.pitch import DEGREES, Degree, Interval, parse_degree, parse_key, parse_pitch
+from gradus.pitch import (
+    DEGREE_INDEX, DEGREES, Degree, Interval, Pitch, parse_degree, parse_key, parse_pitch, realize_degree,
+)
 from gradus.rules import CADENCES, CatalogEntry, ProgressionGrammar, RuleConfig, cadence_satisfies, rule_loss
 
-from conftest import counting, make_phrase
+import fusion_oracle
+from conftest import counting, make_phrase, outcome, random_degree_phrase
 
 
 def profiles2():
@@ -603,8 +608,8 @@ def test_library_index_is_neither_compared_nor_hashed(corpus):
     library, _ = PhraseLibrary.build(corpus[:6])
     again = PhraseLibrary(library.entries)
     assert again == library and hash(again) == hash(library)
-    assert "index" not in repr(library)
-    assert PhraseLibrary(()).index == {}
+    assert "index" not in repr(library) and "ticks" not in repr(library)
+    assert PhraseLibrary(()).index == {} and PhraseLibrary(()).ticks == ()
 
 
 # -- derivation without re-validation -------------------------------------
@@ -737,3 +742,284 @@ def test_fuse_plans_golden(corpus):
     # filled, so the other two exercise the search's exhaustion.
     outcomes = {(g["template"], g.get("infeasible")) for g in golden}
     assert outcomes == {("3-line", None), ("5-line", 1), ("I-IV-I", 2)}
+
+
+# -- plan checks on integer ticks -------------------------------------------
+
+ALL_KEYS = [
+    parse_key(root, mode)
+    for mode, roots in (("major", pitch_module._MAJOR_ROOTS), ("minor", pitch_module._MINOR_ROOTS))
+    for root in sorted(roots)
+]
+RULE_CONFIGS = (
+    RuleConfig(),
+    RuleConfig(parallels=False),
+    RuleConfig(dissonance=False),
+    RuleConfig(repetition=False),
+    RuleConfig(repetition_threshold=2),
+    RuleConfig(strong_beat_cutoff=0.25),
+    RuleConfig(strong_beat_cutoff=1.0),
+)
+_ANY_ENTRY = CatalogEntry(frozenset({1}), frozenset({1}), 1, Degree(1), "major", "other")
+
+
+def test_home_classes_match_globalize_degree():
+    # Every key of both modes, every local key: the table gives the class
+    # globalize_degree gives, and -1 exactly where it raises.
+    unspellable = 0
+    for home in ALL_KEYS:
+        for local in range(1, 8):
+            table = fusion._home_classes(home, local)
+            assert table.shape == (len(DEGREES),)
+            for c, d in enumerate(DEGREES):
+                try:
+                    want = DEGREE_INDEX[globalize_degree(d, home, local)]
+                except SpellingError:
+                    want = -1
+                    unspellable += 1
+                assert table[c] == want, (str(home), local, str(d))
+    assert unspellable > 100
+
+
+def _loss_by_phrase(library, indices, home, local_keys, config):
+    """The oracle of fuse's plan check: the hard violation count of the
+    concatenated degree phrase, None where the concatenation is refused."""
+    try:
+        full = concatenate_degrees([library[i][0] for i in indices], home, local_keys)
+    except (PhraseValidationError, SpellingError):
+        return None
+    return rule_loss(full, config)
+
+
+def _three_voices(p):
+    """p with its treble doubled as a middle voice."""
+    events = [replace(e, voice=2) if e.voice == 1 else e for e in p.events]
+    events += [replace(e, voice=1) for e in p.events if e.voice == 0]
+    return Phrase(p.key, p.meter, ("treble", "alto", "bass"), tuple(events))
+
+
+def _tie_heads(p, rng, head=0.4, inner=0.15):
+    """p with the first event of a voice tied (to whatever ends where a
+    fused score puts it) with probability head, and an event that starts
+    where the one before it in its voice ends tied to it with probability
+    inner."""
+    events, last_end = [], {}
+    for e in p.events:
+        if (e.voice not in last_end and rng.random() < head) or (
+            last_end.get(e.voice) == e.onset and rng.random() < inner
+        ):
+            e = replace(e, tie=True)
+        events.append(e)
+        last_end[e.voice] = e.end
+    return replace(p, events=tuple(events))
+
+
+def _cut_short(p, beats):
+    """p without its last beats, so that it stops short of its barline."""
+    cut = p.span - beats
+    events = tuple(replace(e, duration=min(e.duration, cut - e.onset)) for e in p.events if e.onset < cut)
+    return replace(p, events=events)
+
+
+def _varied_phrase(corpus, rng):
+    """A corpus phrase, sometimes in three voices or a beat or half a beat
+    short of its last barline, transposed, with a few nodes given other
+    degrees (rests included), and with ties added."""
+    p = corpus[int(rng.integers(len(corpus)))]
+    if rng.random() < 0.2:
+        p = _three_voices(p)
+    if rng.random() < 0.3:
+        p = _cut_short(p, (Fraction(1, 2), Fraction(1))[int(rng.integers(2))])
+    if rng.random() < 0.5:
+        p = transpose_phrase(p, Interval(*FIVE_KEYS[int(rng.integers(len(FIVE_KEYS)))]))
+    if rng.random() < 0.5:
+        degrees = [nd.degree for nd in merge_tied(p)]
+        for i in rng.integers(len(degrees), size=rng.integers(1, 3)):
+            degrees[i] = DEGREES[int(rng.integers(len(DEGREES)))]
+        p = rebuild_phrase(p, degrees)
+    return _tie_heads(p, rng)
+
+
+def _seam_joins(library, indices, home, local_keys):
+    """How many nodes a fused score loses to ties across its seams."""
+    phrases = [library[i][0] for i in indices]
+    try:
+        full = concatenate_degrees(phrases, home, local_keys)
+    except (PhraseValidationError, SpellingError):
+        return 0
+    return sum(len(merge_tied(p)) for p in phrases) - len(merge_tied(full))
+
+
+def _check_plans(library, rng, n, homes):
+    """n random plans over the library, each counted by _plan_loss and by
+    the oracle; returns the numbers of clean, broken, refused and
+    seam-joined plans."""
+    clean = broken = refused = joined = 0
+    for _ in range(n):
+        indices = [int(i) for i in rng.integers(len(library), size=rng.integers(1, 4))]
+        local_keys = [int(k) for k in rng.integers(1, 8, size=len(indices))]
+        home = homes[int(rng.integers(len(homes)))]
+        config = RULE_CONFIGS[int(rng.integers(len(RULE_CONFIGS)))]
+        got = fusion._plan_loss(library, indices, home, local_keys, config, {})
+        assert got == _loss_by_phrase(library, indices, home, local_keys, config), (indices, local_keys, home)
+        clean += got == 0
+        broken += bool(got)
+        refused += got is None
+        joined += _seam_joins(library, indices, home, local_keys) > 0
+    return clean, broken, refused, joined
+
+
+def test_plan_check_matches_concatenated_rule_loss_on_five_key_library(corpus):
+    # catalog_fuse's library: every local key, homes in both modes (and in
+    # keys whose local keys cannot all be spelled), every rule switch.
+    library = _five_key_library(corpus)
+    assert all(t is not None for t in library.ticks)
+    rng = np.random.default_rng(17)
+    homes = [parse_key("C", "major"), parse_key("A", "minor")] + ALL_KEYS
+    clean, broken, refused, _ = _check_plans(library, rng, 600, homes)
+    assert clean >= 200 and broken >= 50 and refused >= 100
+
+
+def test_plan_check_matches_concatenated_rule_loss_on_varied_libraries(corpus):
+    # Small libraries of varied phrases: both meters (a mismatch refuses
+    # the plan), a third voice after two (refused) or before them (kept),
+    # a phrase whose next one starts at the barline after its end,
+    # changed degrees and rests, ties within phrases and on the first note
+    # of a voice, which join across a seam when the note before ends on it.
+    rng = np.random.default_rng(29)
+    homes = [parse_key("C", "major"), parse_key("A", "minor"), parse_key("Eb", "major")]
+    totals = np.zeros(4, dtype=int)
+    for _ in range(60):
+        phrases = [_varied_phrase(corpus, rng) for _ in range(int(rng.integers(3, 9)))]
+        library = PhraseLibrary(tuple((p, _ANY_ENTRY) for p in phrases))
+        totals += _check_plans(library, rng, 25, homes)
+    clean, broken, refused, joined = totals
+    assert clean >= 300 and broken >= 300 and refused >= 300 and joined >= 200
+
+
+def test_plan_check_joins_ties_across_seams_as_merge_tied_does():
+    # Bars of one note; with a threshold of 2, two notes of one degree in
+    # a row break the repetition rule unless a tie makes them one node,
+    # which keeps the degree of its first note.
+    home = parse_key("C", "major")
+
+    def bar(degree, tie=False, voice=0):
+        event = NoteEvent(voice, Fraction(0), Fraction(4), parse_degree(degree), tie=tie)
+        return Phrase(home, (4, 4), ("treble", "bass"), (event,))
+
+    bars = (
+        bar("3"), bar("3", tie=True), bar("5", tie=True), bar("5"),
+        bar("3", voice=1, tie=True), bar("3", voice=1),
+    )
+    library = PhraseLibrary(tuple((p, _ANY_ENTRY) for p in bars))
+    runs = RuleConfig(repetition_threshold=2, parallels=False, dissonance=False)
+    cases = {  # plan: (violations, seam joins)
+        (0, 0): (1, 0),  # 3 3
+        (0, 1): (0, 1),  # 3~3: one node
+        (1, 0): (1, 0),  # a leading tie joins nothing: 3 3
+        (0, 1, 1): (0, 2),  # 3~3~3
+        (0, 2, 3): (0, 1),  # 3~5 is a 3, then 5
+        (3, 2): (0, 1),  # 5~5
+        (3, 2, 3): (1, 1),  # 5~5 5
+        (0, 4, 5): (1, 0),  # treble 3, then bass ~3 3: a tie joins nothing in another voice
+    }
+    for plan, (loss, joins) in cases.items():
+        local_keys = [1] * len(plan)
+        assert _seam_joins(library, plan, home, local_keys) == joins, plan
+        assert _loss_by_phrase(library, plan, home, local_keys, runs) == loss, plan
+        assert fusion._plan_loss(library, plan, home, local_keys, runs, {}) == loss, plan
+
+
+def test_plan_check_refuses_ticks_beyond_int64_as_rule_loss_does():
+    # Each entry's own grid fits int64; the lcm of their ticks over the
+    # fused span does not, and both checks refuse it with the grid's error.
+    entries = []
+    for den in (1000003, 1000033, 1000037):
+        q = Fraction(1, den)
+        events = (NoteEvent(0, Fraction(0), q, Degree(1)), NoteEvent(0, q, 4 - q, Degree(3)))
+        entries.append((Phrase(parse_key("C", "major"), (4, 4), ("treble",), events), _ANY_ENTRY))
+    library = PhraseLibrary(tuple(entries))
+    assert all(t is not None for t in library.ticks)
+    home = parse_key("C", "major")
+    assert fusion._plan_loss(library, (0, 1), home, [1, 1], RuleConfig(), {}) == 0
+    with pytest.raises(PhraseValidationError, match="too fine for the rule grid") as got:
+        fusion._plan_loss(library, (0, 1, 2), home, [1, 1, 1], RuleConfig(), {})
+    with pytest.raises(PhraseValidationError) as want:
+        _loss_by_phrase(library, (0, 1, 2), home, [1, 1, 1], RuleConfig())
+    assert str(got.value) == str(want.value)
+
+
+def test_plan_check_reads_phrases_for_entries_without_ticks(corpus):
+    # A placeholder event, a pitch with no degree in its key or a grid too
+    # fine for int64 leaves an entry without ticks; plans with it are
+    # checked on the phrases, refused or raising as rule_loss raises.
+    home = parse_key("C", "major")
+    skeleton = strip_to_skeleton(corpus[0])
+    first, *rest = corpus[0].events
+    unspellable = replace(corpus[0], events=(replace(first, degree=None, pitch=parse_pitch("E#5")), *rest))
+    fine = [
+        NoteEvent(0, Fraction(k), Fraction(1, den), Degree(1))
+        for k, den in ((0, 1000003), (1, 1000033), (2, 1000037))
+    ]
+    too_fine = Phrase(home, (4, 4), ("treble",), (*fine, NoteEvent(0, Fraction(9), Fraction(1), Degree(1))))
+    library = PhraseLibrary(tuple((p, _ANY_ENTRY) for p in (corpus[0], skeleton, unspellable, too_fine)))
+    assert library.ticks[0] is not None and library.ticks[1:] == (None, None, None)
+    for plan in ((0, 1), (1, 0), (0, 2), (2, 0), (3, 0)):
+        assert fusion._plan_loss(library, plan, home, [1, 1], RuleConfig(), {}) is None
+    with pytest.raises(PhraseValidationError, match="too fine for the rule grid") as got:
+        fusion._plan_loss(library, (3, 3), home, [1, 1], RuleConfig(), {})
+    with pytest.raises(PhraseValidationError) as want:
+        _loss_by_phrase(library, (3, 3), home, [1, 1], RuleConfig())
+    assert str(got.value) == str(want.value)
+
+
+# -- realization against its reference ---------------------------------------
+
+_SHARPS = tuple(zip("CCDDEFFGGAAB", (0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0)))
+
+
+def _sharp_spelled(midi):
+    return Pitch(*_SHARPS[midi % 12], midi // 12 - 1)
+
+
+def _random_profiles(rng, n_voices):
+    """Default profiles, or random ones, some too narrow for every degree,
+    now and then missing a voice."""
+    if rng.random() < 0.4:
+        profiles = default_profiles(("treble", "alto", "tenor", "bass")[:n_voices])
+    else:
+        profiles = {}
+        for v in range(n_voices):
+            low = int(rng.integers(36, 72))
+            high = low + int(rng.integers(0, 20))
+            central = int(rng.integers(low, high + 1))
+            profiles[v] = VoiceProfile(str(v), *(_sharp_spelled(m) for m in (central, low, high)))
+    if rng.random() < 0.05:
+        profiles.pop(int(rng.integers(n_voices)))
+    return profiles
+
+
+def test_realize_matches_reference():
+    # Random phrases in keys with sharps and flats, with rests, now and
+    # then a placeholder or an already pitched note, under default and
+    # random voice ranges: the same phrases, or the same error and message.
+    rng = np.random.default_rng(8)
+    kinds = {}
+    for _ in range(500):
+        n_voices = int(rng.integers(1, 5))
+        p = random_degree_phrase(rng, n_voices)
+        if rng.random() < 0.3:
+            events = list(p.events)
+            i = int(rng.integers(len(events)))
+            if rng.random() < 0.2:
+                events[i] = replace(events[i], degree=None)
+            elif not events[i].is_rest:
+                spelled = realize_degree(events[i].degree, p.key, int(rng.integers(2, 6)))
+                events[i] = replace(events[i], degree=None, pitch=spelled)
+            p = replace(p, events=tuple(events))
+        profiles = _random_profiles(rng, n_voices)
+        got = outcome(realize_pitches, p, profiles)
+        assert got == outcome(fusion_oracle.realize_pitches, p, profiles)
+        kind = got[0].__name__ if isinstance(got, tuple) else "realized"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["realized"] >= 200 and kinds["SpellingError"] >= 100 and kinds["PhraseValidationError"] >= 20

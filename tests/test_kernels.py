@@ -1,6 +1,7 @@
 """The kernels, and the hard-rule evaluator checked against the
 brute-force rule checker in rule_oracle.py."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ from gradus.errors import PhraseValidationError
 from gradus.graph import merge_tied, rebuild_phrase
 from gradus.phrase import NoteEvent, Phrase, strip_to_skeleton
 from gradus.pitch import DEGREE_INDEX, DEGREES, NUM_DEGREE_CLASSES, parse_degree, parse_key
-from gradus.rules import _PAIR_TABLES, RuleConfig, _time_grid, all_violations, build_rule_context
+from gradus.rules import (
+    _PAIR_TABLES, RuleConfig, _node_ticks, _strong_beats, _tick_grid, all_violations, build_rule_context,
+)
 
 from conftest import counting
 from rule_oracle import oracle, segments, time_grid
@@ -154,6 +157,13 @@ def _tie_some(skeleton, rng):
         events.append(e)
         last_end[e.voice] = e.end
     return replace(skeleton, events=tuple(events))
+
+
+def _time_grid(phrase, cutoff):
+    """The grid of build_rule_context: tick, nodes, hard rows, beat rows."""
+    tick, nodes, voice, start, end = _node_ticks(phrase)
+    strong = _strong_beats(phrase.meter, math.ceil(phrase.span), cutoff)
+    return (tick, nodes, *_tick_grid(tick, voice, start, end, strong, len(phrase.voices)))
 
 
 def test_time_grid_matches_oracle(corpus):

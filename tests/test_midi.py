@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradus.errors import PhraseValidationError
+from gradus.errors import PhraseValidationError, SpellingError
 from gradus.fusion import Score, default_profiles, default_templates, fuse, realize_pitches
 from gradus.library import PhraseLibrary
 from gradus.midi import (
@@ -15,7 +15,8 @@ from gradus.midi import (
 from gradus.pitch import parse_key
 from gradus.rules import ProgressionGrammar
 
-from conftest import make_phrase
+import fusion_oracle
+from conftest import make_phrase, outcome, random_degree_phrase
 
 
 def _score_of(phrase):
@@ -103,3 +104,54 @@ def test_repeated_pitch_restrikes(tmp_path):
     assert len(track) == 3
     assert [t[1] for t in track] == [0, 480, 960]
     assert all(t[2] == 480 for t in track)
+
+
+def test_mixed_meters_follow_without_a_gap(tmp_path):
+    # A 6/8 bar is six eighths, 1440 ticks: the 4/4 phrase after it starts
+    # there, and the 6/8 phrase after that one 4/4 bar (1920 ticks) later.
+    waltz = _score_of(make_phrase([(0, 0, 6, "1")], voices=("treble",), meter=(6, 8))).phrases[0]
+    common = _score_of(make_phrase([(0, 0, 4, "3")], voices=("treble",))).phrases[0]
+    score = Score(home_key=waltz.key, phrases=(waltz, common, waltz))
+    events = score_note_events(score)
+    assert [e[1:3] for e in events] == [(0, 1440), (1440, 1920), (3360, 1440)]
+    path = tmp_path / "mixed.mid"
+    write_midi(score, path)
+    assert read_midi_notes(path) == [sorted((e[3], e[1], e[2]) for e in events)]
+
+
+def test_off_grid_onset_is_named_in_beats_from_the_score_start():
+    # A note after a rest of a seventh of a beat starts between ticks; the
+    # refusal names its onset counted from the start of the score.
+    bar = _score_of(make_phrase([(0, 0, 4, "1")], voices=("treble",))).phrases[0]
+    odd = _score_of(make_phrase([(0, 0, "1/7", "rest"), (0, "1/7", 1, "1")], voices=("treble",))).phrases[0]
+    score = Score(home_key=bar.key, phrases=(bar, odd))
+    with pytest.raises(PhraseValidationError, match="^duration 29/7 not representable at 480 tpq$"):
+        score_note_events(score)
+    assert outcome(score_note_events, score) == outcome(fusion_oracle.score_note_events, score)
+
+
+def test_note_events_match_reference():
+    # Scores of one to three realized phrases in mixed meters, some with
+    # notes off the tick grid, and some not realized: the same events, or
+    # the same error and message.
+    rng = np.random.default_rng(12)
+    kinds = {}
+    for _ in range(400):
+        n_voices = int(rng.integers(1, 4))
+        phrases = []
+        for _ in range(int(rng.integers(1, 4))):
+            p = random_degree_phrase(rng, n_voices)
+            if rng.random() < 0.95:
+                try:
+                    p = realize_pitches(p, default_profiles(p.voices))
+                except SpellingError:
+                    continue
+            phrases.append(p)
+        if not phrases:
+            continue
+        score = Score(home_key=phrases[0].key, phrases=tuple(phrases))
+        got = outcome(score_note_events, score)
+        assert got == outcome(fusion_oracle.score_note_events, score)
+        kind = got[1].split()[0] if isinstance(got, tuple) else "events"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["events"] >= 200 and kinds["duration"] >= 60 and kinds["score"] >= 20
