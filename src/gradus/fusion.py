@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -245,13 +245,6 @@ def pivot_root(prev_local_key: int, prev_end_root: int, new_local_key: int) -> i
     return (home_position - (new_local_key - 1)) % 7 + 1
 
 
-@dataclass(frozen=True)
-class FusionCandidate:
-    index: int
-    pivot: int  # pivot numeral root in the new local key
-    transposition: Interval
-
-
 def pivot_select(
     antecedent: CatalogEntry,
     prev_local_key: int,
@@ -261,45 +254,32 @@ def pivot_select(
     home: KeyContext,
     slot: TemplateSlot,
     meter: Optional[tuple[int, int]] = None,
-) -> list[FusionCandidate]:
+) -> list[int]:
     """Library phrases able to follow the antecedent in the new local key:
     their feasible start harmonies must include a grammar successor of the
     pivot reinterpretation of the antecedent's final harmony. The slot and
     a meter narrow them as in ``_opening_candidates``."""
     pivot = pivot_root(prev_local_key, antecedent.final_root, new_local_key)
-    return _opening_candidates(
-        library, grammar.successors(pivot), pivot, home, new_local_key, slot, meter
-    )
+    return _opening_candidates(library, grammar.successors(pivot), home, slot, meter)
 
 
 def _opening_candidates(
     library: PhraseLibrary,
     starts: frozenset[int],
-    pivot: int,
     home: KeyContext,
-    local_key: int,
     slot: TemplateSlot,
     meter: Optional[tuple[int, int]] = None,
-) -> list[FusionCandidate]:
-    """Library phrases in the home mode whose feasible start harmonies meet
-    starts, with a cadence satisfying the slot's and the slot's closing
-    treble degree, read from the library index in library order, each
-    transposed into the local key; the transposition is computed once per
-    distinct phrase key. Given a meter, only phrases in that meter."""
+) -> list[int]:
+    """Indices, in library order, of the library phrases in the home mode
+    whose feasible start harmonies meet starts, with a cadence satisfying
+    the slot's and the slot's closing treble degree, read from the library
+    index. Given a meter, only phrases in that meter."""
     treble = localize_degree(slot.final_treble, home, slot.local_key)
     endings = [(c, treble) for c in CADENCES if cadence_satisfies(c, slot.cadence)]
-    target_key = local_key_context(home, local_key)
-    shifts: dict[KeyContext, Interval] = {}
-    out = []
-    for i in library.lookup(home.mode, starts, endings):
-        p = library[i][0]
-        if meter is not None and p.meter != meter:
-            continue
-        shift = shifts.get(p.key)
-        if shift is None:
-            shift = shifts[p.key] = Interval.between(p.key, target_key)
-        out.append(FusionCandidate(i, pivot, shift))
-    return out
+    hits = library.lookup(home.mode, starts, endings)
+    if meter is None:
+        return hits
+    return [i for i in hits if library[i][0].meter == meter]
 
 
 @dataclass(frozen=True)
@@ -521,6 +501,44 @@ def _plan_loss(
     return tick_loss(classes, tick, voice, start, end, meter, n_beats, n_voices, rule_config)
 
 
+def _slot_layers(
+    template: UrsatzTemplate,
+    library: PhraseLibrary,
+    grammar: ProgressionGrammar,
+    home: KeyContext,
+) -> list[dict]:
+    """Per template slot, the reachable slot states and each one's
+    candidate list, built forward. Layer 0 maps None to the opening
+    candidates; layer k + 1 maps each (final root, meter) of a candidate
+    in layer k to the candidates that may follow it, which share its
+    meter, so the key also carries the first phrase's meter. Raises
+    FusionInfeasibleError for the first slot whose states all have empty
+    lists: an exhaustive search would visit exactly those states and fail
+    there."""
+    slots = template.slots
+    layers = [{None: _opening_candidates(library, grammar.start_roots, home, slots[0])}]
+    while any(layers[-1].values()):
+        if len(layers) == len(slots):
+            return layers
+        prev_key, slot = slots[len(layers) - 1].local_key, slots[len(layers)]
+        layer: dict[tuple, list[int]] = {}
+        for candidates in layers[-1].values():
+            for i in candidates:
+                phrase, entry = library[i]
+                state = (entry.final_root, phrase.meter)
+                if state not in layer:
+                    layer[state] = pivot_select(
+                        entry, prev_key, slot.local_key, library, grammar, home, slot, phrase.meter
+                    )
+        layers.append(layer)
+    raise FusionInfeasibleError(len(layers), f"no feasible phrase assignment for slot {len(layers)}")
+
+
+def _shuffled(candidates: list[int], rng: np.random.Generator) -> Iterator[int]:
+    """The candidates in the order of one permutation drawn from rng."""
+    return iter([candidates[k] for k in rng.permutation(len(candidates)).tolist()])
+
+
 def fuse(
     template: UrsatzTemplate,
     library: PhraseLibrary,
@@ -533,91 +551,62 @@ def fuse(
     """Fill every template slot from the library, verify the seams and the
     whole degree score, then realize concrete pitches.
 
-    The search is a complete depth-first search: it tries every candidate
-    of every slot, so FusionInfeasibleError means no slot assignment
-    passes the filters and the final rule check. Each visited slot state
-    draws one permutation of its candidates (in library order) from rng,
-    in preorder, so a seed fixes the plan. The error reports the deepest
-    slot whose candidates all ran out, 1-based as in template prose.
-
     A slot state's candidates depend only on the slot, the previous
-    phrase's final root and the first phrase's meter, so each distinct
-    state's list is built once per call, from the library's index.
+    phrase's final root and the first phrase's meter. So the template's
+    slot layers are built forward first, each reachable state's list once,
+    from the library's index (``_slot_layers``). If some layer's lists are
+    all empty, no assignment can pass the filters, and FusionInfeasibleError
+    names that slot before anything is drawn from rng.
+
+    Otherwise the search is a complete depth-first search over the built
+    lists: it tries every candidate of every slot, so FusionInfeasibleError
+    means no slot assignment passes the filters and the final rule check.
+    Each visited slot state draws one permutation of its candidates (in
+    library order) from rng, in preorder, so a seed fixes the plan. The
+    error reports the deepest slot whose candidates all ran out, 1-based
+    as in template prose.
 
     The final rule check of a filled template is ``_plan_loss`` on the
     library's per-entry tick arrays: the verdict of ``rule_loss`` on the
     ``concatenate_degrees`` phrase, without building it.
     """
-    if len(library) == 0:
-        raise FusionInfeasibleError(0, "empty phrase library")
-
-    n_slots = len(template.slots)
-    failed_slot = 0
-    built: dict[tuple, list[FusionCandidate]] = {}
-    local_keys = [s.local_key for s in template.slots]
+    slots = template.slots
+    layers = _slot_layers(template, library, grammar, home)
+    local_keys = [s.local_key for s in slots]
     tables: dict[int, np.ndarray] = {}  # local key -> _home_classes, for this request
+    # path holds the phrases chosen for the slots before the one whose
+    # shuffled candidates are on top of the stack.
+    path: list[int] = []
+    stack = [_shuffled(layers[0][None], rng)]
+    while stack:
+        i = next(stack[-1], None)
+        if i is None:
+            stack.pop()
+            if path:
+                path.pop()
+        elif len(stack) < len(slots):
+            phrase, entry = library[i]
+            path.append(i)
+            stack.append(_shuffled(layers[len(path)][entry.final_root, phrase.meter], rng))
+        elif _plan_loss(library, path + [i], home, local_keys, rule_config, tables) == 0:
+            path.append(i)
+            break
+    else:
+        raise FusionInfeasibleError(len(slots), f"no feasible phrase assignment for slot {len(slots)}")
 
-    def build(
-        slot_i: int, prev_entry: Optional[CatalogEntry], meter: Optional[tuple[int, int]]
-    ) -> list[FusionCandidate]:
-        slot = template.slots[slot_i]
-        if prev_entry is None:
-            return _opening_candidates(
-                library, grammar.start_roots, 0, home, slot.local_key, slot, meter
-            )
-        prev_slot = template.slots[slot_i - 1]
-        return pivot_select(
-            prev_entry, prev_slot.local_key, slot.local_key, library, grammar, home, slot, meter
-        )
-
-    def slot_candidates(slot_i: int, chosen: list[FusionCandidate]) -> list[FusionCandidate]:
-        prev_entry, meter = None, None
-        if chosen:
-            prev_entry = library[chosen[-1].index][1]
-            meter = library[chosen[0].index][0].meter
-        state = (slot_i, prev_entry.final_root if prev_entry else None, meter)
-        out = built.get(state)
-        if out is None:
-            out = built[state] = build(slot_i, prev_entry, meter)
-        return [out[i] for i in rng.permutation(len(out))]
-
-    def verify(chosen: list[FusionCandidate]) -> bool:
-        return _plan_loss(library, [c.index for c in chosen], home, local_keys, rule_config, tables) == 0
-
-    def search(chosen: list[FusionCandidate]) -> Optional[list[FusionCandidate]]:
-        nonlocal failed_slot
-        depth = len(chosen)
-        for cand in slot_candidates(depth, chosen):
-            path = chosen + [cand]
-            if depth + 1 < n_slots:
-                found = search(path)
-                if found is not None:
-                    return found
-            elif verify(path):
-                return path
-        failed_slot = max(failed_slot, depth)
-        return None
-
-    try:
-        chosen = search([])
-    finally:
-        # search refers to itself, so its closure (and this dict) would
-        # otherwise wait for the cycle collector instead of the return.
-        built.clear()
-        tables.clear()
-    if chosen is None:
-        raise FusionInfeasibleError(
-            failed_slot + 1, f"no feasible phrase assignment for slot {failed_slot + 1}"
-        )
-
-    transposed = [
-        transpose_phrase(library[c.index][0], c.transposition) for c in chosen
-    ]
+    transpositions = tuple(
+        Interval.between(library[i][0].key, local_key_context(home, s.local_key))
+        for i, s in zip(path, slots)
+    )
+    transposed = [transpose_phrase(library[i][0], t) for i, t in zip(path, transpositions)]
     realized = tuple(realize_pitches(p, profiles) for p in transposed)
     plan = FusionPlan(
         template=template,
-        phrase_indices=tuple(c.index for c in chosen),
-        transpositions=tuple(c.transposition for c in chosen),
-        pivots=tuple([None] + [c.pivot for c in chosen[1:]]),
+        phrase_indices=tuple(path),
+        transpositions=transpositions,
+        pivots=(None,) + tuple(
+            pivot_root(prev.local_key, library[i][1].final_root, s.local_key)
+            for i, prev, s in zip(path, slots, slots[1:])
+        ),
     )
     return Score(home_key=home, phrases=realized), plan

@@ -232,9 +232,9 @@ def test_pivot_select_dominant_target():
     candidates = pivot_select(entry, 1, 5, library, grammar, home, slot)
     # pivot IV: successors are the predominant/dominant family; only the
     # V-opening phrase qualifies.
-    assert all(library[c.index][1].start_roots & grammar.successors(4) for c in candidates)
-    assert any(c.index == 1 for c in candidates)
-    assert all(c.pivot == 4 for c in candidates)
+    assert pivot_root(1, entry.final_root, 5) == 4
+    assert all(library[i][1].start_roots & grammar.successors(4) for i in candidates)
+    assert 1 in candidates
 
 
 def test_pivot_select_identity_target():
@@ -244,8 +244,9 @@ def test_pivot_select_identity_target():
     entry = library[0][1]
     candidates = pivot_select(entry, 1, 1, library, grammar, home, _slot_fitting(entry, 1, home))
     assert candidates  # phrases starting on successors of I qualify
-    assert all(c.pivot == 1 for c in candidates)
-    assert all(c.transposition.semitones == 0 for c in candidates)
+    assert pivot_root(1, entry.final_root, 1) == 1
+    assert all(library[i][1].start_roots & grammar.successors(1) for i in candidates)
+    assert all(Interval.between(library[i][0].key, home).semitones == 0 for i in candidates)
 
 
 def _iv_opening_phrase():
@@ -303,11 +304,13 @@ def test_fuse_missing_slot1_treble_fails_at_slot_1():
 
 
 def test_fuse_empty_library():
-    with pytest.raises(FusionInfeasibleError):
+    # 1-based like every other failure: the first slot has no candidates.
+    with pytest.raises(FusionInfeasibleError) as err:
         fuse(
             default_templates()[0], PhraseLibrary(()), profiles2(), ProgressionGrammar(),
             np.random.default_rng(0), parse_key("C", "major"),
         )
+    assert err.value.slot_index == 1
 
 
 def test_fuse_corpus_library(corpus):
@@ -409,8 +412,9 @@ class _CountingRng:
 
 def test_fuse_builds_each_slot_state_once(corpus, monkeypatch):
     # Each slot's candidates depend only on (slot, previous final root,
-    # first phrase's meter), so a search that revisits such a state, as it
-    # does once per dead end here, must not select its pivots again.
+    # first phrase's meter). The slot layers are built forward, each
+    # reachable state once, so a search that revisits such a state, as it
+    # does once per dead end here, selects no pivots again.
     library = _dead_end_library(corpus)
     template, home, grammar = default_templates()[0], parse_key("C", "major"), ProgressionGrammar()
     states, prefixes = set(), [()]
@@ -425,34 +429,42 @@ def test_fuse_builds_each_slot_state_once(corpus, monkeypatch):
         calls["pivot_select"] = 0
         rng = _CountingRng(seed)
         fuse(template, library, profiles2(), grammar, rng, home)
-        assert 1 <= calls["pivot_select"] <= len(states), seed
+        assert calls["pivot_select"] == len(states), seed
         visited += rng.draws
     # The searches revisit each state many times over (469 draws, 3 states).
     assert visited > 100 * len(states)
 
 
-def test_fuse_leaves_no_candidates_to_the_cycle_collector(corpus):
-    # The slot-state lists must go when fuse returns, not when the cycle
-    # collector next runs: a service answering many requests would hold
-    # every recent request's lists.
+def test_fuse_leaves_no_cyclic_garbage(corpus):
+    # What fuse builds must go when it returns or raises, not when the
+    # cycle collector next runs: a service answering many requests would
+    # hold every recent request's slot layers.
     library = _dead_end_library(corpus)
+    home, grammar = parse_key("C", "major"), ProgressionGrammar()
+    three_line, five_line = default_templates()
     gc.collect()
     gc.disable()
     try:
-        fuse(default_templates()[0], library, profiles2(), ProgressionGrammar(),
-             np.random.default_rng(0), parse_key("C", "major"))
-        left = sum(isinstance(o, fusion.FusionCandidate) for o in gc.get_objects())
+        fuse(three_line, library, profiles2(), grammar, np.random.default_rng(0), home)
+        after_fused = gc.collect()
+        try:
+            fuse(five_line, library, profiles2(), grammar, np.random.default_rng(0), home)
+        except FusionInfeasibleError:
+            pass
+        else:
+            raise AssertionError("the dead-end library fills no 5-line template")
+        after_infeasible = gc.collect()
     finally:
         gc.enable()
-    assert left == 0
+    assert (after_fused, after_infeasible) == (0, 0)
 
 
 def _brute_force_fusion(template, library, grammar, home, rule_config):
     """Every slot assignment that passes the slot filters, the pivot
     successors, the shared meter and rule_loss == 0, found by trying all
-    len(library) ** slots of them; and the 1-based slot a failed search
+    len(library) ** slots of them; the 1-based slot a failed search
     reports: one past the longest prefix passing the filters, at most the
-    last slot."""
+    last slot; and the length of that longest prefix."""
     slots = template.slots
     plans, longest = [], 0
     for assignment in itertools.product(range(len(library)), repeat=len(slots)):
@@ -469,7 +481,7 @@ def _brute_force_fusion(template, library, grammar, home, rule_config):
             continue
         if rule_loss(full, rule_config) == 0:
             plans.append(assignment)
-    return plans, min(longest, len(slots) - 1) + 1
+    return plans, min(longest, len(slots) - 1) + 1, longest
 
 
 def _template(name, *slots):
@@ -486,7 +498,8 @@ def test_fuse_matches_brute_force(corpus):
     # Small random libraries of corpus phrases (both meters, both modes,
     # repeats): fuse succeeds exactly when brute force finds a plan, with
     # a plan brute force found and the same plan for the same seed; a
-    # failure names the slot brute force names. The libraries repeat a few
+    # failure names the slot brute force names, and draws nothing from the
+    # rng when no assignment passes the filters. The libraries repeat a few
     # phrases each, so that one meter or one dead end can fill a slot.
     # About 30% of the requests fuse under a repetition threshold of 2,
     # which most whole assignments of corpus phrases break, so the final
@@ -505,32 +518,40 @@ def test_fuse_matches_brute_force(corpus):
     strict = RuleConfig(repetition_threshold=2)
     grammar = ProgressionGrammar()
     rng = np.random.default_rng(0)
-    fused, failed_at = [], []
+    fused, failed_at, unfillable = [], [], 0
     for _ in range(300):
         pool = rng.choice(len(full), size=rng.integers(3, 11), replace=False)
         library = PhraseLibrary(tuple(full[int(i)] for i in rng.choice(pool, size=rng.integers(3, 13))))
         template = templates[int(rng.integers(len(templates)))]
         home = parse_key("A", "minor") if template.name.startswith("minor") else parse_key("C", "major")
         rules = strict if rng.random() < 0.3 else RuleConfig()
-        plans, slot = _brute_force_fusion(template, library, grammar, home, rules)
+        plans, slot, longest = _brute_force_fusion(template, library, grammar, home, rules)
         seed = int(rng.integers(2**31))
 
-        def run():
-            return fuse(template, library, profiles2(), grammar, np.random.default_rng(seed), home, rules)
+        def run(request_rng):
+            return fuse(template, library, profiles2(), grammar, request_rng, home, rules)
 
+        counting = _CountingRng(seed)
         if plans:
-            _, plan = run()
+            _, plan = run(np.random.default_rng(seed))
             assert plan.phrase_indices in plans
-            assert run()[1] == plan
+            assert run(counting)[1] == plan
             fused.append(template.name)
         else:
             with pytest.raises(FusionInfeasibleError) as err:
-                run()
+                run(counting)
             assert err.value.slot_index == slot
             failed_at.append(slot)
-    # Both outcomes, in both modes, and failures at every slot depth.
+        if longest < len(template.slots):
+            assert counting.draws == 0
+            unfillable += 1
+        else:
+            assert counting.draws > 0
+    # Both outcomes, in both modes, failures at every slot depth, and
+    # failures both before the first draw and at the final rule check.
     assert len(fused) >= 20 and "minor I-I" in fused
     assert {1, 2, 3} <= set(failed_at)
+    assert 0 < unfillable < len(failed_at)
 
 
 def _random_libraries(full, rng, n):
@@ -555,9 +576,8 @@ def _random_libraries(full, rng, n):
         yield PhraseLibrary(tuple(entries))
 
 
-def _scanned(library, starts, pivot, home, local_key, slot, meter=None):
+def _scanned(library, starts, home, slot, meter=None):
     """The candidate list of a slot state by a plain scan of the library."""
-    target = local_key_context(home, local_key)
     out = []
     for i, (phrase, entry) in enumerate(library):
         if entry.mode != home.mode or not entry.start_roots & starts:
@@ -569,14 +589,14 @@ def _scanned(library, starts, pivot, home, local_key, slot, meter=None):
             continue
         if meter is not None and phrase.meter != meter:
             continue
-        out.append(fusion.FusionCandidate(i, pivot, Interval.between(phrase.key, target)))
+        out.append(i)
     return out
 
 
 def test_index_matches_library_scan(corpus):
     # Every slot state (slot, previous final root, meter) of the shipped
     # templates, in both modes, over random libraries: the lists read from
-    # the index are the scan's, in library order, with its transpositions.
+    # the index are the scan's indices, in library order.
     full, _ = PhraseLibrary.build(corpus)
     grammar = ProgressionGrammar()
     rng = np.random.default_rng(3)
@@ -587,8 +607,8 @@ def test_index_matches_library_scan(corpus):
             for template in default_templates():
                 slots = template.slots
                 first = slots[0]
-                got = fusion._opening_candidates(library, grammar.start_roots, 0, home, first.local_key, first)
-                assert got == _scanned(library, grammar.start_roots, 0, home, first.local_key, first)
+                got = fusion._opening_candidates(library, grammar.start_roots, home, first)
+                assert got == _scanned(library, grammar.start_roots, home, first)
                 for slot_i in range(1, len(slots)):
                     prev, slot = slots[slot_i - 1], slots[slot_i]
                     for root in range(1, 8):
@@ -598,7 +618,7 @@ def test_index_matches_library_scan(corpus):
                         args = (antecedent, prev.local_key, slot.local_key, library, grammar, home)
                         for meter in meters:
                             got = pivot_select(*args, slot, meter)
-                            assert got == _scanned(library, starts, pivot, home, slot.local_key, slot, meter)
+                            assert got == _scanned(library, starts, home, slot, meter)
                             checked += 1
                             nonempty += bool(got)
     assert checked == 10080 and nonempty > 500
