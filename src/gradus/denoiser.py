@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -32,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import CheckpointError, PhraseValidationError
+from .errors import CheckpointError, PhraseValidationError, _get
 from .graph import NUM_EDGE_CLASSES, ScoreGraph
 from .pitch import NUM_DEGREE_CLASSES
 from .schedule import NoiseSchedule, forward_sample
@@ -644,24 +645,45 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """The checkpoint saved at path. A file that is not one or is damaged,
+    a malformed manifest, or an array whose shape the manifest does not
+    give raises CheckpointError, naming the first fault."""
     try:
-        data = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
+            data = {name: npz[name] for name in npz.files}
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if "__meta__" not in data:
+    if "__meta__" not in data or "__marginal__" not in data:
         raise CheckpointError(f"{path} is not a recognized checkpoint")
-    meta = json.loads(bytes(data["__meta__"]).decode())
+    where = f"checkpoint manifest of {path}"
+    try:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CheckpointError(f"{where} is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{where} is not a JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
-    hp = DenoiserHyperparams(**meta["hyperparams"])
-    params = {k[3:]: data[k] for k in data.files if k.startswith("w::")}
-    if sorted(params) != meta["weights"]:
+    r_names = tuple(_get(meta, "r_names", list, where, error=CheckpointError))
+    try:
+        hp = DenoiserHyperparams(**_get(meta, "hyperparams", dict, where, error=CheckpointError))
+        expected = Denoiser(hp).init_params(np.random.default_rng(0), len(r_names))
+    except (TypeError, ValueError, PhraseValidationError) as exc:
+        raise CheckpointError(f"{where} has bad hyperparameters: {exc}") from exc
+    params = {k[3:]: v for k, v in data.items() if k.startswith("w::")}
+    names = _get(meta, "weights", list, where, error=CheckpointError)
+    if sorted(params) != names or params.keys() != expected.keys():
         raise CheckpointError("checkpoint weight arrays do not match its manifest")
+    marginal = data["__marginal__"]
+    shapes = {k: v.shape for k, v in expected.items()} | {"__marginal__": (NUM_DEGREE_CLASSES,)}
+    for name, array in [*sorted(params.items()), ("__marginal__", marginal)]:
+        if array.shape != shapes[name]:
+            raise CheckpointError(f"checkpoint array {name!r} has shape {array.shape}, not {shapes[name]}")
     return Checkpoint(
         hp=hp,
         params=params,
-        marginal=data["__marginal__"],
-        r_names=tuple(meta["r_names"]),
-        schedule_T=int(meta["schedule_T"]),
-        schedule_s=float(meta["schedule_s"]),
+        marginal=marginal,
+        r_names=r_names,
+        schedule_T=_get(meta, "schedule_T", int, where, error=CheckpointError),
+        schedule_s=_get(meta, "schedule_s", float, where, error=CheckpointError),
     )

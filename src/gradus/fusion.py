@@ -11,6 +11,7 @@ from the library's per-entry nodes on integer ticks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,12 +23,8 @@ from .errors import FusionInfeasibleError, PhraseValidationError, SpellingError
 from .library import EntryTicks, PhraseLibrary
 from .phrase import NoteEvent, Phrase, _derived, phrase_from_dict, phrase_to_dict, transpose_phrase
 from .pitch import (
-    DEGREE_LETTER,
-    DEGREE_SEMIS,
+    DEGREE_INDEX,
     DEGREES,
-    LETTERS,
-    MAJOR_SCALE_SEMIS,
-    REST_INDEX,
     Degree,
     Interval,
     KeyContext,
@@ -37,16 +34,11 @@ from .pitch import (
     parse_key,
     realize_degree,
 )
-from .rules import (
-    CADENCES,
-    CatalogEntry,
-    ProgressionGrammar,
-    RuleConfig,
-    _check_ticks,
-    cadence_satisfies,
-    rule_loss,
-    tick_loss,
-)
+from .rules import CADENCES, CatalogEntry, ProgressionGrammar, RuleConfig, cadence_satisfies, tick_loss
+
+# The plan check reads tick arrays, not phrases; rule_loss stays importable
+# from here, as perfbench/tracer.py wraps it here.
+from .rules import rule_loss  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -407,34 +399,20 @@ def concatenate_degrees(phrases: Sequence[Phrase], home: KeyContext, local_keys:
     )
 
 
-# The class of each (number, alteration) pair, -1 if it is not one.
-_CLASS_OF = {(d.number, d.alter): c for c, d in enumerate(DEGREES)}
-
-
+@functools.lru_cache(maxsize=None)
 def _home_classes(home: KeyContext, local_root: int) -> np.ndarray:
     """Per degree class in the local key, its class in the home frame, as
     ``globalize_degree`` re-expresses it, or -1 where that raises
-    SpellingError; the same spelling arithmetic on plain integers."""
-    if local_root == 1:
-        return np.arange(len(DEGREES))
-    table = [-1] * REST_INDEX + [REST_INDEX]
-    try:
-        key = local_key_context(home, local_root)
-    except SpellingError:
-        return np.array(table)
-    key_letter, home_letter = LETTERS.index(key.tonic_step), LETTERS.index(home.tonic_step)
-    key_pc, home_pc = key.tonic_pc, home.tonic_pc
-    for c in range(REST_INDEX):
-        # realize_degree in the local key: a letter and its alteration ...
-        letter = (key_letter + DEGREE_LETTER[c]) % 7
-        pc = key_pc + DEGREE_SEMIS[c]
-        if abs((pc - MAJOR_SCALE_SEMIS[letter] + 6) % 12 - 6) > 2:
-            continue
-        # ... then degree_of in the home key.
-        number = (letter - home_letter) % 7
-        alter = (pc - home_pc - MAJOR_SCALE_SEMIS[number] + 6) % 12 - 6
-        table[c] = _CLASS_OF.get((number + 1, alter), -1)
-    return np.array(table)
+    SpellingError. Built once per key pair (at most 30 home keys by 7
+    local keys) and read-only, as every caller shares it."""
+    table = np.full(len(DEGREES), -1)
+    for c, d in enumerate(DEGREES):
+        try:
+            table[c] = DEGREE_INDEX[globalize_degree(d, home, local_root)]
+        except SpellingError:
+            pass
+    table.flags.writeable = False
+    return table
 
 
 def _join_ties(voice, start, end, classes, tied):
@@ -458,42 +436,35 @@ def _plan_loss(
     home: KeyContext,
     local_keys: Sequence[int],
     rule_config: RuleConfig,
-    tables: dict[int, np.ndarray],
 ) -> Optional[int]:
     """``rule_loss(concatenate_degrees(...))`` of the entries at indices in
     the local keys, or None where ``concatenate_degrees`` refuses them.
     The entries' ``EntryTicks`` are laid end to end at their bar offsets
     on the lcm of their ticks, their classes mapped into the home frame
-    and ties across a seam joined, so no phrase is built. ``tables`` keeps
-    each local key's ``_home_classes`` for the caller's request. An entry
-    with no ``EntryTicks`` is checked on the phrases."""
+    and ties across a seam joined, so no phrase is built. An entry with no
+    ``EntryTicks`` has a placeholder event or a pitch with no degree in
+    its key, which ``concatenate_degrees`` refuses, so its plans get None."""
     parts: list[Optional[EntryTicks]] = [library.ticks[i] for i in indices]
-    phrases = [library[i][0] for i in indices]
     if any(part is None for part in parts):
-        try:
-            full = concatenate_degrees(phrases, home, local_keys)
-        except (PhraseValidationError, SpellingError):
-            return None
-        return rule_loss(full, rule_config)
+        return None
+    phrases = [library[i][0] for i in indices]
     meter, n_voices = phrases[0].meter, len(phrases[0].voices)
-    maps = []
-    for phrase, part, local in zip(phrases, parts, local_keys):
-        table = tables.get(local)
-        if table is None:
-            table = tables[local] = _home_classes(home, local)
+    maps = [_home_classes(home, local) for local in local_keys]
+    for phrase, part, table in zip(phrases, parts, maps):
         if phrase.meter != meter or part.n_voices > n_voices or (table[part.event_classes] < 0).any():
             return None
-        maps.append(table)
     tick = math.lcm(*(part.tick for part in parts))
     scales = [tick // part.tick for part in parts]
     offsets = [0]
     for part, scale in zip(parts, scales):
         offsets.append(offsets[-1] + part.length * scale)
     n_beats = -(-(offsets[-2] + parts[-1].span * scales[-1]) // tick)
-    _check_ticks(tick, n_beats)
     voice = np.concatenate([part.voice for part in parts])
-    start = np.concatenate([part.start * k + o for part, k, o in zip(parts, scales, offsets)])
-    end = np.concatenate([part.end * k + o for part, k, o in zip(parts, scales, offsets)])
+    try:
+        start = np.concatenate([part.start * k + o for part, k, o in zip(parts, scales, offsets)])
+        end = np.concatenate([part.end * k + o for part, k, o in zip(parts, scales, offsets)])
+    except OverflowError:  # a scale or an offset past int64: tick_loss refuses this grid
+        start = end = np.zeros_like(voice)
     classes = np.concatenate([table[part.classes] for part, table in zip(parts, maps)])
     tied = np.concatenate([part.tied for part in parts])
     if tied.any():
@@ -567,13 +538,15 @@ def fuse(
     as in template prose.
 
     The final rule check of a filled template is ``_plan_loss`` on the
-    library's per-entry tick arrays: the verdict of ``rule_loss`` on the
-    ``concatenate_degrees`` phrase, without building it.
+    library's per-entry tick arrays alone: the verdict of ``rule_loss`` on
+    the ``concatenate_degrees`` phrase, without building it. An entry
+    without tick arrays fails that check in every plan, and each local
+    key's classes reach the home frame through a table built once per
+    key pair.
     """
     slots = template.slots
     layers = _slot_layers(template, library, grammar, home)
     local_keys = [s.local_key for s in slots]
-    tables: dict[int, np.ndarray] = {}  # local key -> _home_classes, for this request
     # path holds the phrases chosen for the slots before the one whose
     # shuffled candidates are on top of the stack.
     path: list[int] = []
@@ -588,7 +561,7 @@ def fuse(
             phrase, entry = library[i]
             path.append(i)
             stack.append(_shuffled(layers[len(path)][entry.final_root, phrase.meter], rng))
-        elif _plan_loss(library, path + [i], home, local_keys, rule_config, tables) == 0:
+        elif _plan_loss(library, path + [i], home, local_keys, rule_config) == 0:
             path.append(i)
             break
     else:

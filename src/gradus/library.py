@@ -8,7 +8,7 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import PhraseValidationError, SpellingError
+from .errors import SpellingError
 from .phrase import Phrase
 from .pitch import DEGREE_INDEX, Degree
 from .rules import CatalogEntry, ProgressionGrammar, RejectionResult, RuleConfig, _node_ticks, reject
@@ -32,14 +32,15 @@ class EntryTicks(NamedTuple):
 
 def entry_ticks(phrase: Phrase) -> Optional[EntryTicks]:
     """The phrase's ``EntryTicks``; None if an event has no degree content
-    in the phrase's key or its grid would not fit int64."""
+    in the phrase's key (a placeholder, or a pitch with no degree). A grid
+    too fine for int64 raises PhraseValidationError, as ``reject`` does."""
     try:
         degrees = [e.degree_in(phrase.key) for e in phrase.events]
-        if None in degrees:
-            return None
-        tick, nodes, voice, start, end = _node_ticks(phrase)
-    except (PhraseValidationError, SpellingError):
+    except SpellingError:
         return None
+    if None in degrees:
+        return None
+    tick, nodes, voice, start, end = _node_ticks(phrase)
     return EntryTicks(
         tick=tick,
         voice=voice,

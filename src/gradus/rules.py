@@ -182,7 +182,9 @@ def tick_loss(
     """``rule_loss`` of merged nodes given on integer ticks, ``tick`` to the
     beat, with their degree classes, in a phrase of the meter whose span
     reaches n_beats integer beats and which has n_voices voices. It reads
-    the grid of ``build_rule_context`` and needs no phrase."""
+    the grid of ``build_rule_context`` and needs no phrase, and refuses a
+    grid too fine for int64 with the error ``rule_loss`` raises."""
+    _check_ticks(tick, n_beats)
     strong = _strong_beats(meter, n_beats, config.strong_beat_cutoff)
     (_, *hard), beats = _tick_grid(tick, voice, start, end, strong, n_voices)
     arrays = kernels.skeleton_arrays(*hard, voice, *beats)

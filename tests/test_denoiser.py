@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -469,10 +471,84 @@ def test_checkpoint_round_trip(tmp_path, four_node_graph):
     assert np.array_equal(out_a, out_b)
 
 
+def _save_small_checkpoint(path, graph):
+    params = Denoiser(HP_SMALL).init_params(np.random.default_rng(8), graph.R.shape[1])
+    r_names = ("duration", "offset", "strength")
+    save_checkpoint(path, Checkpoint(HP_SMALL, params, np.full(18, 1 / 18), r_names, 10, 0.008))
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.npz"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped-byte", "npy-array"])
+def test_checkpoint_rejects_damaged_container(tmp_path, four_node_graph, damage):
+    # A checkpoint cut in half, one with a byte of a weight member flipped,
+    # which fails that member's CRC, and a single .npy array.
+    path = tmp_path / "bad.npz"
+    _save_small_checkpoint(path, four_node_graph)
+    data = bytearray(path.read_bytes())
+    if damage == "truncated":
+        del data[len(data) // 2 :]
+    elif damage == "flipped-byte":
+        data[len(data) // 2] ^= 0xFF
+    else:
+        buffer = io.BytesIO()
+        np.save(buffer, np.arange(3))
+        data = buffer.getvalue()
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        load_checkpoint(path)
+
+
+def _edit_meta(edit):
+    def apply(arrays):
+        meta = edit(json.loads(bytes(arrays["__meta__"]).decode()))
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    return apply
+
+
+def _cut(name, shape):
+    def apply(arrays):
+        arrays[name] = arrays[name][tuple(slice(n) for n in shape)]
+    return apply
+
+
+# Per case: a change to a saved checkpoint's arrays, and the words the
+# refusal must hold.
+_BROKEN_CHECKPOINTS = {
+    "non-json-manifest": (
+        lambda a: a.update(__meta__=np.frombuffer(b"{not json", dtype=np.uint8)), "is not JSON"
+    ),
+    "list-manifest": (_edit_meta(lambda meta: [meta]), "is not a JSON object"),
+    "no-hyperparams": (
+        _edit_meta(lambda meta: {k: v for k, v in meta.items() if k != "hyperparams"}), "'hyperparams'"
+    ),
+    "unknown-hyperparameter": (
+        _edit_meta(lambda meta: {**meta, "hyperparams": {**meta["hyperparams"], "depth": 3}}),
+        "bad hyperparameters",
+    ),
+    "no-marginal": (lambda a: a.pop("__marginal__"), "is not a recognized checkpoint"),
+    "cut-weight": (_cut("w::l0.attn.wq", (8, 4)), "'l0.attn.wq' has shape (8, 4), not (8, 8)"),
+    "cut-marginal": (_cut("__marginal__", (17,)), "'__marginal__' has shape (17,), not (18,)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_CHECKPOINTS))
+def test_checkpoint_refuses_malformed_manifest_or_shapes(tmp_path, four_node_graph, case):
+    # Each fault is refused as CheckpointError (exit 1 from the CLI),
+    # never as the error the reading code would raise on it.
+    path = tmp_path / "model.npz"
+    _save_small_checkpoint(path, four_node_graph)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    edit, words = _BROKEN_CHECKPOINTS[case]
+    edit(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointError, match=re.escape(words)):
         load_checkpoint(path)
 
 

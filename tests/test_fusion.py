@@ -36,7 +36,9 @@ from gradus.phrase import NoteEvent, Phrase, strip_to_skeleton, transpose_phrase
 from gradus.pitch import (
     DEGREE_INDEX, DEGREES, Degree, Interval, Pitch, parse_degree, parse_key, parse_pitch, realize_degree,
 )
-from gradus.rules import CADENCES, CatalogEntry, ProgressionGrammar, RuleConfig, cadence_satisfies, rule_loss
+from gradus.rules import (
+    CADENCES, CatalogEntry, ProgressionGrammar, RuleConfig, cadence_satisfies, reject, rule_loss,
+)
 
 import fusion_oracle
 from conftest import counting, make_phrase, outcome, random_degree_phrase
@@ -464,9 +466,10 @@ def _brute_force_fusion(template, library, grammar, home, rule_config):
     successors, the shared meter and rule_loss == 0, found by trying all
     len(library) ** slots of them; the 1-based slot a failed search
     reports: one past the longest prefix passing the filters, at most the
-    last slot; and the length of that longest prefix."""
+    last slot; the length of that longest prefix; and the indices in some
+    assignment passing the filters."""
     slots = template.slots
-    plans, longest = [], 0
+    plans, longest, checked = [], 0, set()
     for assignment in itertools.product(range(len(library)), repeat=len(slots)):
         k = 0
         while k < len(slots) and _fits(template, library, grammar, home, assignment[:k], assignment[k]):
@@ -474,6 +477,7 @@ def _brute_force_fusion(template, library, grammar, home, rule_config):
         longest = max(longest, k)
         if k < len(slots):
             continue
+        checked.update(assignment)
         chosen = [library[i][0] for i in assignment]
         try:
             full = concatenate_degrees(chosen, home, [s.local_key for s in slots])
@@ -481,7 +485,7 @@ def _brute_force_fusion(template, library, grammar, home, rule_config):
             continue
         if rule_loss(full, rule_config) == 0:
             plans.append(assignment)
-    return plans, min(longest, len(slots) - 1) + 1, longest
+    return plans, min(longest, len(slots) - 1) + 1, longest, checked
 
 
 def _template(name, *slots):
@@ -503,7 +507,10 @@ def test_fuse_matches_brute_force(corpus):
     # phrases each, so that one meter or one dead end can fill a slot.
     # About 30% of the requests fuse under a repetition threshold of 2,
     # which most whole assignments of corpus phrases break, so the final
-    # rule check rejects some of them.
+    # rule check rejects some of them. Half the libraries end with a copy
+    # of one of their phrases with one event made a placeholder, under the
+    # phrase's catalog entry: it passes every filter the phrase passes, has
+    # no tick arrays, and no plan may use it.
     full, dropped = PhraseLibrary.build(corpus)
     assert not dropped
     a, pac = "authentic", "perfect_authentic"
@@ -517,15 +524,25 @@ def test_fuse_matches_brute_force(corpus):
     ])
     strict = RuleConfig(repetition_threshold=2)
     grammar = ProgressionGrammar()
-    rng = np.random.default_rng(0)
-    fused, failed_at, unfillable = [], [], 0
+    rng, marks = np.random.default_rng(0), np.random.default_rng(1)
+    fused, failed_at, unfillable, placeholders_checked = [], [], 0, 0
     for _ in range(300):
         pool = rng.choice(len(full), size=rng.integers(3, 11), replace=False)
-        library = PhraseLibrary(tuple(full[int(i)] for i in rng.choice(pool, size=rng.integers(3, 13))))
+        entries = [full[int(i)] for i in rng.choice(pool, size=rng.integers(3, 13))]
+        placeholder = None
+        if marks.random() < 0.5:
+            phrase, entry = entries[int(marks.integers(len(entries)))]
+            events = list(phrase.events)
+            k = int(marks.integers(len(events)))
+            events[k] = replace(events[k], degree=None, pitch=None)
+            placeholder = len(entries)
+            entries.append((replace(phrase, events=tuple(events)), entry))
+        library = PhraseLibrary(tuple(entries))
         template = templates[int(rng.integers(len(templates)))]
         home = parse_key("A", "minor") if template.name.startswith("minor") else parse_key("C", "major")
         rules = strict if rng.random() < 0.3 else RuleConfig()
-        plans, slot, longest = _brute_force_fusion(template, library, grammar, home, rules)
+        plans, slot, longest, checked = _brute_force_fusion(template, library, grammar, home, rules)
+        placeholders_checked += placeholder in checked
         seed = int(rng.integers(2**31))
 
         def run(request_rng):
@@ -534,7 +551,7 @@ def test_fuse_matches_brute_force(corpus):
         counting = _CountingRng(seed)
         if plans:
             _, plan = run(np.random.default_rng(seed))
-            assert plan.phrase_indices in plans
+            assert plan.phrase_indices in plans and placeholder not in plan.phrase_indices
             assert run(counting)[1] == plan
             fused.append(template.name)
         else:
@@ -552,6 +569,7 @@ def test_fuse_matches_brute_force(corpus):
     assert len(fused) >= 20 and "minor I-I" in fused
     assert {1, 2, 3} <= set(failed_at)
     assert 0 < unfillable < len(failed_at)
+    assert placeholders_checked >= 10
 
 
 def _random_libraries(full, rng, n):
@@ -785,12 +803,17 @@ _ANY_ENTRY = CatalogEntry(frozenset({1}), frozenset({1}), 1, Degree(1), "major",
 
 def test_home_classes_match_globalize_degree():
     # Every key of both modes, every local key: the table gives the class
-    # globalize_degree gives, and -1 exactly where it raises.
+    # globalize_degree gives, and -1 exactly where it raises. It is built
+    # once per key pair, and no caller can change it.
     unspellable = 0
     for home in ALL_KEYS:
         for local in range(1, 8):
             table = fusion._home_classes(home, local)
             assert table.shape == (len(DEGREES),)
+            assert fusion._home_classes(parse_key(home.tonic_name, home.mode), local) is table
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
             for c, d in enumerate(DEGREES):
                 try:
                     want = DEGREE_INDEX[globalize_degree(d, home, local)]
@@ -880,7 +903,7 @@ def _check_plans(library, rng, n, homes):
         local_keys = [int(k) for k in rng.integers(1, 8, size=len(indices))]
         home = homes[int(rng.integers(len(homes)))]
         config = RULE_CONFIGS[int(rng.integers(len(RULE_CONFIGS)))]
-        got = fusion._plan_loss(library, indices, home, local_keys, config, {})
+        got = fusion._plan_loss(library, indices, home, local_keys, config)
         assert got == _loss_by_phrase(library, indices, home, local_keys, config), (indices, local_keys, home)
         clean += got == 0
         broken += bool(got)
@@ -947,49 +970,57 @@ def test_plan_check_joins_ties_across_seams_as_merge_tied_does():
         local_keys = [1] * len(plan)
         assert _seam_joins(library, plan, home, local_keys) == joins, plan
         assert _loss_by_phrase(library, plan, home, local_keys, runs) == loss, plan
-        assert fusion._plan_loss(library, plan, home, local_keys, runs, {}) == loss, plan
+        assert fusion._plan_loss(library, plan, home, local_keys, runs) == loss, plan
 
 
 def test_plan_check_refuses_ticks_beyond_int64_as_rule_loss_does():
     # Each entry's own grid fits int64; the lcm of their ticks over the
-    # fused span does not, and both checks refuse it with the grid's error.
+    # fused span does not, and both checks refuse it with the grid's error:
+    # over three entries, whose offsets still fit int64, over four, whose
+    # offsets do not, and over five, whose scales do not either.
     entries = []
-    for den in (1000003, 1000033, 1000037):
+    for den in (1000003, 1000033, 1000037, 1000039, 1000081):
         q = Fraction(1, den)
         events = (NoteEvent(0, Fraction(0), q, Degree(1)), NoteEvent(0, q, 4 - q, Degree(3)))
         entries.append((Phrase(parse_key("C", "major"), (4, 4), ("treble",), events), _ANY_ENTRY))
     library = PhraseLibrary(tuple(entries))
     assert all(t is not None for t in library.ticks)
     home = parse_key("C", "major")
-    assert fusion._plan_loss(library, (0, 1), home, [1, 1], RuleConfig(), {}) == 0
-    with pytest.raises(PhraseValidationError, match="too fine for the rule grid") as got:
-        fusion._plan_loss(library, (0, 1, 2), home, [1, 1, 1], RuleConfig(), {})
-    with pytest.raises(PhraseValidationError) as want:
-        _loss_by_phrase(library, (0, 1, 2), home, [1, 1, 1], RuleConfig())
-    assert str(got.value) == str(want.value)
+    assert fusion._plan_loss(library, (0, 1), home, [1, 1], RuleConfig()) == 0
+    assert fusion._plan_loss(library, (0,) * 5, home, [1] * 5, RuleConfig()) == 0
+    for plan in ((0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4)):
+        local_keys = [1] * len(plan)
+        with pytest.raises(PhraseValidationError, match="too fine for the rule grid") as got:
+            fusion._plan_loss(library, plan, home, local_keys, RuleConfig())
+        with pytest.raises(PhraseValidationError) as want:
+            _loss_by_phrase(library, plan, home, local_keys, RuleConfig())
+        assert str(got.value) == str(want.value)
 
 
-def test_plan_check_reads_phrases_for_entries_without_ticks(corpus):
-    # A placeholder event, a pitch with no degree in its key or a grid too
-    # fine for int64 leaves an entry without ticks; plans with it are
-    # checked on the phrases, refused or raising as rule_loss raises.
+def test_plan_check_refuses_entries_without_ticks(corpus):
+    # A placeholder event or a pitch with no degree in its key leaves an
+    # entry without ticks, and every plan with it is refused, as
+    # concatenate_degrees refuses it. A grid too fine for int64 is refused
+    # when the library is made, with the error reject gives.
     home = parse_key("C", "major")
     skeleton = strip_to_skeleton(corpus[0])
     first, *rest = corpus[0].events
     unspellable = replace(corpus[0], events=(replace(first, degree=None, pitch=parse_pitch("E#5")), *rest))
+    library = PhraseLibrary(tuple((p, _ANY_ENTRY) for p in (corpus[0], skeleton, unspellable)))
+    assert library.ticks[0] is not None and library.ticks[1:] == (None, None)
+    for plan in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 1), (2, 2), (1, 2)):
+        local_keys = [1] * len(plan)
+        assert _loss_by_phrase(library, plan, home, local_keys, RuleConfig()) is None, plan
+        assert fusion._plan_loss(library, plan, home, local_keys, RuleConfig()) is None, plan
     fine = [
         NoteEvent(0, Fraction(k), Fraction(1, den), Degree(1))
         for k, den in ((0, 1000003), (1, 1000033), (2, 1000037))
     ]
     too_fine = Phrase(home, (4, 4), ("treble",), (*fine, NoteEvent(0, Fraction(9), Fraction(1), Degree(1))))
-    library = PhraseLibrary(tuple((p, _ANY_ENTRY) for p in (corpus[0], skeleton, unspellable, too_fine)))
-    assert library.ticks[0] is not None and library.ticks[1:] == (None, None, None)
-    for plan in ((0, 1), (1, 0), (0, 2), (2, 0), (3, 0)):
-        assert fusion._plan_loss(library, plan, home, [1, 1], RuleConfig(), {}) is None
     with pytest.raises(PhraseValidationError, match="too fine for the rule grid") as got:
-        fusion._plan_loss(library, (3, 3), home, [1, 1], RuleConfig(), {})
+        PhraseLibrary(((corpus[0], _ANY_ENTRY), (too_fine, _ANY_ENTRY)))
     with pytest.raises(PhraseValidationError) as want:
-        _loss_by_phrase(library, (3, 3), home, [1, 1], RuleConfig())
+        reject(too_fine)
     assert str(got.value) == str(want.value)
 
 
