@@ -525,9 +525,11 @@ def fuse(
     A slot state's candidates depend only on the slot, the previous
     phrase's final root and the first phrase's meter. So the template's
     slot layers are built forward first, each reachable state's list once,
-    from the library's index (``_slot_layers``). If some layer's lists are
-    all empty, no assignment can pass the filters, and FusionInfeasibleError
-    names that slot before anything is drawn from rng.
+    from the library's index (``_slot_layers``), once per library for each
+    (template, grammar, home) and kept in ``library.layers``. If some
+    layer's lists are all empty, no assignment can pass the filters, and
+    FusionInfeasibleError names that slot before anything is drawn from
+    rng; the library keeps that slot and message, not the exception.
 
     Otherwise the search is a complete depth-first search over the built
     lists: it tries every candidate of every slot, so FusionInfeasibleError
@@ -543,9 +545,23 @@ def fuse(
     without tick arrays fails that check in every plan, and each local
     key's classes reach the home frame through a table built once per
     key pair.
+
+    A chosen phrase's transposition and pitch realization depend only on
+    its entry, the transposition and the profiles, so each is realized
+    once per library and kept in ``library.realized``; a realization that
+    raises is not kept.
     """
     slots = template.slots
-    layers = _slot_layers(template, library, grammar, home)
+    layers = library.layers.get((template, grammar, home))
+    if layers is None:
+        try:
+            layers = _slot_layers(template, library, grammar, home)
+        except FusionInfeasibleError as exc:
+            # The verdict, not the exception: its traceback holds this frame.
+            layers = (exc.slot_index, str(exc))
+        library.layers[template, grammar, home] = layers
+    if isinstance(layers, tuple):
+        raise FusionInfeasibleError(*layers)
     local_keys = [s.local_key for s in slots]
     # path holds the phrases chosen for the slots before the one whose
     # shuffled candidates are on top of the stack.
@@ -571,8 +587,14 @@ def fuse(
         Interval.between(library[i][0].key, local_key_context(home, s.local_key))
         for i, s in zip(path, slots)
     )
-    transposed = [transpose_phrase(library[i][0], t) for i, t in zip(path, transpositions)]
-    realized = tuple(realize_pitches(p, profiles) for p in transposed)
+    voicing = tuple(profiles.items())
+    realized = []
+    for i, t in zip(path, transpositions):
+        phrase = library.realized.get((i, t, voicing))
+        if phrase is None:
+            phrase = realize_pitches(transpose_phrase(library[i][0], t), profiles)
+            library.realized[i, t, voicing] = phrase
+        realized.append(phrase)
     plan = FusionPlan(
         template=template,
         phrase_indices=tuple(path),
@@ -582,4 +604,4 @@ def fuse(
             for i, prev, s in zip(path, slots, slots[1:])
         ),
     )
-    return Score(home_key=home, phrases=realized), plan
+    return Score(home_key=home, phrases=tuple(realized)), plan

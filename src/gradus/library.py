@@ -65,6 +65,13 @@ class PhraseLibrary:
     # Per entry, its ``entry_ticks``, for fusion to check a plan on.
     # Built at construction; not compared or hashed.
     ticks: tuple = field(init=False, repr=False, compare=False)
+    # Fusion's request-independent work, filled by ``fusion.fuse`` as
+    # requests need it and bounded by the distinct keys requests bring;
+    # not compared or hashed. (template, grammar, home) -> the template's
+    # slot layers, or (slot index, message) where they are infeasible:
+    layers: dict = field(init=False, repr=False, compare=False)
+    # (entry index, transposition, profile items) -> the realized phrase:
+    realized: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: dict[tuple, list[int]] = {}
@@ -73,6 +80,8 @@ class PhraseLibrary:
                 index.setdefault((e.mode, root, e.cadence, e.final_treble), []).append(i)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "ticks", tuple(entry_ticks(p) for p, _ in self.entries))
+        object.__setattr__(self, "layers", {})
+        object.__setattr__(self, "realized", {})
 
     def __len__(self) -> int:
         return len(self.entries)

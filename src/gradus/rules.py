@@ -545,8 +545,9 @@ class CatalogEntry:
     cadence: str
 
 
-# The one rejection reason that is not a hard-rule violation.
+# The rejection reasons that are not hard-rule violations.
 NO_READING = "no harmonic reading"
+PLACEHOLDER = "placeholder event"  # an event with neither degree nor pitch
 
 
 @dataclass(frozen=True)
@@ -569,7 +570,11 @@ def reject(
     a catalog entry recording their fusion-relevant boundary features, and
     a phrase rejected on hard rules carries its located violations. Both
     rule families read one rule context, so the tied notes are merged and
-    laid on the time grid once."""
+    laid on the time grid once. A phrase with a placeholder event is
+    rejected first, as ``PLACEHOLDER``: the analysis needs every event's
+    degree."""
+    if any(e.degree is None and e.pitch is None for e in phrase.events):
+        return RejectionResult(False, None, (PLACEHOLDER,))
     ctx = build_rule_context(phrase, config)
     violations = tuple(all_violations(phrase, config, ctx=ctx))
     if violations:

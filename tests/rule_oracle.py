@@ -20,6 +20,7 @@ from gradus.phrase import Phrase, metric_strength
 from gradus.pitch import Degree
 from gradus.rules import (
     NO_READING,
+    PLACEHOLDER,
     CatalogEntry,
     HarmonicReading,
     ProgressionGrammar,
@@ -334,7 +335,10 @@ def reject_oracle(
     grammar: ProgressionGrammar = ProgressionGrammar(),
     config: RuleConfig = RuleConfig(),
 ) -> RejectionResult:
-    """Rejection composed from the brute-force rules and analysis."""
+    """Rejection composed from the brute-force rules and analysis; a
+    phrase with a placeholder event is rejected before either."""
+    if any(e.degree is None and e.pitch is None for e in phrase.events):
+        return RejectionResult(False, None, (PLACEHOLDER,))
     violations = tuple(oracle(phrase, config))
     if violations:
         return RejectionResult(False, None, tuple(str(v) for v in violations), violations)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +33,7 @@ from gradus.fusion import (
 )
 from gradus.graph import merge_tied, rebuild_phrase
 from gradus.library import PhraseLibrary
+from gradus.midi import write_midi
 from gradus.phrase import NoteEvent, Phrase, strip_to_skeleton, transpose_phrase
 from gradus.pitch import (
     DEGREE_INDEX, DEGREES, Degree, Interval, Pitch, parse_degree, parse_key, parse_pitch, realize_degree,
@@ -416,7 +418,9 @@ def test_fuse_builds_each_slot_state_once(corpus, monkeypatch):
     # Each slot's candidates depend only on (slot, previous final root,
     # first phrase's meter). The slot layers are built forward, each
     # reachable state once, so a search that revisits such a state, as it
-    # does once per dead end here, selects no pivots again.
+    # does once per dead end here, selects no pivots again. The library
+    # keeps the layers: the first request on it builds each state once,
+    # later requests build none and draw as on a fresh library.
     library = _dead_end_library(corpus)
     template, home, grammar = default_templates()[0], parse_key("C", "major"), ProgressionGrammar()
     states, prefixes = set(), [()]
@@ -429,9 +433,15 @@ def test_fuse_builds_each_slot_state_once(corpus, monkeypatch):
     visited = 0
     for seed in range(20):
         calls["pivot_select"] = 0
-        rng = _CountingRng(seed)
-        fuse(template, library, profiles2(), grammar, rng, home)
+        fresh_rng = _CountingRng(seed)
+        fresh = fuse(template, PhraseLibrary(library.entries), profiles2(), grammar, fresh_rng, home)
         assert calls["pivot_select"] == len(states), seed
+        calls["pivot_select"] = 0
+        rng = _CountingRng(seed)
+        assert fuse(template, library, profiles2(), grammar, rng, home) == fresh
+        assert calls["pivot_select"] == (len(states) if seed == 0 else 0), seed
+        assert rng.draws == fresh_rng.draws
+        assert rng.rng.bit_generator.state == fresh_rng.rng.bit_generator.state
         visited += rng.draws
     # The searches revisit each state many times over (469 draws, 3 states).
     assert visited > 100 * len(states)
@@ -440,7 +450,9 @@ def test_fuse_builds_each_slot_state_once(corpus, monkeypatch):
 def test_fuse_leaves_no_cyclic_garbage(corpus):
     # What fuse builds must go when it returns or raises, not when the
     # cycle collector next runs: a service answering many requests would
-    # hold every recent request's slot layers.
+    # hold every recent request's search state. The second infeasible
+    # request is answered from the library's memo of the first's verdict,
+    # which keeps no exception and so no traceback.
     library = _dead_end_library(corpus)
     home, grammar = parse_key("C", "major"), ProgressionGrammar()
     three_line, five_line = default_templates()
@@ -449,16 +461,15 @@ def test_fuse_leaves_no_cyclic_garbage(corpus):
     try:
         fuse(three_line, library, profiles2(), grammar, np.random.default_rng(0), home)
         after_fused = gc.collect()
-        try:
-            fuse(five_line, library, profiles2(), grammar, np.random.default_rng(0), home)
-        except FusionInfeasibleError:
-            pass
-        else:
-            raise AssertionError("the dead-end library fills no 5-line template")
-        after_infeasible = gc.collect()
+        after_infeasible = []
+        for seed in (0, 1):
+            with pytest.raises(FusionInfeasibleError, match="slot 1$"):
+                fuse(five_line, library, profiles2(), grammar, np.random.default_rng(seed), home)
+            after_infeasible.append(gc.collect())
     finally:
         gc.enable()
-    assert (after_fused, after_infeasible) == (0, 0)
+    assert (after_fused, after_infeasible) == (0, [0, 0])
+    assert library.layers[five_line, grammar, home] == (1, "no feasible phrase assignment for slot 1")
 
 
 def _brute_force_fusion(template, library, grammar, home, rule_config):
@@ -648,6 +659,24 @@ def test_library_index_is_neither_compared_nor_hashed(corpus):
     assert again == library and hash(again) == hash(library)
     assert "index" not in repr(library) and "ticks" not in repr(library)
     assert PhraseLibrary(()).index == {} and PhraseLibrary(()).ticks == ()
+    # Nor are the memos fusion fills.
+    fuse(default_templates()[0], library, profiles2(), ProgressionGrammar(),
+         np.random.default_rng(0), parse_key("C", "major"))
+    assert library.layers and library.realized and not again.layers and not again.realized
+    assert again == library and hash(again) == hash(library) and repr(again) == repr(library)
+
+
+def test_build_drops_phrases_with_placeholders(corpus):
+    # A placeholder event is a rejection reason, not an error that stops
+    # the catalog: the other phrases are cataloged as without it.
+    first, *rest = corpus[3].events
+    holed = replace(corpus[3], events=(replace(first, degree=None, pitch=None), *rest))
+    skeleton = strip_to_skeleton(corpus[5])
+    library, dropped = PhraseLibrary.build([corpus[0], holed, corpus[1], skeleton, corpus[2]])
+    assert [(p, r.reasons, r.entry) for p, r in dropped] == [
+        (holed, ("placeholder event",), None), (skeleton, ("placeholder event",), None)
+    ]
+    assert library == PhraseLibrary.build(corpus[:3])[0]
 
 
 # -- derivation without re-validation -------------------------------------
@@ -780,6 +809,73 @@ def test_fuse_plans_golden(corpus):
     # filled, so the other two exercise the search's exhaustion.
     outcomes = {(g["template"], g.get("infeasible")) for g in golden}
     assert outcomes == {("3-line", None), ("5-line", 1), ("I-IV-I", 2)}
+
+
+def test_shared_library_answers_as_a_fresh_one(corpus, tmp_path, monkeypatch):
+    # One library serves a stream of mixed requests and fills its memos
+    # as it goes. Each answer equals the same request's on a fresh
+    # library: plan, score and MIDI bytes, or the error's type, slot and
+    # message. Three templates cannot be filled from this library, and
+    # minor I-I fails its final rule check under a repetition threshold
+    # of 2. The treble of the narrow profiles spans C4-A4, so phrases that
+    # need a B there fail to realize.
+    library = _five_key_library(corpus)
+    a, pac = "authentic", "perfect_authentic"
+    templates = templates_from_json([
+        _template("3-line", ("I", a, "3"), ("V", a, "2"), ("I", pac, "1")),
+        _template("5-line", ("I", a, "5"), ("V", a, "2"), ("I", pac, "1")),
+        _template("I-IV-I", ("I", a, "3"), ("IV", a, "2"), ("I", pac, "1")),
+        _template("minor I-I", ("I", a, "b3"), ("I", pac, "1")),
+        _template("minor 5-line", ("I", a, "5"), ("V", a, "2"), ("I", pac, "1")),
+    ])
+    homes = {
+        "major": (parse_key("C", "major"), parse_key("G", "major")),
+        "minor": (parse_key("A", "minor"), parse_key("E", "minor")),
+    }
+    narrow = {**profiles2(), 0: VoiceProfile("treble", parse_pitch("E4"), parse_pitch("C4"), parse_pitch("A4"))}
+    grammar = ProgressionGrammar()
+    realizations = []  # per realize_pitches call: whether it returned
+    realize = fusion.realize_pitches
+
+    def recorded(phrase, profiles):
+        realizations.append(False)
+        out = realize(phrase, profiles)
+        realizations[-1] = True
+        return out
+
+    monkeypatch.setattr(fusion, "realize_pitches", recorded)
+
+    def answer(lib, template, home, profiles, config, seed):
+        try:
+            score, plan = fuse(template, lib, profiles, grammar, np.random.default_rng(seed), home, config)
+        except (FusionInfeasibleError, SpellingError) as exc:
+            return type(exc), getattr(exc, "slot_index", None), str(exc)
+        write_midi(score, tmp_path / "score.mid")
+        return plan, score, (tmp_path / "score.mid").read_bytes()
+
+    rng = np.random.default_rng(5)
+    outcomes, layer_keys, stored = Counter(), set(), 0
+    for _ in range(300):
+        template = templates[int(rng.integers(len(templates)))]
+        home = homes["minor" if template.name.startswith("minor") else "major"][int(rng.integers(2))]
+        profiles = (profiles2(), narrow)[int(rng.integers(2))]
+        config = (RuleConfig(), RuleConfig(repetition_threshold=2))[int(rng.integers(2))]
+        request = (template, home, profiles, config, int(rng.integers(2**31)))
+        want = answer(PhraseLibrary(library.entries), *request)
+        realizations.clear()
+        got = answer(library, *request)
+        assert got == want, request
+        # Every realization made here missed the memo, and each one that
+        # returned, and only those, added an entry.
+        stored += sum(realizations)
+        assert len(library.realized) == stored
+        layer_keys.add((template, grammar, home))
+        assert set(library.layers) == layer_keys
+        outcomes[got[0].__name__ if isinstance(got[0], type) else "fused"] += 1
+    assert min(outcomes[k] for k in ("fused", "FusionInfeasibleError", "SpellingError")) >= 20, outcomes
+    assert any(isinstance(v, tuple) for v in library.layers.values())
+    for (i, t, voicing), phrase in library.realized.items():
+        assert phrase == realize(transpose_phrase(library[i][0], t), dict(voicing))
 
 
 # -- plan checks on integer ticks -------------------------------------------
