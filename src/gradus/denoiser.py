@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import CheckpointError, PhraseValidationError, _get
 from .graph import NUM_EDGE_CLASSES, ScoreGraph
@@ -116,12 +115,22 @@ def time_embedding(t: int, T: int, dim: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _erf():
+    """scipy's erf ufunc, imported on the first GELU: loading
+    scipy.special costs about 0.2 s and 20 MB, which ``ingest``, ``fuse``
+    and ``render`` never need."""
+    from scipy.special import erf
+
+    return erf
+
+
 def _gelu(x: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """GELU(x) = 0.5 x (1 + erf(x / sqrt 2)), and the 1 + erf term, which
     the backward pass reuses. With ``overwrite`` the result is written
     into x, with the same rounding."""
     one_erf = np.divide(x, _SQRT2)
-    erf(one_erf, out=one_erf)
+    _erf()(one_erf, out=one_erf)
     one_erf += 1.0
     act = np.multiply(x, 0.5, out=x if overwrite else None)
     act *= one_erf
@@ -605,11 +614,6 @@ def write_loss_csv(path: str | Path, history: Sequence[tuple[int, float, float]]
         writer = csv.writer(fh)
         for epoch, tr, va in history:
             writer.writerow([epoch, f"{tr:.10g}", f"{va:.10g}"])
-
-
-def read_loss_csv(path: str | Path) -> list[tuple[int, float, float]]:
-    with open(path, newline="") as fh:
-        return [(int(e), float(t), float(v)) for e, t, v in csv.reader(fh)]
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,14 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import gradus
 from gradus.cli import main
 from gradus.config import load_config
 from gradus.denoiser import DenoiserHyperparams
@@ -34,6 +41,12 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg, indent=2))
     return path
+
+
+def read_loss_csv(path):
+    """The rows ``train`` writes to loss.csv: (epoch, train_loss, val_loss)."""
+    with open(path, newline="") as fh:
+        return [(int(e), float(t), float(v)) for e, t, v in csv.reader(fh)]
 
 
 def test_config_requires_seeds(tmp_path):
@@ -201,8 +214,6 @@ def test_generate_emits_violation_report(tmp_path):
 
 
 def test_plan_and_loss_files_reread(tmp_path):
-    from gradus.denoiser import read_loss_csv
-
     path = write_config(tmp_path)
     assert main(["train", "--config", str(path)]) == 0
     history = read_loss_csv(tmp_path / "out" / "loss.csv")
@@ -346,3 +357,36 @@ def test_generation_report_counts_rejections(tmp_path):
     assert sum(report["rejected_by"].values()) == report["rejected"]
     rules = [json.loads(line)["rule"] for line in (out / "violations.jsonl").read_text().splitlines()]
     assert report["violations_by_rule"] == {rule: rules.count(rule) for rule in sorted(set(rules))}
+
+
+def test_scipy_special_loads_on_the_first_forward_only(tmp_path):
+    """ingest, fuse and render run on numpy alone; scipy.special (erf for
+    GELU) is imported by the first denoiser forward pass. A fresh
+    interpreter, since the denoiser oracle imports scipy.special into
+    this one."""
+    script = textwrap.dedent("""
+        import sys
+
+        import numpy as np
+
+        import gradus
+        from gradus.cli import main
+
+        config, corpus, out = sys.argv[1:]
+        assert main(["ingest", "--config", config, "--out", out + "/ingest"]) == 0
+        assert main(["fuse", "--config", config, "--library", corpus, "--out", out + "/fuse"]) == 0
+        assert main(["render", out + "/fuse/score.json", "--out", out + "/render.mid"]) == 0
+        assert "scipy.special" not in sys.modules, "loaded before any forward pass"
+
+        graph = gradus.build_graph(gradus.phrase.load_corpus(corpus)[0])
+        den = gradus.Denoiser(gradus.DenoiserHyperparams.toy())
+        params = den.init_params(np.random.default_rng(0), graph.R.shape[1])
+        den.forward(graph, 1, params)
+        assert "scipy.special" in sys.modules, "not loaded by a forward pass"
+    """)
+    src = Path(gradus.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(EXAMPLE_CONFIG), str(CORPUS_DIR), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
