@@ -1,7 +1,7 @@
 """Pipeline commands: ingest, train, generate, fuse, render.
 
-Exit codes: 0 success, 1 validation error, 2 fusion infeasible,
-3 internal invariant failure.
+Exit codes: 0 success (also after -h), 1 validation error or a bad
+command line, 2 fusion infeasible, 3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         if name != "render":
             p.add_argument("--config", required=True, help="run config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
+        if name in ("generate", "fuse"):
+            p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="override the output directory")
         if name == "ingest":
             p.add_argument(
@@ -282,13 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after -h, 2 on a usage error
+        return EXIT_OK if not exc.code else EXIT_VALIDATION
     try:
         if args.command == "render":
             out = Path(args.out) if args.out else Path(args.score).with_suffix(".mid")
             return cmd_render(Path(args.score), out)
         config = load_config(args.config)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             config = replace(config, master_seed=args.seed)
         out_dir = Path(args.out) if args.out else config.out_dir
         if args.command == "ingest":

@@ -4,9 +4,11 @@ via pivot-chord reinterpretation.
 Fusion fills template slots from the phrase catalog: the first slot by
 cadence and closing treble degree, later slots by reinterpreting the
 previous slot's final harmony in the new local key and demanding the
-next phrase start on a grammar successor of that pivot. The assembled
-degree score is re-checked against the hard rules before realization,
-from the library's per-entry nodes on integer ticks.
+next phrase start on a grammar successor of that pivot. Each slot
+state's candidate list comes from one pass over the library, once per
+library and template (``PhraseLibrary.layers``). The assembled degree
+score is re-checked against the hard rules before realization, from
+the library's per-entry nodes on integer ticks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import FusionInfeasibleError, PhraseValidationError, SpellingError
 from .library import EntryTicks, PhraseLibrary
-from .phrase import NoteEvent, Phrase, _derived, phrase_from_dict, phrase_to_dict, transpose_phrase
+from .phrase import Phrase, _derived, phrase_from_dict, phrase_to_dict, transpose_phrase
 from .pitch import (
     DEGREE_INDEX,
     DEGREES,
@@ -34,7 +36,7 @@ from .pitch import (
     parse_key,
     realize_degree,
 )
-from .rules import CADENCES, CatalogEntry, ProgressionGrammar, RuleConfig, cadence_satisfies, tick_loss
+from .rules import CatalogEntry, ProgressionGrammar, RuleConfig, cadence_satisfies, tick_loss
 
 # The plan check reads tick arrays, not phrases; rule_loss stays importable
 # from here, as perfbench/tracer.py wraps it here.
@@ -78,25 +80,21 @@ def realize_pitches(phrase: Phrase, profiles: dict[int, VoiceProfile]) -> Phrase
     major second of the previous pitch when one exists (the smallest such
     interval, ties downward); otherwise the in-range placement nearest
     the central pitch (ties toward the previous pitch, then downward).
-    Placements are chosen as MIDI numbers; only the chosen ones are spelled.
+    Each note's degree is spelled at octave 4 and its placement is chosen
+    as a MIDI number; only the chosen one becomes a pitch.
     """
     for v in range(len(phrase.voices)):
         if v not in profiles:
             raise PhraseValidationError(f"no voice profile for voice {v}")
-    realized: dict[int, NoteEvent] = {}
-    spelled_of: dict[Degree, Pitch] = {}  # each degree spelled at octave 4
+    events = list(phrase.events)
     for v in range(len(phrase.voices)):
         profile = profiles[v]
         low, high, central = profile.low.midi, profile.high.midi, profile.central.midi
         prev: Optional[int] = None
-        # Per degree: its in-range MIDI numbers, ascending, and the pitch
-        # spelled at each one chosen so far.
-        placements: dict[Degree, tuple[list[int], dict[int, Pitch]]] = {}
         for idx, e in enumerate(phrase.events):
             if e.voice != v:
                 continue
             if e.pitch is not None:
-                realized[idx] = e
                 prev = e.pitch.midi
                 continue
             if e.degree is None:
@@ -104,17 +102,9 @@ def realize_pitches(phrase: Phrase, profiles: dict[int, VoiceProfile]) -> Phrase
                     f"voice {phrase.voices[v]!r} at onset {e.onset}: placeholder event"
                 )
             if e.degree.is_rest:
-                realized[idx] = e
                 continue
-            got = placements.get(e.degree)
-            if got is None:
-                spelled = spelled_of.get(e.degree)
-                if spelled is None:
-                    spelled = spelled_of[e.degree] = realize_degree(e.degree, phrase.key, 4)
-                midi = spelled.midi
-                feasible = [m for m in range(midi - 48, midi + 49, 12) if low <= m <= high]
-                got = placements[e.degree] = (feasible, {})
-            feasible, pitches = got
+            spelled = realize_degree(e.degree, phrase.key, 4)
+            feasible = [m for m in range(spelled.midi - 48, spelled.midi + 49, 12) if low <= m <= high]
             if not feasible:
                 raise SpellingError(
                     f"degree {e.degree} unrealizable in range of voice "
@@ -130,15 +120,10 @@ def realize_pitches(phrase: Phrase, profiles: dict[int, VoiceProfile]) -> Phrase
                     chosen = steps[0]
                 else:
                     chosen = min(feasible, key=lambda m: (abs(m - central), abs(m - prev)))
-            pitch = pitches.get(chosen)
-            if pitch is None:
-                spelled = spelled_of[e.degree]
-                octave = 4 + (chosen - spelled.midi) // 12
-                pitch = pitches[chosen] = Pitch(spelled.step, spelled.alter, octave)
-            realized[idx] = _derived(e, degree=None, pitch=pitch)
+            pitch = Pitch(spelled.step, spelled.alter, 4 + (chosen - spelled.midi) // 12)
+            events[idx] = _derived(e, degree=None, pitch=pitch)
             prev = chosen
-    events = tuple(realized[i] for i in range(len(phrase.events)))
-    return _derived(phrase, events=events)
+    return _derived(phrase, events=tuple(events))
 
 
 # ----------------------------------------------------------------------
@@ -264,14 +249,18 @@ def _opening_candidates(
 ) -> list[int]:
     """Indices, in library order, of the library phrases in the home mode
     whose feasible start harmonies meet starts, with a cadence satisfying
-    the slot's and the slot's closing treble degree, read from the library
-    index. Given a meter, only phrases in that meter."""
+    the slot's and the slot's closing treble degree, by one pass over the
+    library. Given a meter, only phrases in that meter."""
     treble = localize_degree(slot.final_treble, home, slot.local_key)
-    endings = [(c, treble) for c in CADENCES if cadence_satisfies(c, slot.cadence)]
-    hits = library.lookup(home.mode, starts, endings)
-    if meter is None:
-        return hits
-    return [i for i in hits if library[i][0].meter == meter]
+    return [
+        i
+        for i, (phrase, entry) in enumerate(library)
+        if entry.mode == home.mode
+        and entry.start_roots & starts
+        and entry.final_treble == treble
+        and cadence_satisfies(entry.cadence, slot.cadence)
+        and (meter is None or phrase.meter == meter)
+    ]
 
 
 @dataclass(frozen=True)
@@ -524,9 +513,9 @@ def fuse(
 
     A slot state's candidates depend only on the slot, the previous
     phrase's final root and the first phrase's meter. So the template's
-    slot layers are built forward first, each reachable state's list once,
-    from the library's index (``_slot_layers``), once per library for each
-    (template, grammar, home) and kept in ``library.layers``. If some
+    slot layers are built forward first, each reachable state's list once
+    by one pass over the library (``_slot_layers``), once per library for
+    each (template, grammar, home) and kept in ``library.layers``. If some
     layer's lists are all empty, no assignment can pass the filters, and
     FusionInfeasibleError names that slot before anything is drawn from
     rng; the library keeps that slot and message, not the exception.

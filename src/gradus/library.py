@@ -1,16 +1,16 @@
-"""Catalog of accepted phrases, indexed by the boundary features that
-drive structure-template fusion."""
+"""Catalog of accepted phrases with the boundary features that drive
+structure-template fusion."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import SpellingError
 from .phrase import Phrase
-from .pitch import DEGREE_INDEX, Degree
+from .pitch import DEGREE_INDEX
 from .rules import CatalogEntry, ProgressionGrammar, RejectionResult, RuleConfig, _node_ticks, reject
 
 
@@ -58,10 +58,6 @@ def entry_ticks(phrase: Phrase) -> Optional[EntryTicks]:
 @dataclass(frozen=True)
 class PhraseLibrary:
     entries: tuple[tuple[Phrase, CatalogEntry], ...]
-    # (mode, start root, cadence, final treble) -> indices of the entries
-    # with those features, in library order; an entry appears under each
-    # of its start roots. Built at construction; not compared or hashed.
-    index: dict = field(init=False, repr=False, compare=False)
     # Per entry, its ``entry_ticks``, for fusion to check a plan on.
     # Built at construction; not compared or hashed.
     ticks: tuple = field(init=False, repr=False, compare=False)
@@ -74,11 +70,6 @@ class PhraseLibrary:
     realized: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        index: dict[tuple, list[int]] = {}
-        for i, (_, e) in enumerate(self.entries):
-            for root in e.start_roots:
-                index.setdefault((e.mode, root, e.cadence, e.final_treble), []).append(i)
-        object.__setattr__(self, "index", index)
         object.__setattr__(self, "ticks", tuple(entry_ticks(p) for p, _ in self.entries))
         object.__setattr__(self, "layers", {})
         object.__setattr__(self, "realized", {})
@@ -91,20 +82,6 @@ class PhraseLibrary:
 
     def __iter__(self) -> Iterator[tuple[Phrase, CatalogEntry]]:
         return iter(self.entries)
-
-    def lookup(
-        self,
-        mode: str,
-        starts: Collection[int],
-        endings: Collection[tuple[str, Optional[Degree]]],
-    ) -> list[int]:
-        """Indices, in library order, of the entries in the mode with a
-        start root in starts and a (cadence, final treble) pair in endings."""
-        hits: set[int] = set()
-        for r in starts:
-            for c, t in endings:
-                hits.update(self.index.get((mode, r, c, t), ()))
-        return sorted(hits)
 
     @staticmethod
     def build(

@@ -344,12 +344,6 @@ class ProgressionGrammar:
     def successors(self, root: int) -> frozenset[int]:
         return frozenset(b for b in range(1, 8) if self.allows(root, b))
 
-    @property
-    def transitions(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (a, b) for a in range(1, 8) for b in range(1, 8) if self.allows(a, b)
-        )
-
 
 def legal_chords(mode: str) -> tuple[RomanNumeral, ...]:
     """The analyzer's chord template set: diatonic triads in root position,

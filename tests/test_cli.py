@@ -257,6 +257,40 @@ def test_fuse_infeasible_exit_code(tmp_path):
     assert main(["fuse", "--config", str(path), "--library", str(lib)]) == 2
 
 
+def test_seed_overrides_the_master_seed_where_read(tmp_path, capsys):
+    # generate --seed N runs as a config with master_seed N would; train
+    # reads train_seed, not the master seed, so it refuses the flag.
+    path = write_config(tmp_path)
+    assert main(["train", "--config", str(path)]) == 0
+    ckpt = str(tmp_path / "out" / "checkpoint.npz")
+    seeded = write_config(tmp_path, master_seed=5)
+    runs = []
+    for name, argv in (("flag", [str(path), "--seed", "5"]), ("config", [str(seeded)])):
+        out = tmp_path / name
+        assert main(["generate", "--config", *argv, "--checkpoint", ckpt, "--out", str(out)]) == 0
+        runs.append((out / "generation_report.json").read_text())
+    assert runs[0] == runs[1] and json.loads(runs[0])["master_seed"] == 5
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--seed", "3", "--out", str(tmp_path / "train")]) == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "train").exists()
+
+
+@pytest.mark.parametrize("argv", [["train", "--bogus"], ["render"], []])
+def test_usage_error_exits_validation(capsys, argv):
+    # argparse ends a bad command line with exit 2, which the CLI keeps for
+    # an infeasible fusion; a usage error is a validation error.
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gradus") and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["fuse", "--help"]])
+def test_help_exits_ok(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: gradus")
+
+
 def test_render_degree_only_score(tmp_path):
     from gradus.fusion import Score, score_to_dict
     from gradus.phrase import parse_phrase

@@ -622,10 +622,10 @@ def _scanned(library, starts, home, slot, meter=None):
     return out
 
 
-def test_index_matches_library_scan(corpus):
+def test_candidate_lists_match_library_scan(corpus):
     # Every slot state (slot, previous final root, meter) of the shipped
-    # templates, in both modes, over random libraries: the lists read from
-    # the index are the scan's indices, in library order.
+    # templates, in both modes, over random libraries: the candidate lists
+    # are the scan's indices, in library order.
     full, _ = PhraseLibrary.build(corpus)
     grammar = ProgressionGrammar()
     rng = np.random.default_rng(3)
@@ -653,12 +653,13 @@ def test_index_matches_library_scan(corpus):
     assert checked == 10080 and nonempty > 500
 
 
-def test_library_index_is_neither_compared_nor_hashed(corpus):
+def test_library_caches_are_neither_compared_nor_hashed(corpus):
     library, _ = PhraseLibrary.build(corpus[:6])
     again = PhraseLibrary(library.entries)
     assert again == library and hash(again) == hash(library)
-    assert "index" not in repr(library) and "ticks" not in repr(library)
-    assert PhraseLibrary(()).index == {} and PhraseLibrary(()).ticks == ()
+    assert not any(name in repr(library) for name in ("ticks", "layers", "realized"))
+    empty = PhraseLibrary(())
+    assert (empty.ticks, empty.layers, empty.realized) == ((), {}, {})
     # Nor are the memos fusion fills.
     fuse(default_templates()[0], library, profiles2(), ProgressionGrammar(),
          np.random.default_rng(0), parse_key("C", "major"))

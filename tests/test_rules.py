@@ -170,7 +170,6 @@ def test_grammar_exclusions():
     assert not g.allows(4, 1)  # PD cannot fall back to T in this table
     assert g.allows(5, 1) and g.allows(5, 6) and g.allows(1, 4) and g.allows(2, 5)
     assert 4 not in g.successors(5)
-    assert (5, 4) not in g.transitions
 
 
 def test_chord_tables():
