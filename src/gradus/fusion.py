@@ -36,7 +36,7 @@ from .pitch import (
     parse_key,
     realize_degree,
 )
-from .rules import CatalogEntry, ProgressionGrammar, RuleConfig, cadence_satisfies, tick_loss
+from .rules import CatalogEntry, NodeTicks, ProgressionGrammar, RuleConfig, cadence_satisfies, tick_loss
 
 # The plan check reads tick arrays, not phrases; rule_loss stays importable
 # from here, as perfbench/tracer.py wraps it here.
@@ -404,19 +404,20 @@ def _home_classes(home: KeyContext, local_root: int) -> np.ndarray:
     return table
 
 
-def _join_ties(voice, start, end, classes, tied):
-    """``merge_tied`` on nodes given as arrays: a node whose head event is
-    tied joins the node before it in its voice when that one ends where it
-    starts, and the joined node keeps the first node's start and class and
-    takes the last one's end. The nodes come out by voice, then time."""
-    order = np.lexsort((start, voice))
-    v, s, e = voice[order], start[order], end[order]
+def _join_ties(plan: NodeTicks, classes, tied) -> tuple[NodeTicks, np.ndarray]:
+    """``merge_tied`` on nodes given on ticks, with their classes: a node
+    whose head event is tied joins the node before it in its voice when
+    that one ends where it starts, and the joined node keeps the first
+    node's start and class and takes the last one's end. The nodes come
+    out by voice, then time."""
+    order = np.lexsort((plan.start, plan.voice))
+    v, s, e = plan.voice[order], plan.start[order], plan.end[order]
     joins = np.zeros(len(order), dtype=bool)
     joins[1:] = tied[order][1:] & (v[1:] == v[:-1]) & (e[:-1] == s[1:])
     heads = np.flatnonzero(~joins)
     last = np.append(heads[1:] - 1, len(order) - 1)
     kept = order[heads]
-    return voice[kept], start[kept], e[last], classes[kept]
+    return plan._replace(voice=plan.voice[kept], start=plan.start[kept], end=e[last]), classes[kept]
 
 
 def _plan_loss(
@@ -428,9 +429,9 @@ def _plan_loss(
 ) -> Optional[int]:
     """``rule_loss(concatenate_degrees(...))`` of the entries at indices in
     the local keys, or None where ``concatenate_degrees`` refuses them.
-    The entries' ``EntryTicks`` are laid end to end at their bar offsets
-    on the lcm of their ticks, their classes mapped into the home frame
-    and ties across a seam joined, so no phrase is built. An entry with no
+    The entries' nodes are laid end to end at their bar offsets on the lcm
+    of their ticks, their classes mapped into the home frame and ties
+    across a seam joined, so no phrase is built. An entry with no
     ``EntryTicks`` has a placeholder event or a pitch with no degree in
     its key, which ``concatenate_degrees`` refuses, so its plans get None."""
     parts: list[Optional[EntryTicks]] = [library.ticks[i] for i in indices]
@@ -442,23 +443,26 @@ def _plan_loss(
     for phrase, part, table in zip(phrases, parts, maps):
         if phrase.meter != meter or part.n_voices > n_voices or (table[part.event_classes] < 0).any():
             return None
-    tick = math.lcm(*(part.tick for part in parts))
-    scales = [tick // part.tick for part in parts]
+    nodes = [part.nodes for part in parts]
+    tick = math.lcm(*(n.tick for n in nodes))
+    scales = [tick // n.tick for n in nodes]
     offsets = [0]
     for part, scale in zip(parts, scales):
         offsets.append(offsets[-1] + part.length * scale)
-    n_beats = -(-(offsets[-2] + parts[-1].span * scales[-1]) // tick)
-    voice = np.concatenate([part.voice for part in parts])
+    # Bar offsets are whole beats, so the last entry's beats end the plan.
+    n_beats = offsets[-2] // tick + nodes[-1].n_beats
+    voice = np.concatenate([n.voice for n in nodes])
     try:
-        start = np.concatenate([part.start * k + o for part, k, o in zip(parts, scales, offsets)])
-        end = np.concatenate([part.end * k + o for part, k, o in zip(parts, scales, offsets)])
+        start = np.concatenate([n.start * k + o for n, k, o in zip(nodes, scales, offsets)])
+        end = np.concatenate([n.end * k + o for n, k, o in zip(nodes, scales, offsets)])
     except OverflowError:  # a scale or an offset past int64: tick_loss refuses this grid
         start = end = np.zeros_like(voice)
+    plan = NodeTicks(tick, voice, start, end, n_beats)
     classes = np.concatenate([table[part.classes] for part, table in zip(parts, maps)])
     tied = np.concatenate([part.tied for part in parts])
     if tied.any():
-        voice, start, end, classes = _join_ties(voice, start, end, classes, tied)
-    return tick_loss(classes, tick, voice, start, end, meter, n_beats, n_voices, rule_config)
+        plan, classes = _join_ties(plan, classes, tied)
+    return tick_loss(classes, plan, meter, n_voices, rule_config)
 
 
 def _slot_layers(

@@ -5,11 +5,12 @@ diffusion step; the draw also takes a (K, n) block of uniforms, for K
 draws per node from one cumsum.
 
 ``violation_masks`` is the one statement of the hard counterpoint rules.
-It reads a skeleton's grid as ``SkeletonArrays``, built once per skeleton,
-and looks up what a pair of degree classes means to a rule in
-``PairTables``, built once from the classes' letter and semitone offsets,
-so scoring a degree assignment takes gathers and comparisons, with no
-interval arithmetic. Guidance scores its candidates with
+It reads a skeleton's grid as ``SkeletonArrays``, which ``rules._grid``
+builds for every rule reader (once per skeleton, and once per plan that
+fusion checks), and looks up what a pair of degree classes means to a
+rule in ``PairTables``, built once from the classes' letter and semitone
+offsets, so scoring a degree assignment takes gathers and comparisons,
+with no interval arithmetic. Guidance scores its candidates with
 ``count_violations``, the sum of the masks (the first-drawn candidate
 each step, and the others only when that one breaks a rule), and
 ``rules.all_violations`` turns the same masks into located reports.
@@ -117,6 +118,7 @@ class SkeletonArrays(NamedTuple):
     attack and strong-beat moments, the harmony pass the integer beats."""
 
     sounding: np.ndarray  # (m, v): node sounding in each voice; the bass is the last voice
+    attacked: np.ndarray  # (m, v): the voice attacks the node it sounds at that moment
     pair_upper: np.ndarray  # (m, pairs): sounding in the upper voice of each pair, ``voice_pairs`` order
     pair_lower: np.ndarray  # (m, pairs): sounding in its lower voice
     pair_attacked: np.ndarray  # (m-1, pairs): both voices of the pair attack at moment s+1
@@ -126,29 +128,6 @@ class SkeletonArrays(NamedTuple):
     voice_starts: np.ndarray  # positions in ``chains``, after the first, where a new voice begins
     beat_sounding: np.ndarray  # (beats, v): node sounding in each voice at each integer beat
     beat_strong: np.ndarray  # (beats,): the beat is strong
-
-
-def skeleton_arrays(sounding, attacked, strong, node_voices, beat_sounding, beat_strong) -> SkeletonArrays:
-    """From the node sounding in each voice at each grid moment (``n_nodes``
-    where the voice is silent), whether it starts there, which moments are
-    strong, each node's voice (nodes are in time order within a voice), and
-    the sounding rows and strength of the integer beats."""
-    node_voices = np.asarray(node_voices, dtype=np.int64)
-    upper, lower = voice_pairs(sounding.shape[1])
-    chains = np.argsort(node_voices, kind="stable")
-    chain_voices = node_voices[chains]
-    return SkeletonArrays(
-        sounding=sounding,
-        pair_upper=sounding[:, upper],
-        pair_lower=sounding[:, lower],
-        pair_attacked=attacked[1:, upper] & attacked[1:, lower],
-        strong_upper=np.where(strong[:, None], sounding[:, :-1], len(node_voices)),
-        strong_bass=sounding[:, -1:],
-        chains=chains,
-        voice_starts=np.flatnonzero(chain_voices[1:] != chain_voices[:-1]) + 1,
-        beat_sounding=beat_sounding,
-        beat_strong=beat_strong,
-    )
 
 
 class ViolationMasks(NamedTuple):

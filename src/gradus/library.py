@@ -9,25 +9,24 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import SpellingError
+from .graph import merge_tied
 from .phrase import Phrase
 from .pitch import DEGREE_INDEX
-from .rules import CatalogEntry, ProgressionGrammar, RejectionResult, RuleConfig, _node_ticks, reject
+from .rules import (
+    CatalogEntry, NodeTicks, ProgressionGrammar, RejectionResult, RuleConfig, _node_ticks, reject,
+)
 
 
 class EntryTicks(NamedTuple):
-    """An entry's merged nodes on integer ticks, ``tick`` to the beat, in
-    the form fusion lays them end to end: no phrase is rebuilt."""
+    """An entry's merged nodes on integer ticks, in the form fusion lays
+    them end to end: no phrase is rebuilt."""
 
-    tick: int
-    voice: np.ndarray  # per node
-    start: np.ndarray  # per node, in ticks
-    end: np.ndarray  # per node, in ticks
+    nodes: NodeTicks
     classes: np.ndarray  # per node: the degree class of its head event, in the entry's key
     tied: np.ndarray  # per node: its head event is tied, so it joins a node ending where it starts
     event_classes: np.ndarray  # the distinct degree classes of all events, tied continuations included
     n_voices: int  # one more than the highest voice with an event
     length: int  # bar-aligned length, in ticks
-    span: int  # end of the last event, in ticks
 
 
 def entry_ticks(phrase: Phrase) -> Optional[EntryTicks]:
@@ -40,18 +39,15 @@ def entry_ticks(phrase: Phrase) -> Optional[EntryTicks]:
         return None
     if None in degrees:
         return None
-    tick, nodes, voice, start, end = _node_ticks(phrase)
+    nodes = merge_tied(phrase)
+    ticks = _node_ticks(nodes, phrase.span)
     return EntryTicks(
-        tick=tick,
-        voice=voice,
-        start=start,
-        end=end,
+        nodes=ticks,
         classes=np.array([DEGREE_INDEX[nd.degree] for nd in nodes]),
         tied=np.array([phrase.events[nd.event_indices[0]].tie for nd in nodes]),
         event_classes=np.array(sorted({DEGREE_INDEX[d] for d in degrees})),
-        n_voices=int(voice.max()) + 1,
-        length=phrase.n_bars * phrase.meter[0] * tick,
-        span=int(phrase.span * tick),
+        n_voices=int(ticks.voice.max()) + 1,
+        length=phrase.n_bars * phrase.meter[0] * ticks.tick,
     )
 
 

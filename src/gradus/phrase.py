@@ -300,11 +300,12 @@ def split_measures(phrase: Phrase) -> list[tuple[NoteEvent, ...]]:
 
 def sample_rhythm(
     corpus: Sequence[Phrase],
-    mode: str = "whole-phrase",
-    rng: Optional[np.random.Generator] = None,
+    mode: str,
+    rng: np.random.Generator,
     measures: int = 2,
 ) -> Phrase:
-    """Draw a rhythmic skeleton from a corpus.
+    """Draw a rhythmic skeleton from a corpus with the given generator;
+    there is no unseeded draw.
 
     ``whole-phrase`` strips a uniformly drawn phrase. ``measure-mix``
     concatenates uniformly drawn bars, with the final bar drawn from the
@@ -312,7 +313,6 @@ def sample_rhythm(
     """
     if not corpus:
         raise PhraseValidationError("empty corpus")
-    rng = rng if rng is not None else np.random.default_rng()
     if mode == "whole-phrase":
         src = corpus[int(rng.integers(len(corpus)))]
         return strip_to_skeleton(src)

@@ -1,19 +1,20 @@
 """Counterpoint and harmony engine.
 
-Both rule families read one time grid per phrase, built by
-``build_rule_context``: the tied notes merged once and laid on integer
-ticks, with a row at every attack onset and every integer beat. The hard
-rules' one evaluator, ``kernels.violation_masks``, reads the attack and
-strong-beat rows: guidance counts a candidate's violations with
-``RuleContext.score`` and ``all_violations`` locates them for rejection
-reports; ``tick_loss`` counts them on nodes already laid on ticks, as
-fusion concatenates its phrases' nodes. ``_segment_readings`` reads the
-integer-beat rows: per beat, the legal chords that can read it, from a
-per-mode table of chord tone classes. The best readings (a beam search)
-and the exact boundary roots (reachability over root sets) both come
-from that one pass.
-``analyze_harmony`` and ``feasible_boundary_roots``, which read no hard
-rule, lay the nodes on the integer beats alone.
+Both rule families read one time grid per phrase. The tied notes are
+merged once and laid on integer ticks as ``NodeTicks``, and ``_grid``
+lays those nodes once on a grid with a row at every attack onset and
+every integer beat; ``build_rule_context`` does both for a phrase, and
+``tick_loss`` runs ``_grid`` on nodes already on ticks, as fusion
+concatenates its phrases' nodes. The hard rules' one evaluator,
+``kernels.violation_masks``, reads the attack and strong-beat rows:
+guidance counts a candidate's violations with ``RuleContext.score``,
+``all_violations`` locates them for rejection reports and ``tick_loss``
+counts them for fusion's plan check. ``_segment_readings`` reads the
+integer-beat rows of a context: per beat, the legal chords that can
+read it, from a per-mode table of chord tone classes. The best readings
+(a beam search) and the exact boundary roots (reachability over root
+sets) both come from that one pass, in ``reject`` and in the analysis
+calls ``analyze_harmony`` and ``feasible_boundary_roots`` alike.
 
 Interval classes are computed from scale degrees modulo octave, so the
 checks apply equally to degree-encoded and realized phrases.
@@ -25,7 +26,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -64,17 +65,29 @@ class RuleConfig:
             raise PhraseValidationError("strong beat cutoff must lie in (0.125, 1]")
 
 
-def _node_ticks(phrase: Phrase):
-    """The merged nodes on integer ticks, ``tick`` to the beat (the lcm of
-    the node onset and duration denominators): ``tick``, the nodes, and
-    each node's voice, start and end tick."""
-    nodes = merge_tied(phrase)
+class NodeTicks(NamedTuple):
+    """Merged nodes on integer ticks, ``tick`` to the beat, in a phrase
+    whose span reaches n_beats integer beats: the one layout the grid is
+    built from, for a phrase's own nodes and for fusion's concatenated
+    plans alike."""
+
+    tick: int
+    voice: np.ndarray  # per node
+    start: np.ndarray  # per node, in ticks
+    end: np.ndarray  # per node, in ticks
+    n_beats: int
+
+
+def _node_ticks(nodes: Sequence[GraphNode], span: Fraction) -> NodeTicks:
+    """A phrase's merged nodes, of this span, on integer ticks: ``tick`` is
+    the lcm of the node onset and duration denominators."""
     tick = math.lcm(*(q.denominator for nd in nodes for q in (nd.onset, nd.duration)))
-    _check_ticks(tick, math.ceil(phrase.span))
+    n_beats = math.ceil(span)
+    _check_ticks(tick, n_beats)
     voice = np.array([nd.voice for nd in nodes])
     start = np.array([nd.onset.numerator * (tick // nd.onset.denominator) for nd in nodes])
     end = start + [nd.duration.numerator * (tick // nd.duration.denominator) for nd in nodes]
-    return tick, nodes, voice, start, end
+    return NodeTicks(tick, voice, start, end, n_beats)
 
 
 def _check_ticks(tick: int, n_beats: int) -> None:
@@ -83,40 +96,48 @@ def _check_ticks(tick: int, n_beats: int) -> None:
         raise PhraseValidationError(f"onsets and durations too fine for the rule grid (1/{tick} beat)")
 
 
-def _strong_beats(meter: tuple[int, int], n_beats: int, cutoff: float) -> np.ndarray:
-    """Whether each of the first n_beats integer beats is strong; metric
-    strength repeats every bar."""
+def _grid(
+    ticks: NodeTicks, meter: tuple[int, int], n_voices: int, cutoff: float
+) -> tuple[np.ndarray, kernels.SkeletonArrays]:
+    """The nodes laid once on a grid with a row at every attack onset and
+    every integer beat, a beat being strong where its metric strength
+    reaches cutoff. Returns the times, in ticks, of the hard rules' rows
+    (attacks and strong beats) and the evaluators' arrays: those rows for
+    the hard rules, the integer-beat rows for the harmony pass."""
+    tick, voice, start, end, n_beats = ticks
+    # Metric strength repeats every bar.
     bar = np.array([metric_strength(k, meter) >= cutoff for k in range(meter[0])])
-    return bar[np.arange(n_beats) % meter[0]]
-
-
-def _sounding(times, voice, start, end, n_voices: int):
-    """The node sounding per voice at each of the sorted ``times`` (the
-    node count where a voice is silent), and each node's first row."""
+    strong = bar[np.arange(n_beats) % meter[0]]
+    times = np.union1d(start, np.arange(n_beats) * tick)
     # A node covers the run of rows from its onset up to its end.
     lo, hi = np.searchsorted(times, start), np.searchsorted(times, end)
     runs = hi - lo
     rows = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs - lo, runs)
     sounding = np.full((len(times), n_voices), len(voice))
     sounding[rows, np.repeat(voice, runs)] = np.repeat(np.arange(len(voice)), runs)
-    return sounding, lo
-
-
-def _tick_grid(tick: int, voice, start, end, strong: np.ndarray, n_voices: int):
-    """Nodes given by voice, start and end tick, laid once on a grid with a
-    row at every attack onset and every integer beat of ``strong`` (whether
-    each beat is strong). Returns the hard rules' rows (attacks and strong
-    beats) as (times, node sounding per voice or the node count if silent,
-    attacked, strong), and the beat rows as (sounding, strong)."""
-    times = np.union1d(start, np.arange(len(strong)) * tick)
-    sounding, lo = _sounding(times, voice, start, end, n_voices)
     attacked = np.zeros(sounding.shape, dtype=bool)
     attacked[lo, voice] = True
     on_beat = times % tick == 0
     strong_row = on_beat & strong[times // tick]
+    beat_sounding = sounding[on_beat]
     hard = attacked.any(axis=1) | strong_row
-    hard_rows = (times[hard], sounding[hard], attacked[hard], strong_row[hard])
-    return hard_rows, (sounding[on_beat], strong)
+    sounding, attacked, strong_row = sounding[hard], attacked[hard], strong_row[hard]
+    upper, lower = kernels.voice_pairs(n_voices)
+    chains = np.argsort(voice, kind="stable")
+    chain_voices = voice[chains]
+    return times[hard], kernels.SkeletonArrays(
+        sounding=sounding,
+        attacked=attacked,
+        pair_upper=sounding[:, upper],
+        pair_lower=sounding[:, lower],
+        pair_attacked=attacked[1:, upper] & attacked[1:, lower],
+        strong_upper=np.where(strong_row[:, None], sounding[:, :-1], len(voice)),
+        strong_bass=sounding[:, -1:],
+        chains=chains,
+        voice_starts=np.flatnonzero(chain_voices[1:] != chain_voices[:-1]) + 1,
+        beat_sounding=beat_sounding,
+        beat_strong=strong,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -162,32 +183,29 @@ class RuleContext:
 
 
 def build_rule_context(skeleton: Phrase, config: RuleConfig = RuleConfig()) -> RuleContext:
-    tick, nodes, voice, start, end = _node_ticks(skeleton)
-    strong = _strong_beats(skeleton.meter, math.ceil(skeleton.span), config.strong_beat_cutoff)
-    (times, *hard), beats = _tick_grid(tick, voice, start, end, strong, len(skeleton.voices))
+    nodes = merge_tied(skeleton)
+    ticks = _node_ticks(nodes, skeleton.span)
+    times, arrays = _grid(ticks, skeleton.meter, len(skeleton.voices), config.strong_beat_cutoff)
     return RuleContext(
-        arrays=kernels.skeleton_arrays(*hard, voice, *beats),
+        arrays=arrays,
         config=config,
         grid=tuple(times.tolist()),
-        tick=tick,
+        tick=ticks.tick,
         nodes=tuple(nodes),
         mode=skeleton.key.mode,
     )
 
 
 def tick_loss(
-    classes: np.ndarray, tick: int, voice, start, end, meter: tuple[int, int], n_beats: int,
-    n_voices: int, config: RuleConfig = RuleConfig(),
+    classes: np.ndarray, ticks: NodeTicks, meter: tuple[int, int], n_voices: int,
+    config: RuleConfig = RuleConfig(),
 ) -> int:
-    """``rule_loss`` of merged nodes given on integer ticks, ``tick`` to the
-    beat, with their degree classes, in a phrase of the meter whose span
-    reaches n_beats integer beats and which has n_voices voices. It reads
-    the grid of ``build_rule_context`` and needs no phrase, and refuses a
-    grid too fine for int64 with the error ``rule_loss`` raises."""
-    _check_ticks(tick, n_beats)
-    strong = _strong_beats(meter, n_beats, config.strong_beat_cutoff)
-    (_, *hard), beats = _tick_grid(tick, voice, start, end, strong, n_voices)
-    arrays = kernels.skeleton_arrays(*hard, voice, *beats)
+    """``rule_loss`` of merged nodes laid on integer ticks, with their
+    degree classes, in a phrase of the meter with n_voices voices. It
+    reads the grid of ``build_rule_context`` and needs no phrase, and
+    refuses a grid too fine for int64 with the error ``rule_loss`` raises."""
+    _check_ticks(ticks.tick, ticks.n_beats)
+    _, arrays = _grid(ticks, meter, n_voices, config.strong_beat_cutoff)
     return kernels.count_violations(classes, arrays, _PAIR_TABLES, config)
 
 
@@ -384,21 +402,21 @@ class HarmonicReading:
 _BeatReadings = list[list[tuple[RomanNumeral, int]]]
 
 
-def _segment_readings(nodes, mode: str, beat_sounding: np.ndarray, beat_strong: np.ndarray) -> _BeatReadings:
+def _segment_readings(ctx: RuleContext) -> _BeatReadings:
     """Per integer beat, the legal chords that can read it, in table order,
-    with their non-chord-tone counts, read from the beat rows of the time
-    grid: the node sounding per voice (``len(nodes)`` if silent) and the
-    strength of each beat.
+    with their non-chord-tone counts, read from the context's beat rows:
+    the node sounding per voice (``n_nodes`` if silent) and the strength
+    of each beat.
     A beat is judged by what sounds at its attack point; notes struck
     mid-beat are ornamental and invisible to chord selection. Strong beats
     allow no non-chord tone and weak beats one. A bass tone of the chord
     must be the chord's bass; a non-chord bass, a rest or a silent bass
     defaults to a root-position reading."""
-    classes = [None if nd.degree is None else DEGREE_INDEX[nd.degree] for nd in nodes]
+    classes = [None if nd.degree is None else DEGREE_INDEX[nd.degree] for nd in ctx.nodes]
     classes.append(REST_INDEX)  # index n_nodes: a silent voice
-    chords = _CHORDS[mode]
+    chords = _CHORDS[ctx.mode]
     out = []
-    for beat_nodes, strong in zip(beat_sounding.tolist(), beat_strong.tolist()):
+    for beat_nodes, strong in zip(ctx.arrays.beat_sounding.tolist(), ctx.arrays.beat_strong.tolist()):
         here = [classes[i] for i in beat_nodes]
         if None in here:
             raise PhraseValidationError("analysis needs degree content")
@@ -456,15 +474,6 @@ def _boundary_roots(
     return frozenset(live), frozenset(reach[-1])
 
 
-def _phrase_beats(phrase: Phrase, config: RuleConfig) -> _BeatReadings:
-    """``_segment_readings`` of a phrase, from its beat rows alone: the
-    hard rules' rows and arrays are not built."""
-    tick, nodes, voice, start, end = _node_ticks(phrase)
-    strong = _strong_beats(phrase.meter, math.ceil(phrase.span), config.strong_beat_cutoff)
-    sounding, _ = _sounding(np.arange(len(strong)) * tick, voice, start, end, len(phrase.voices))
-    return _segment_readings(nodes, phrase.key.mode, sounding, strong)
-
-
 def analyze_harmony(
     phrase: Phrase,
     grammar: ProgressionGrammar = ProgressionGrammar(),
@@ -472,7 +481,7 @@ def analyze_harmony(
 ) -> list[HarmonicReading]:
     """All grammar-consistent beat-level progressions, best readings first
     (fewest non-chord tones). Empty list means the phrase has no reading."""
-    return _best_readings(_phrase_beats(phrase, config), grammar)
+    return _best_readings(_segment_readings(build_rule_context(phrase, config)), grammar)
 
 
 def feasible_boundary_roots(
@@ -482,7 +491,7 @@ def feasible_boundary_roots(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Exact sets of first/last numeral roots over all valid readings
     (not limited to max_readings); both empty if there is none."""
-    return _boundary_roots(_phrase_beats(phrase, config), grammar)
+    return _boundary_roots(_segment_readings(build_rule_context(phrase, config)), grammar)
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +582,7 @@ def reject(
     violations = tuple(all_violations(phrase, config, ctx=ctx))
     if violations:
         return RejectionResult(False, None, tuple(map(str, violations)), violations)
-    beats = _segment_readings(ctx.nodes, ctx.mode, ctx.arrays.beat_sounding, ctx.arrays.beat_strong)
+    beats = _segment_readings(ctx)
     readings = _best_readings(beats, grammar)
     if not readings:
         return RejectionResult(False, None, (NO_READING,))

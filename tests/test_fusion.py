@@ -605,51 +605,50 @@ def _random_libraries(full, rng, n):
         yield PhraseLibrary(tuple(entries))
 
 
-def _scanned(library, starts, home, slot, meter=None):
-    """The candidate list of a slot state by a plain scan of the library."""
-    out = []
-    for i, (phrase, entry) in enumerate(library):
-        if entry.mode != home.mode or not entry.start_roots & starts:
-            continue
-        if not (
-            cadence_satisfies(entry.cadence, slot.cadence)
-            and entry.final_treble == localize_degree(slot.final_treble, home, slot.local_key)
-        ):
-            continue
-        if meter is not None and phrase.meter != meter:
-            continue
-        out.append(i)
-    return out
+def _fitting(template, library, grammar, home, prefix):
+    """The indices, in library order, of the phrases _fits passes after
+    the prefix."""
+    return [i for i in range(len(library)) if _fits(template, library, grammar, home, prefix, i)]
 
 
 def test_candidate_lists_match_library_scan(corpus):
     # Every slot state (slot, previous final root, meter) of the shipped
     # templates, in both modes, over random libraries: the candidate lists
-    # are the scan's indices, in library order.
+    # are the indices, in library order, that the brute-force filter _fits
+    # passes after a prefix reaching that state. Each library ends with
+    # one prefix entry per (meter, final root), whose empty start roots
+    # keep it out of every list.
     full, _ = PhraseLibrary.build(corpus)
     grammar = ProgressionGrammar()
     rng = np.random.default_rng(3)
     meters = sorted({p.meter for p, _ in full}) + [(2, 4)]
+    states = [(meter, root) for meter in meters for root in range(1, 8)]
+    prefixes = tuple(
+        (
+            make_phrase([(0, 0, 1, "1")], meter=meter),
+            CatalogEntry(frozenset(), frozenset(), root, None, "major", "other"),
+        )
+        for meter, root in states
+    )
     checked = nonempty = 0
     for library in _random_libraries(full, rng, 60):
+        library = PhraseLibrary(library.entries + prefixes)
+        first_prefix = len(library) - len(prefixes)
         for home in (parse_key("C", "major"), parse_key("A", "minor")):
             for template in default_templates():
                 slots = template.slots
-                first = slots[0]
-                got = fusion._opening_candidates(library, grammar.start_roots, home, first)
-                assert got == _scanned(library, grammar.start_roots, home, first)
+                got = fusion._opening_candidates(library, grammar.start_roots, home, slots[0])
+                assert got == _fitting(template, library, grammar, home, ())
                 for slot_i in range(1, len(slots)):
                     prev, slot = slots[slot_i - 1], slots[slot_i]
-                    for root in range(1, 8):
-                        antecedent = CatalogEntry(frozenset(), frozenset(), root, None, home.mode, "other")
-                        pivot = pivot_root(prev.local_key, root, slot.local_key)
-                        starts = grammar.successors(pivot)
+                    for k, (meter, root) in enumerate(states):
+                        prefix = (first_prefix + k,) * slot_i
+                        antecedent = library[prefix[-1]][1]
                         args = (antecedent, prev.local_key, slot.local_key, library, grammar, home)
-                        for meter in meters:
-                            got = pivot_select(*args, slot, meter)
-                            assert got == _scanned(library, starts, home, slot, meter)
-                            checked += 1
-                            nonempty += bool(got)
+                        got = pivot_select(*args, slot, meter)
+                        assert got == _fitting(template, library, grammar, home, prefix)
+                        checked += 1
+                        nonempty += bool(got)
     assert checked == 10080 and nonempty > 500
 
 

@@ -1,7 +1,6 @@
 """The kernels, and the hard-rule evaluator checked against the
 brute-force rule checker in rule_oracle.py."""
 
-import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,9 +12,7 @@ from gradus.errors import PhraseValidationError
 from gradus.graph import merge_tied, rebuild_phrase
 from gradus.phrase import NoteEvent, Phrase, strip_to_skeleton
 from gradus.pitch import DEGREE_INDEX, DEGREES, NUM_DEGREE_CLASSES, parse_degree, parse_key
-from gradus.rules import (
-    _PAIR_TABLES, RuleConfig, _node_ticks, _strong_beats, _tick_grid, all_violations, build_rule_context,
-)
+from gradus.rules import _PAIR_TABLES, RuleConfig, all_violations, build_rule_context
 
 from conftest import counting
 from rule_oracle import oracle, segments, time_grid
@@ -159,16 +156,10 @@ def _tie_some(skeleton, rng):
     return replace(skeleton, events=tuple(events))
 
 
-def _time_grid(phrase, cutoff):
-    """The grid of build_rule_context: tick, nodes, hard rows, beat rows."""
-    tick, nodes, voice, start, end = _node_ticks(phrase)
-    strong = _strong_beats(phrase.meter, math.ceil(phrase.span), cutoff)
-    return (tick, nodes, *_tick_grid(tick, voice, start, end, strong, len(phrase.voices)))
-
-
 def test_time_grid_matches_oracle(corpus):
     # The grid fill walks each node's own rows; the oracle tests every node
-    # against every grid time.
+    # against every grid time. The parallels read each voice pair's attack
+    # rows, which must agree with the oracle's per-voice rows.
     rng = np.random.default_rng(577)
     skeletons = [strip_to_skeleton(p) for p in corpus]
     skeletons += [_tie_some(_random_skeleton(rng), rng) for _ in range(80)]
@@ -176,15 +167,20 @@ def test_time_grid_matches_oracle(corpus):
     assert any(e.duration.denominator > 1 for s in skeletons for e in s.events)
     silences = 0
     for skeleton in skeletons:
+        upper, lower = kernels.voice_pairs(len(skeleton.voices))
         for cutoff in (0.25, 0.5, 1.0):
-            tick, nodes, (times, sounding, attacked, _), _ = _time_grid(skeleton, cutoff)
+            ctx = build_rule_context(skeleton, RuleConfig(strong_beat_cutoff=cutoff))
+            sounding = ctx.arrays.sounding
             got = (
-                [Fraction(t, tick) for t in times.tolist()],
-                nodes,
-                np.where(sounding == len(nodes), -1, sounding).tolist(),
-                attacked.tolist(),
+                [Fraction(t, ctx.tick) for t in ctx.grid],
+                list(ctx.nodes),
+                np.where(sounding == ctx.n_nodes, -1, sounding).tolist(),
+                ctx.arrays.attacked.tolist(),
             )
-            assert got == time_grid(skeleton, cutoff)
+            want = time_grid(skeleton, cutoff)
+            assert got == want
+            attacked = np.array(want[3], dtype=bool)
+            assert np.array_equal(ctx.arrays.pair_attacked, attacked[1:, upper] & attacked[1:, lower])
             silences += sum(row.count(-1) for row in got[2])
     assert silences > 0
 

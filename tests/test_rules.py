@@ -323,20 +323,19 @@ def test_reject_reads_the_beats_once(corpus, monkeypatch):
     assert calls["beats"] == len(corpus)
 
 
-def test_harmony_builds_beat_rows_only(corpus, monkeypatch):
-    # analyze_harmony and feasible_boundary_roots read no hard rule, so
-    # they build none of the hard rules' arrays; reject builds them once.
+def test_each_rule_call_builds_one_context(corpus, monkeypatch):
+    # Rejection, the two analysis calls and rule_loss all read one rule
+    # context per phrase, so each lays the phrase on the grid once.
     calls = Counter()
     monkeypatch.setattr(
-        gradus.kernels, "skeleton_arrays",
-        counting(calls, "arrays", gradus.kernels.skeleton_arrays),
+        gradus.rules, "build_rule_context", counting(calls, "context", gradus.rules.build_rule_context)
     )
-    for p in corpus:
-        assert analyze_harmony(p) and feasible_boundary_roots(p) != (frozenset(), frozenset())
-    assert calls["arrays"] == 0
-    for p in corpus:
-        assert reject(p).accepted
-    assert calls["arrays"] == len(corpus)
+    monkeypatch.setattr(gradus.rules, "_grid", counting(calls, "grid", gradus.rules._grid))
+    for fn in (reject, analyze_harmony, feasible_boundary_roots, rule_loss):
+        calls.clear()
+        for p in corpus:
+            fn(p)
+        assert calls == {"context": len(corpus), "grid": len(corpus)}, fn.__name__
 
 
 def test_reject_merges_tied_notes_once(corpus, monkeypatch):
