@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import FusionInfeasibleError, PhraseValidationError, SpellingError
 from .library import EntryTicks, PhraseLibrary
+from .midi import phrase_tracks
 from .phrase import Phrase, _derived, phrase_from_dict, phrase_to_dict, transpose_phrase
 from .pitch import (
     DEGREE_INDEX,
@@ -291,6 +292,10 @@ class FusionPlan:
 class Score:
     home_key: KeyContext
     phrases: tuple[Phrase, ...]
+    # Per phrase, the ``midi.PhraseTracks`` fusion kept for it, or None;
+    # write_midi joins one only for the phrase object it was encoded
+    # from. Not compared, hashed or shown.
+    tracks: tuple = field(default=(), repr=False, compare=False)
 
 
 def score_to_dict(score: Score) -> dict:
@@ -541,8 +546,10 @@ def fuse(
 
     A chosen phrase's transposition and pitch realization depend only on
     its entry, the transposition and the profiles, so each is realized
-    once per library and kept in ``library.realized``; a realization that
-    raises is not kept.
+    once per library and kept in ``library.realized``, with its MIDI
+    track fragments, which the returned score carries for write_midi; a
+    realization that raises is not kept, and a phrase that cannot be
+    encoded is kept without fragments, for write_midi to refuse.
     """
     slots = template.slots
     layers = library.layers.get((template, grammar, home))
@@ -583,11 +590,15 @@ def fuse(
     voicing = tuple(profiles.items())
     realized = []
     for i, t in zip(path, transpositions):
-        phrase = library.realized.get((i, t, voicing))
-        if phrase is None:
+        kept = library.realized.get((i, t, voicing))
+        if kept is None:
             phrase = realize_pitches(transpose_phrase(library[i][0], t), profiles)
-            library.realized[i, t, voicing] = phrase
-        realized.append(phrase)
+            try:
+                tracks = phrase_tracks(phrase)
+            except (PhraseValidationError, ValueError):
+                tracks = None
+            kept = library.realized[i, t, voicing] = (phrase, tracks)
+        realized.append(kept)
     plan = FusionPlan(
         template=template,
         phrase_indices=tuple(path),
@@ -597,4 +608,5 @@ def fuse(
             for i, prev, s in zip(path, slots, slots[1:])
         ),
     )
-    return Score(home_key=home, phrases=tuple(realized)), plan
+    phrases, tracks = zip(*realized)
+    return Score(home_key=home, phrases=phrases, tracks=tracks), plan

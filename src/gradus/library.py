@@ -62,7 +62,8 @@ class PhraseLibrary:
     # not compared or hashed. (template, grammar, home) -> the template's
     # slot layers, or (slot index, message) where they are infeasible:
     layers: dict = field(init=False, repr=False, compare=False)
-    # (entry index, transposition, profile items) -> the realized phrase:
+    # (entry index, transposition, profile items) -> the realized phrase
+    # and its ``midi.PhraseTracks``, or None where it cannot be encoded:
     realized: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

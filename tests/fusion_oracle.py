@@ -1,12 +1,15 @@
-"""Plain references for pitch realization and MIDI note events: what
-gradus.fusion.realize_pitches and gradus.midi.score_note_events are
-tested against.
+"""Plain references for pitch realization, MIDI note events and MIDI
+files: what gradus.fusion.realize_pitches, gradus.midi.score_note_events
+and gradus.midi.write_midi are tested against.
 
-Both are written as the rules read. Realization spells every octave of
+Each is written as the rules read. Realization spells every octave of
 each note's degree as a Pitch and picks among them, note by note, with
 no table kept between notes. Note events are computed with Fraction
 arithmetic: each phrase's ticks per beat follow its own meter, and the
 next phrase starts at the previous phrase's bar-aligned end in ticks.
+A MIDI file is written note by note from those events: each voice's
+note-ons and note-offs over the whole score are sorted and encoded in
+one pass.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from gradus.errors import PhraseValidationError, SpellingError
-from gradus.midi import TICKS_PER_QUARTER
+from gradus.midi import TEMPO_US_PER_QUARTER, TICKS_PER_QUARTER, VELOCITY, _vlq
 from gradus.phrase import Phrase
 from gradus.pitch import realize_degree
 
@@ -98,3 +101,40 @@ def score_note_events(score) -> list[tuple[int, int, int, int]]:
     if not out:
         raise PhraseValidationError("score has no notes to render")
     return out
+
+
+def _track_bytes(events: list[tuple[int, int, int]], channel: int, with_tempo: bool) -> bytes:
+    """events: (tick, kind, pitch) with kind 1=on, 0=off."""
+    # Offs sort before ons at the same tick so repeated notes re-strike.
+    events = sorted(events, key=lambda e: (e[0], e[1]))
+    data = bytearray()
+    if with_tempo:
+        data += _vlq(0) + bytes([0xFF, 0x51, 0x03])
+        data += TEMPO_US_PER_QUARTER.to_bytes(3, "big")
+    clock = 0
+    for tick, kind, pitch in events:
+        data += _vlq(tick - clock)
+        clock = tick
+        status = (0x90 if kind else 0x80) | (channel & 0x0F)
+        data += bytes([status, pitch, VELOCITY if kind else 0])
+    data += _vlq(0) + bytes([0xFF, 0x2F, 0x00])
+    return bytes(data)
+
+
+def midi_bytes(score) -> bytes:
+    """The MIDI file of the score: a format-1 header, then one track per
+    voice of the score's widest phrase, the tempo meta in the first."""
+    notes = score_note_events(score)
+    n_voices = max(len(p.voices) for p in score.phrases)
+    per_voice: list[list[tuple[int, int, int]]] = [[] for _ in range(n_voices)]
+    for voice, start, dur, pitch in notes:
+        per_voice[voice].append((start, 1, pitch))
+        per_voice[voice].append((start + dur, 0, pitch))
+    header = b"MThd" + (6).to_bytes(4, "big")
+    header += (1).to_bytes(2, "big") + n_voices.to_bytes(2, "big")
+    header += TICKS_PER_QUARTER.to_bytes(2, "big")
+    body = bytearray(header)
+    for voice, events in enumerate(per_voice):
+        track = _track_bytes(events, channel=voice, with_tempo=voice == 0)
+        body += b"MTrk" + len(track).to_bytes(4, "big") + track
+    return bytes(body)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 
 from gradus import fusion
 from gradus import pitch as pitch_module
+from gradus.cli import main
 from gradus.errors import FusionInfeasibleError, PhraseValidationError, SpellingError
 from gradus.fusion import (
     TemplateSlot,
@@ -33,7 +35,7 @@ from gradus.fusion import (
 )
 from gradus.graph import merge_tied, rebuild_phrase
 from gradus.library import PhraseLibrary
-from gradus.midi import write_midi
+from gradus.midi import phrase_tracks, write_midi
 from gradus.phrase import NoteEvent, Phrase, strip_to_skeleton, transpose_phrase
 from gradus.pitch import (
     DEGREE_INDEX, DEGREES, Degree, Interval, Pitch, parse_degree, parse_key, parse_pitch, realize_degree,
@@ -43,7 +45,7 @@ from gradus.rules import (
 )
 
 import fusion_oracle
-from conftest import counting, make_phrase, outcome, random_degree_phrase
+from conftest import CORPUS_DIR, counting, make_phrase, outcome, random_degree_phrase
 
 
 def profiles2():
@@ -794,21 +796,51 @@ def _request(library, templates, seed):
     return out
 
 
-def test_fuse_plans_golden(corpus):
-    library = _five_key_library(corpus)
-    assert len(library) == 100
+def _golden_templates():
     a, pac = "authentic", "perfect_authentic"
-    templates = templates_from_json([
+    return templates_from_json([
         _template("3-line", ("I", a, "3"), ("V", a, "2"), ("I", pac, "1")),
         _template("5-line", ("I", a, "5"), ("V", a, "2"), ("I", pac, "1")),
         _template("I-IV-I", ("I", a, "3"), ("IV", a, "2"), ("I", pac, "1")),
     ])
+
+
+def test_fuse_plans_golden(corpus):
+    library = _five_key_library(corpus)
+    assert len(library) == 100
+    templates = _golden_templates()
     golden = json.loads(GOLDEN_PLANS.read_text())
     assert [_request(library, templates, g["seed"]) for g in golden] == golden
     # Every template is drawn; as in catalog_fuse, only 3-line can be
     # filled, so the other two exercise the search's exhaustion.
     outcomes = {(g["template"], g.get("infeasible")) for g in golden}
     assert outcomes == {("3-line", None), ("5-line", 1), ("I-IV-I", 2)}
+
+
+# SHA-256 of the MIDI file of each fused request in fusion_plans.json,
+# served in seed order from one library, and of the score.mid that
+# gradus fuse writes with the example config, as the per-note MIDI
+# writer wrote them; a change to how MIDI is written must not move them.
+GOLDEN_MIDI = Path(__file__).resolve().parent / "data" / "fusion_midi.json"
+
+
+def test_fused_midi_golden(corpus, tmp_path):
+    library = _five_key_library(corpus)
+    templates = _golden_templates()
+    got = {}
+    for g in json.loads(GOLDEN_PLANS.read_text()):
+        rng = np.random.default_rng(g["seed"])
+        template = sample_structure(templates, rng)
+        if "plan" not in g:
+            continue
+        score, _ = fuse(template, library, profiles2(), ProgressionGrammar(), rng, parse_key("C", "major"))
+        write_midi(score, tmp_path / "request.mid")
+        got[str(g["seed"])] = hashlib.sha256((tmp_path / "request.mid").read_bytes()).hexdigest()
+    example = CORPUS_DIR.parent / "config.example.json"
+    argv = ["fuse", "--config", str(example), "--library", str(CORPUS_DIR), "--out", str(tmp_path / "fuse")]
+    assert main(argv) == 0
+    got["example"] = hashlib.sha256((tmp_path / "fuse" / "score.mid").read_bytes()).hexdigest()
+    assert got == json.loads(GOLDEN_MIDI.read_text())
 
 
 def test_shared_library_answers_as_a_fresh_one(corpus, tmp_path, monkeypatch):
@@ -874,8 +906,9 @@ def test_shared_library_answers_as_a_fresh_one(corpus, tmp_path, monkeypatch):
         outcomes[got[0].__name__ if isinstance(got[0], type) else "fused"] += 1
     assert min(outcomes[k] for k in ("fused", "FusionInfeasibleError", "SpellingError")) >= 20, outcomes
     assert any(isinstance(v, tuple) for v in library.layers.values())
-    for (i, t, voicing), phrase in library.realized.items():
+    for (i, t, voicing), (phrase, tracks) in library.realized.items():
         assert phrase == realize(transpose_phrase(library[i][0], t), dict(voicing))
+        assert tracks.phrase is phrase and tracks == phrase_tracks(phrase)
 
 
 # -- plan checks on integer ticks -------------------------------------------
