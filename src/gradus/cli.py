@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, check_seed, load_config
 from .denoiser import (
     Checkpoint,
     Denoiser,
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
             return cmd_render(Path(args.score), out)
         config = load_config(args.config)
         if getattr(args, "seed", None) is not None:
-            config = replace(config, master_seed=args.seed)
+            config = replace(config, master_seed=check_seed(args.seed, "--seed"))
         out_dir = Path(args.out) if args.out else config.out_dir
         if args.command == "ingest":
             return cmd_ingest(config, out_dir, dump_graphs=args.dump_graphs)

@@ -45,6 +45,15 @@ _HP_KEYS = (
 )
 # Top-level keys: the RunConfig fields, with the denoiser's spelled out.
 _KEYS = {f.name for f in fields(RunConfig)} - {"denoiser"} | set(_HP_KEYS)
+
+
+def check_seed(seed: int, name: str) -> int:
+    """seed, refused when negative, which numpy's generators cannot take."""
+    if seed < 0:
+        raise PhraseValidationError(f"{name} must be a non-negative integer, not {seed}")
+    return seed
+
+
 def _section(raw: dict, name: str, cls: type):
     """The dataclass cls from the config object under name, each key typed
     by its field's default; an unknown key is refused, not ignored."""
@@ -98,8 +107,8 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig(
         corpus_dir=resolve("corpus_dir"),
         out_dir=resolve("out_dir"),
-        master_seed=_get(raw, "master_seed", int),
-        train_seed=_get(raw, "train_seed", int),
+        master_seed=check_seed(_get(raw, "master_seed", int), "config key 'master_seed'"),
+        train_seed=check_seed(_get(raw, "train_seed", int), "config key 'train_seed'"),
         schedule_T=T,
         schedule_s=_get(raw, "schedule_s", float, default=0.008),
         denoiser=DenoiserHyperparams(**hp_kwargs, T=T),

@@ -22,8 +22,12 @@ each with its own step.
 from __future__ import annotations
 
 import csv
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
 import zipfile
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -115,13 +119,35 @@ def time_embedding(t: int, T: int, dim: int) -> np.ndarray:
     return out
 
 
+_ERF_MODULE = "scipy.special._special_ufuncs"
+
+
 @lru_cache(maxsize=None)
 def _erf():
-    """scipy's erf ufunc, imported on the first GELU: loading
-    scipy.special costs about 0.2 s and 20 MB, which ``ingest``, ``fuse``
-    and ``render`` never need."""
-    from scipy.special import erf
+    """scipy's erf ufunc, loaded on the first GELU from the one extension
+    that defines it, entered in ``sys.modules`` under its own name.
 
+    The extension alone costs about 1 MB and a few ms. The
+    ``scipy.special`` package costs about 0.2 s and 25 MB, most of it the
+    OpenBLAS that its ``_ufuncs`` links; ``ingest``, ``fuse`` and
+    ``render`` load neither. A later ``import scipy.special`` reuses the
+    module, so its ``erf`` is this very ufunc. A scipy without that
+    extension, or whose erf lives elsewhere, gets the package's."""
+    module = sys.modules.get(_ERF_MODULE)
+    if module is None:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(scipy_dir, "special", "_special_ufuncs" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(_ERF_MODULE, path)
+                spec = importlib.util.spec_from_file_location(_ERF_MODULE, path, loader=loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                sys.modules[_ERF_MODULE] = module
+                break
+    erf = getattr(module, "erf", None)
+    if erf is None:
+        from scipy.special import erf
     return erf
 
 

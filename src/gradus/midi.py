@@ -83,7 +83,8 @@ def _phrase_note_events(phrase: Phrase, offset: int) -> list[tuple[int, int, int
 def score_note_events(score: Score) -> list[tuple[int, int, int, int]]:
     """(voice, start_tick, duration_tick, midi_pitch) for every note; each
     phrase begins at the bar boundary after its predecessor, in ticks, so
-    phrases in different meters follow each other without a gap."""
+    phrases in different meters follow each other without a gap. That
+    boundary must fall on a tick even before a phrase of rests alone."""
     out = []
     offset = 0  # ticks
     for i, phrase in enumerate(score.phrases):

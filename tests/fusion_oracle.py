@@ -6,7 +6,8 @@ Each is written as the rules read. Realization spells every octave of
 each note's degree as a Pitch and picks among them, note by note, with
 no table kept between notes. Note events are computed with Fraction
 arithmetic: each phrase's ticks per beat follow its own meter, and the
-next phrase starts at the previous phrase's bar-aligned end in ticks.
+next phrase starts at the previous phrase's bar-aligned end in ticks,
+which must be a whole tick.
 A MIDI file is written note by note from those events: each voice's
 note-ons and note-offs over the whole score are sorted and encoded in
 one pass.
@@ -74,13 +75,17 @@ def realize_pitches(phrase: Phrase, profiles) -> Phrase:
 
 
 def score_note_events(score) -> list[tuple[int, int, int, int]]:
-    """(voice, start_tick, duration_tick, midi_pitch) for every note. A
-    start or duration off the tick grid is refused, naming it in beats
-    of its phrase's meter, counted from where the phrase's beats would
-    begin."""
+    """(voice, start_tick, duration_tick, midi_pitch) for every note. Each
+    phrase starts at the bar line its predecessor ends on, which must lie
+    on the tick grid even when the phrase holds rests alone; a note's
+    start or duration must too. A refusal names the bar line, or the
+    note's start or duration, in beats of its phrase's meter, a start or
+    bar line counted from the score start."""
     out = []
     offset = Fraction(0)  # ticks
     for phrase in score.phrases:
+        if offset.denominator != 1:  # per_beat is still the predecessor's
+            raise PhraseValidationError(f"duration {offset / per_beat} not representable at 480 tpq")
         per_beat = Fraction(4 * TICKS_PER_QUARTER, phrase.meter[1])
         for e in phrase.events:
             if e.is_rest:

@@ -85,6 +85,8 @@ _PROFILE = {"voice": 0, "central": "E4", "low": "C4", "high": "G5"}
     [
         (lambda c: [c], "must hold a JSON object"),
         (lambda c: {**c, "master_seed": "abc"}, "'master_seed' must be an integer, not 'abc'"),
+        (lambda c: {**c, "master_seed": -3}, "'master_seed' must be a non-negative integer, not -3"),
+        (lambda c: {**c, "train_seed": -2}, "'train_seed' must be a non-negative integer, not -2"),
         (lambda c: {**c, "layers": 2.5}, "'layers' must be an integer"),
         (lambda c: {**{k: v for k, v in c.items() if k != "epochs"}, "epoch": 30}, "config has unknown key 'epoch'"),
         (lambda c: {**c, "features": {"pitch": True}}, "features has unknown key 'pitch'"),
@@ -99,7 +101,7 @@ _PROFILE = {"voice": 0, "central": "E4", "low": "C4", "high": "G5"}
         ),
     ],
     ids=[
-        "list", "string-seed", "float-layers", "misspelt-epochs", "unknown-feature", "unknown-rule", "string-threshold",
+        "list", "string-seed", "negative-master-seed", "negative-train-seed", "float-layers", "misspelt-epochs", "unknown-feature", "unknown-rule", "string-threshold",
         "no-tonic", "empty-tonic", "no-central", "no-low", "no-high",
     ],
 )
@@ -276,6 +278,17 @@ def test_seed_overrides_the_master_seed_where_read(tmp_path, capsys):
     assert not (tmp_path / "train").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "fuse"])
+def test_negative_seed_flag_exits_validation(tmp_path, capsys, command):
+    # numpy's generators take no negative seed; the flag is refused before
+    # the command reads anything else.
+    out = tmp_path / "out"
+    argv = [command, "--config", str(write_config(tmp_path)), "--seed", "-5", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, not -5\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["train", "--bogus"], ["render"], []])
 def test_usage_error_exits_validation(capsys, argv):
     # argparse ends a bad command line with exit 2, which the CLI keeps for
@@ -393,30 +406,46 @@ def test_generation_report_counts_rejections(tmp_path):
     assert report["violations_by_rule"] == {rule: rules.count(rule) for rule in sorted(set(rules))}
 
 
-def test_scipy_special_loads_on_the_first_forward_only(tmp_path):
-    """ingest, fuse and render run on numpy alone; scipy.special (erf for
-    GELU) is imported by the first denoiser forward pass. A fresh
-    interpreter, since the denoiser oracle imports scipy.special into
-    this one."""
+def test_first_forward_loads_scipys_erf_extension_alone(tmp_path):
+    """ingest, fuse and render load nothing of scipy.special. The first
+    denoiser forward pass loads only the extension that defines erf, not
+    the package nor the OpenBLAS under scipy.libs that its ``_ufuncs``
+    links; a later ``import scipy.special`` hands out that same erf. A
+    fresh interpreter, since the denoiser oracle imports scipy.special
+    into this one."""
     script = textwrap.dedent("""
+        import importlib.util
         import sys
+        from pathlib import Path
 
         import numpy as np
 
         import gradus
+        from gradus import denoiser
         from gradus.cli import main
+
+        def special():
+            return sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "special"])
 
         config, corpus, out = sys.argv[1:]
         assert main(["ingest", "--config", config, "--out", out + "/ingest"]) == 0
         assert main(["fuse", "--config", config, "--library", corpus, "--out", out + "/fuse"]) == 0
         assert main(["render", out + "/fuse/score.json", "--out", out + "/render.mid"]) == 0
-        assert "scipy.special" not in sys.modules, "loaded before any forward pass"
+        assert special() == [], "loaded before any forward pass: %s" % special()
 
         graph = gradus.build_graph(gradus.phrase.load_corpus(corpus)[0])
         den = gradus.Denoiser(gradus.DenoiserHyperparams.toy())
         params = den.init_params(np.random.default_rng(0), graph.R.shape[1])
         den.forward(graph, 1, params)
-        assert "scipy.special" in sys.modules, "not loaded by a forward pass"
+        assert special() == ["scipy.special._special_ufuncs"], special()
+        if sys.platform.startswith("linux"):
+            scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+            libs = str(Path(scipy_dir).parent / "scipy.libs") + "/"
+            mapped = sorted({line.split()[-1] for line in open("/proc/self/maps") if libs in line})
+            assert mapped == [], mapped
+
+        import scipy.special
+        assert scipy.special.erf is denoiser._erf()
     """)
     src = Path(gradus.__file__).resolve().parent.parent
     done = subprocess.run(

@@ -1,12 +1,16 @@
 import hashlib
+import importlib.machinery
 import io
 import json
 import math
 import re
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from gradus.denoiser import (
@@ -15,6 +19,8 @@ from gradus.denoiser import (
     Denoiser,
     DenoiserHyperparams,
     FlatGrads,
+    _ERF_MODULE,
+    _erf,
     load_checkpoint,
     param_count,
     save_checkpoint,
@@ -332,6 +338,36 @@ def test_backward_accumulates_into_given_grads(four_node_graph):
     assert loss2 == loss and out is given
     for k in params:
         assert np.array_equal(given[k], 1.0 + fresh[k]), k
+
+
+@pytest.fixture()
+def fresh_erf():
+    """``_erf`` with its cache cleared before and after the test."""
+    _erf.cache_clear()
+    yield _erf
+    _erf.cache_clear()
+
+
+def test_erf_is_scipys_ufunc_loaded_from_its_extension(fresh_erf, monkeypatch):
+    # With the extension not yet in sys.modules, _erf loads it from its
+    # file, and every input, edge or not, gets scipy.special's bits.
+    monkeypatch.delitem(sys.modules, _ERF_MODULE)
+    erf = fresh_erf()
+    assert isinstance(sys.modules[_ERF_MODULE].__loader__, importlib.machinery.ExtensionFileLoader)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1000 * tiny, 1e-300, -1e-300])
+    x = np.concatenate([edges, np.linspace(-8.0, 8.0, 160_001)])
+    assert np.array_equal(erf(x).view(np.uint64), scipy.special.erf(x).view(np.uint64))
+
+
+@pytest.mark.parametrize("lookup", ["no extension file", "extension without erf"])
+def test_erf_falls_back_to_scipy_special(fresh_erf, monkeypatch, lookup):
+    if lookup == "no extension file":
+        monkeypatch.delitem(sys.modules, _ERF_MODULE)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    else:
+        monkeypatch.setitem(sys.modules, _ERF_MODULE, types.ModuleType(_ERF_MODULE))
+    assert fresh_erf() is scipy.special.erf
 
 
 def test_time_embedding_changes_output(four_node_graph):

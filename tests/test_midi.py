@@ -227,6 +227,27 @@ def _all_rests(rng, n_voices):
                        voices=("treble", "alto", "tenor"))
 
 
+def _stretched(rng, phrase):
+    """phrase in a meter of thirds, fifths or sevenths, two to five
+    beats a bar, each onset and duration stretched so that a beat of the
+    original lasts a whole note: its notes keep to the tick grid or leave
+    it as before, while a bar line in sevenths falls between ticks unless
+    it closes a multiple of seven beats."""
+    den = (3, 5, 7)[int(rng.integers(3))]
+    events = tuple(replace(e, onset=den * e.onset, duration=den * e.duration) for e in phrase.events)
+    return replace(phrase, meter=(int(rng.integers(2, 6)), den), events=events)
+
+
+def _bar_lines(score):
+    """The tick of each bar line that a phrase after the first starts at,
+    as a Fraction: between ticks if the meter before it is in sevenths."""
+    lines, offset = [], Fraction(0)
+    for p in score.phrases[:-1]:
+        offset += p.n_bars * p.bar_length * Fraction(4 * TICKS_PER_QUARTER, p.meter[1])
+        lines.append(offset)
+    return lines
+
+
 def _restrike(prev, phrase):
     """phrase, its first note in voice 0 moved onto the pitch of prev's
     last note in voice 0, or phrase itself if either is a rest or has no
@@ -249,10 +270,7 @@ def _seam_cases(score, notes):
         "all-rest middle": any(p.is_realized() and all(e.is_rest for e in p.events)
                                for p in score.phrases[1:-1]),
     }
-    seams, offset = [], Fraction(0)
-    for p in score.phrases[:-1]:
-        offset += p.n_bars * p.bar_length * Fraction(4 * TICKS_PER_QUARTER, p.meter[1])
-        seams.append(int(offset))
+    seams = [int(line) for line in _bar_lines(score)]
     ends = {(v, start + dur, pitch) for v, start, dur, pitch in notes}
     cases["restrike at a seam"] = any(
         (v, start, pitch) in ends for v, start, _, pitch in notes if start in seams
@@ -272,16 +290,21 @@ def _seam_cases(score, notes):
 def test_bar_line_off_the_tick_grid_is_refused_only_before_a_phrase(tmp_path):
     # In 3/7 a note of seven beats lasts 1920 ticks, but the phrase's three
     # bars of three sevenths end between ticks: a phrase after it has no
-    # start, so only a score that ends with it can be written.
+    # start, even one of rests alone, whose bar lines a file would place
+    # if anything followed, so only a score that ends with it can be
+    # written.
     odd = _score_of(make_phrase([(0, 0, 7, "1")], voices=("treble",), meter=(3, 7))).phrases[0]
     bar = _score_of(make_phrase([(0, 0, 4, "3")], voices=("treble",))).phrases[0]
+    rests = make_phrase([(0, 0, 4, "rest")], voices=("treble",))
     path = tmp_path / "score.mid"
     # A refusal names the bar line in sevenths from the score start.
     for phrases, refusal in (
         ((odd,), None),
         ((bar, odd), None),
         ((odd, bar), "duration 9 not representable at 480 tpq"),
+        ((odd, rests), "duration 9 not representable at 480 tpq"),
         ((bar, odd, bar), "duration 16 not representable at 480 tpq"),
+        ((bar, odd, rests, bar), "duration 16 not representable at 480 tpq"),
     ):
         score = Score(home_key=bar.key, phrases=phrases)
         want = (PhraseValidationError, refusal) if refusal else fusion_oracle.midi_bytes(score)
@@ -289,12 +312,14 @@ def test_bar_line_off_the_tick_grid_is_refused_only_before_a_phrase(tmp_path):
             assert outcome(_written, replace(score, tracks=carried), path) == want
         if refusal:
             assert outcome(score_note_events, score) == want
+            assert outcome(fusion_oracle.score_note_events, score) == want
 
 
 def test_note_events_match_reference(tmp_path):
     # Scores of one to three phrases in mixed meters and numbers of voices:
     # some with notes off the tick grid, some not realized, some of rests
-    # alone, and some opening on the pitch the phrase before closed on.
+    # alone, some in meters whose beat is no power-of-two part of a whole
+    # note, and some opening on the pitch the phrase before closed on.
     # The same note events and the same MIDI bytes, written with or
     # without fragments carried on the score, or the same error and
     # message.
@@ -306,20 +331,26 @@ def test_note_events_match_reference(tmp_path):
         for _ in range(int(rng.integers(1, 4))):
             n_voices = int(rng.integers(1, 4))
             if rng.random() < 0.2:
-                phrases.append(_all_rests(rng, n_voices))
-                continue
-            p = random_degree_phrase(rng, n_voices)
-            if rng.random() < 0.95:
-                try:
-                    p = realize_pitches(p, default_profiles(p.voices))
-                except SpellingError:
-                    continue
-                if phrases and rng.random() < 0.5:
-                    p = _restrike(phrases[-1], p)
-            phrases.append(p)
+                p = _all_rests(rng, n_voices)
+            else:
+                p = random_degree_phrase(rng, n_voices)
+                if rng.random() < 0.95:
+                    try:
+                        p = realize_pitches(p, default_profiles(p.voices))
+                    except SpellingError:
+                        continue
+                    if phrases and rng.random() < 0.5:
+                        p = _restrike(phrases[-1], p)
+            phrases.append(_stretched(rng, p) if rng.random() < 0.3 else p)
         if not phrases:
             continue
         score = Score(home_key=phrases[0].key, phrases=tuple(phrases))
+        lines = _bar_lines(score)
+        off_grid = next((k for k, line in enumerate(lines) if line.denominator != 1), None)
+        if off_grid is not None:
+            after = score.phrases[off_grid + 1]
+            kind = "before rests" if all(e.is_rest for e in after.events) else "before notes"
+            kinds[kind] = kinds.get(kind, 0) + 1
         got = outcome(score_note_events, score)
         assert got == outcome(fusion_oracle.score_note_events, score)
         want = outcome(fusion_oracle.midi_bytes, score)
@@ -333,4 +364,5 @@ def test_note_events_match_reference(tmp_path):
             for case in _seam_cases(score, got):
                 cases[case] = cases.get(case, 0) + 1
     assert kinds["events"] >= 400 and kinds["duration"] >= 150 and kinds["score"] >= 80, kinds
+    assert kinds["before notes"] >= 30 and kinds["before rests"] >= 5, kinds
     assert len(cases) == 5 and min(cases.values()) >= 20, cases
