@@ -1,7 +1,8 @@
 """Pipeline commands: ingest, train, generate, fuse, render.
 
-Exit codes: 0 success (also after -h), 1 validation error or a bad
-command line, 2 fusion infeasible, 3 internal invariant failure.
+Exit codes: 0 success (also after -h), 1 validation error, an output
+path that cannot be written or a bad command line, 2 fusion infeasible,
+3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
     except FusionInfeasibleError as exc:
         print(f"fusion infeasible at slot {exc.slot_index}: {exc}", file=sys.stderr)
         return EXIT_FUSION
-    except GradusError as exc:
+    except (GradusError, OSError) as exc:  # an OSError names the path it cannot write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception:

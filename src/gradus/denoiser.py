@@ -63,6 +63,9 @@ class DenoiserHyperparams:
     mlp_ratio: int = 4
 
     def __post_init__(self):
+        for name in ("heads", "hidden_dim", "batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise PhraseValidationError(f"{name} must be at least 1, not {getattr(self, name)}")
         if self.hidden_dim % self.heads != 0:
             raise PhraseValidationError("hidden_dim must be divisible by heads")
         if not 0.0 < self.val_split < 1.0:

@@ -322,8 +322,9 @@ def sample_rhythm(
         raise PhraseValidationError("measure-mix needs at least one measure")
     ref = corpus[int(rng.integers(len(corpus)))]
     pool = [p for p in corpus if p.meter == ref.meter and len(p.voices) == len(ref.voices)]
-    all_bars = [bar for p in pool for bar in split_measures(p) if bar]
-    ending_bars = [(p, split_measures(p)[-1]) for p in pool if split_measures(p)[-1]]
+    split = [(p, split_measures(p)) for p in pool]
+    all_bars = [bar for _, bars in split for bar in bars if bar]
+    ending_bars = [(p, bars[-1]) for p, bars in split if bars[-1]]
     if not all_bars or not ending_bars:
         raise PhraseValidationError("corpus has no usable measures")
     chosen: list[tuple[NoteEvent, ...]] = [

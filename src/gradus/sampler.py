@@ -12,14 +12,15 @@ winner at once. Otherwise one more denoiser pass takes the step's other
 distinct candidates, stacked in first-drawn order (the K draws often
 repeat an assignment), and each is scored once. The winner's estimate is
 the next step's prediction, so a phrase costs T passes plus at most one
-for each step whose first candidate breaks a rule, whatever K is. A
-phrase's transition tables and the forward pass's graph constants are
-built once, before the first step.
+for each step whose first candidate breaks a rule, whatever K is. The
+forward pass's graph constants are built once per phrase, before the
+first step; the schedule keeps the transition tables per marginal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from .pitch import DEGREES
 from .rules import RuleConfig, build_rule_context
 # The transition matrices come from NoiseSchedule.transitions; qbar and
 # q_step stay importable from here, as perfbench/tracer.py wraps them here.
-from .schedule import NoiseSchedule, TransitionTables, q_step, qbar, validate_marginal  # noqa: F401
+from .schedule import NoiseSchedule, q_step, qbar, validate_marginal  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,12 @@ def reverse_mixture(
     p_hat: np.ndarray,
     schedule: NoiseSchedule,
     m: np.ndarray,
-    tables: Optional[TransitionTables] = None,
 ) -> np.ndarray:
     """Per-node unnormalized distribution over x^{t-1}, marginalizing the
-    network's clean-class predictions through the exact posterior.
-    ``tables``, when given, is ``schedule.transitions(m)``."""
+    network's clean-class predictions through the exact posterior."""
     if not 1 <= t <= schedule.T:
         raise PhraseValidationError(f"reverse step undefined at t={t}")
-    if tables is None:
-        tables = schedule.transitions(m)
+    tables = schedule.transitions(m)
     return kernels.reverse_mixture(
         p_hat, xt, tables.qbar[t - 1], tables.q_step[t - 1], tables.qbar[t]
     )
@@ -74,10 +72,9 @@ def _reverse_probs(
     p_hat: np.ndarray,
     schedule: NoiseSchedule,
     m: np.ndarray,
-    tables: Optional[TransitionTables] = None,
 ) -> np.ndarray:
     """Per-node distribution of x^{t-1}: the reverse mixture, normalized."""
-    mix = reverse_mixture(xt, t, p_hat, schedule, m, tables)
+    mix = reverse_mixture(xt, t, p_hat, schedule, m)
     totals = mix.sum(axis=1)
     if np.any(totals <= 0.0):
         bad = int(np.argmin(totals))
@@ -95,10 +92,9 @@ def reverse_step(
     schedule: NoiseSchedule,
     m: np.ndarray,
     rng: np.random.Generator,
-    tables: Optional[TransitionTables] = None,
 ) -> np.ndarray:
     """The classes x^{t-1}, one draw per node from the reverse mixture."""
-    probs = _reverse_probs(xt, t, p_hat, schedule, m, tables)
+    probs = _reverse_probs(xt, t, p_hat, schedule, m)
     return kernels.categorical_sample(probs, rng.random(len(xt)))
 
 
@@ -111,7 +107,6 @@ def scg_reverse_step(
     config: GuidanceConfig,
     rng: np.random.Generator,
     score_candidates: Optional[Callable[[np.ndarray], Sequence[float]]] = None,
-    tables: Optional[TransitionTables] = None,
 ) -> np.ndarray:
     """Best-of-K guided reverse step.
 
@@ -120,11 +115,11 @@ def scg_reverse_step(
     ``reverse_step`` would.
     score_candidates receives them as a (K, n) stack of class vectors and
     returns K rule losses; ties keep the first-drawn candidate so runs are
-    reproducible. ``tables``, when given, is ``schedule.transitions(m)``.
+    reproducible.
     """
     if config.K == 1 or score_candidates is None:
-        return reverse_step(xt, t, p_hat, schedule, m, rng, tables)
-    probs = _reverse_probs(xt, t, p_hat, schedule, m, tables)
+        return reverse_step(xt, t, p_hat, schedule, m, rng)
+    probs = _reverse_probs(xt, t, p_hat, schedule, m)
     cands = kernels.categorical_sample(probs, rng.random((config.K, len(xt))))
     return cands[int(np.argmin(score_candidates(cands)))]
 
@@ -154,18 +149,16 @@ def generate_phrase(
     graph = build_graph(skeleton, flags)
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     ctx = build_rule_context(skeleton, rule_config) if config.K > 1 else None
-    # Fixed for the whole phrase: the transition tables, and what every
-    # forward pass reads from the graph and parameters.
-    tables = schedule.transitions(m)
     consts = denoiser.constants(graph, params, config.K)
+    estimates = {}  # a scored candidate's row bytes -> the p_hat of its clean estimate
 
     def estimate(x: np.ndarray, t: int) -> np.ndarray:
         return denoiser.forward(graph.with_x(x), t, params, consts=consts).p_hat
 
-    def score(cands: np.ndarray, t_prev: int) -> np.ndarray:
+    def score(t_prev: int, cands: np.ndarray) -> np.ndarray:
         """Rule losses of the candidates' one-step clean estimates, +inf
-        for every candidate not scored; keeps the winner's prediction,
-        which the next step needs anyway.
+        for every candidate not scored; keeps each estimate in
+        ``estimates``, as the winner's is the next step's prediction.
 
         The first-drawn candidate is forwarded alone and scored. A loss
         of 0 is the least possible and ties keep the first-drawn
@@ -175,37 +168,30 @@ def generate_phrase(
         repeated draw stays +inf, as it cannot win over its first
         occurrence. A dict on the row bytes costs microseconds a step
         where np.unique(axis=0) costs a millisecond."""
-        nonlocal p_hat
         losses = np.full(len(cands), np.inf)
-        estimates = {}  # candidate row -> the p_hat of its clean estimate
-
-        def score_rows(rows: list[int]) -> None:
+        rows = [0]
+        while rows:
             deg = cands[rows]
             if t_prev >= 1:
                 probs = estimate(deg, t_prev)
-                estimates.update(zip(rows, probs))
+                estimates.update(zip([cands[i].tobytes() for i in rows], probs))
                 deg = np.argmax(probs, axis=2)
-            for i, d in zip(rows, deg):
-                losses[i] = ctx.score(d)
-
-        score_rows([0])
-        if losses[0] > 0:
+            losses[rows] = [ctx.score(d) for d in deg]
+            if rows != [0] or losses[0] == 0:
+                break
             seen = {cands[0].tobytes(): 0}
             rows = [i for i, c in enumerate(cands[1:], 1) if seen.setdefault(c.tobytes(), i) == i]
-            if rows:
-                score_rows(rows)
-        if estimates:
-            # np.argmin keeps the first minimum, as scg_reverse_step does.
-            p_hat = estimates[int(np.argmin(losses))]
         return losses
 
     x = sample_noise_x(graph.n, m, rng)
-    p_hat = estimate(x, schedule.T)
     for t in range(schedule.T, 0, -1):
-        scorer = (lambda cands, tp=t - 1: score(cands, tp)) if ctx is not None else None
-        x = scg_reverse_step(x, t, p_hat, schedule, m, config, rng, scorer, tables)
-        if ctx is None and t > 1:
-            p_hat = estimate(x, t - 1)
+        # The winner's estimate from scoring; none at t=T or when unguided.
+        p_hat = estimates.get(x.tobytes())
+        if p_hat is None:
+            p_hat = estimate(x, t)
+        estimates.clear()
+        scorer = partial(score, t - 1) if ctx is not None else None
+        x = scg_reverse_step(x, t, p_hat, schedule, m, config, rng, scorer)
     return rebuild_phrase(skeleton, [DEGREES[i] for i in x])
 
 

@@ -60,6 +60,8 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.T < 1:
             raise PhraseValidationError("schedule needs T >= 1")
+        if self.s == -1:  # the cosine's argument divides by 1 + s
+            raise PhraseValidationError("schedule_s must not be -1")
         abar = np.array([cosine_alpha_bar(t, self.T, self.s) for t in range(self.T + 1)])
         alpha = abar[1:] / abar[:-1]
         # abar[T] underflows to ~0; the final ratio stays within [0, 1].
@@ -78,11 +80,14 @@ class NoiseSchedule:
     def transitions(self, m: np.ndarray) -> TransitionTables:
         """Every step's transition matrices under marginal m, built on the
         first request; the schedule keeps the tables of the last
-        ``_TABLES_KEPT`` marginals it built."""
-        m = validate_marginal(m)
-        key = m.tobytes()
+        ``_TABLES_KEPT`` marginals it built. A marginal is kept under its
+        dtype, shape and bytes as passed, and only once it has passed
+        validation, so a kept one is not validated again."""
+        m = np.asarray(m)
+        key = (m.dtype.str, m.shape, m.tobytes())
         tables = self._tables.get(key)
         if tables is None:
+            m = validate_marginal(m)
             if len(self._tables) >= _TABLES_KEPT:
                 del self._tables[next(iter(self._tables))]
             tables = self._tables[key] = TransitionTables(

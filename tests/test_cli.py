@@ -99,16 +99,25 @@ _PROFILE = {"voice": 0, "central": "E4", "low": "C4", "high": "G5"}
              f"voice_profiles[0] is missing required key '{key}'")
             for key in ("central", "low", "high")
         ),
+        *(
+            (lambda c, key=key: {**c, key: 0}, f"{key} must be at least 1, not 0")
+            for key in ("heads", "hidden_dim", "batch_size", "epochs")
+        ),
+        (lambda c: {**c, "schedule_s": -1}, "schedule_s must not be -1"),
     ],
     ids=[
         "list", "string-seed", "negative-master-seed", "negative-train-seed", "float-layers", "misspelt-epochs", "unknown-feature", "unknown-rule", "string-threshold",
         "no-tonic", "empty-tonic", "no-central", "no-low", "no-high",
+        "zero-heads", "zero-hidden-dim", "zero-batch-size", "zero-epochs", "schedule-s-minus-one",
     ],
 )
 def test_bad_config_exits_validation(tmp_path, capsys, edit, message):
+    # train reads every config key, the schedule's included, before it
+    # trains or writes anything.
     path = write_config(tmp_path)
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    assert main(["ingest", "--config", str(path)]) == 1
+    assert main(["train", "--config", str(path)]) == 1
+    assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
@@ -247,6 +256,26 @@ def test_generate_incompatible_checkpoint(tmp_path):
         )
         == 1
     )
+
+
+@pytest.mark.parametrize("command", ["ingest", "render"])
+def test_unwritable_output_path_exits_validation(tmp_path, capsys, command):
+    # An output path under a regular file or a missing directory is refused
+    # with exit 1, naming the path, not as an internal failure (exit 3).
+    path = write_config(tmp_path)
+    if command == "ingest":
+        (tmp_path / "a-file").write_text("")
+        target = tmp_path / "a-file" / "sub"
+        argv = ["ingest", "--config", str(path), "--out", str(target)]
+    else:
+        assert main(["fuse", "--config", str(path), "--library", str(CORPUS_DIR)]) == 0
+        target = tmp_path / "missing" / "dir" / "x.mid"
+        argv = ["render", str(tmp_path / "out" / "score.json"), "--out", str(target)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
 
 
 def test_fuse_infeasible_exit_code(tmp_path):

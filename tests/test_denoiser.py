@@ -567,6 +567,10 @@ _BROKEN_CHECKPOINTS = {
         _edit_meta(lambda meta: {**meta, "hyperparams": {**meta["hyperparams"], "depth": 3}}),
         "bad hyperparameters",
     ),
+    "zero-heads": (
+        _edit_meta(lambda meta: {**meta, "hyperparams": {**meta["hyperparams"], "heads": 0}}),
+        "bad hyperparameters: heads must be at least 1, not 0",
+    ),
     "no-marginal": (lambda a: a.pop("__marginal__"), "is not a recognized checkpoint"),
     "cut-weight": (_cut("w::l0.attn.wq", (8, 4)), "'l0.attn.wq' has shape (8, 4), not (8, 8)"),
     "cut-marginal": (_cut("__marginal__", (17,)), "'__marginal__' has shape (17,), not (18,)"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gradus import phrase as phrase_module
 from gradus.errors import PhraseParseError, PhraseValidationError
 from gradus.phrase import (
     Phrase,
@@ -20,7 +21,7 @@ from gradus.phrase import (
 )
 from gradus.pitch import Degree, Interval, parse_key
 
-from conftest import CORPUS_DIR, make_phrase
+from conftest import CORPUS_DIR, counting, make_phrase
 
 DATA = Path(__file__).parent / "data"
 
@@ -224,6 +225,32 @@ def test_measure_mix_final_bar_is_cadential():
         assert all(e.degree is None and e.pitch is None for e in skel.events)
         seen.add(rhythm)
     assert len(seen) == 2  # both ending bars eventually drawn
+
+
+# Per (seed, measures): the key, meter and each voice's onset+duration
+# list of the measure-mix skeletons drawn from the shipped corpus when each
+# pool phrase was split three times a draw.
+MEASURE_MIX_SKELETONS = [
+    (0, 2, "G major", (4, 4), ("0+1/2 1/2+1/2 1+1 2+2 4+1 5+1 6+2", "0+1 1+1 2+1 3+1 4+1 5+1 6+2")),
+    (1, 2, "D major", (4, 4), ("0+1 1+1 2+2 4+1 5+1 6+2", "0+1 1+1 2+2 4+1 5+1 6+2")),
+    (2, 3, "C major", (3, 4), ("0+1 1+2 3+1 4+1/2 9/2+1/2 5+1 6+1 7+2", "0+1 1+2 3+1 4+1 5+1 6+1 7+2")),
+    (3, 1, "C major", (3, 4), ("0+1 1+2", "0+1 1+2")),
+    (4, 4, "A minor", (4, 4), ("0+1 1+1 2+2 4+1 5+1 6+2 8+1 9+1 10+2 12+1 13+1 14+2",) * 2),
+]
+
+
+@pytest.mark.parametrize("seed,measures,key,meter,voices", MEASURE_MIX_SKELETONS)
+def test_measure_mix_splits_each_pool_phrase_once(corpus, monkeypatch, seed, measures, key, meter, voices):
+    calls = {"split": 0}
+    monkeypatch.setattr(phrase_module, "split_measures", counting(calls, "split", split_measures))
+    skel = sample_rhythm(corpus, "measure-mix", np.random.default_rng(seed), measures=measures)
+    pool = [p for p in corpus if p.meter == skel.meter and len(p.voices) == len(skel.voices)]
+    assert calls["split"] == len(pool)
+    assert (str(skel.key), skel.meter) == (key, meter)
+    assert not any(e.tie for e in skel.events)
+    assert tuple(
+        " ".join(f"{e.onset}+{e.duration}" for e in skel.events if e.voice == v) for v in range(len(skel.voices))
+    ) == voices
 
 
 def test_split_measures_splits_crossing_events():

@@ -292,10 +292,10 @@ def test_generate_phrase_costs_t_passes(corpus, schedule, corpus_marginal, toy_m
     forward, step = Denoiser.forward, sampler.scg_reverse_step
     steps = []  # per guided step: its inputs and a copy of its stream before the draws
 
-    def recording(xt, t, p_hat, sched, m, config, rng, score_candidates=None, tables=None):
+    def recording(xt, t, p_hat, sched, m, config, rng, score_candidates=None):
         if score_candidates is not None:
             steps.append((xt.copy(), t, p_hat.copy(), config.K, copy.deepcopy(rng)))
-        return step(xt, t, p_hat, sched, m, config, rng, score_candidates, tables)
+        return step(xt, t, p_hat, sched, m, config, rng, score_candidates)
 
     monkeypatch.setattr(sampler, "scg_reverse_step", recording)
     calls = {"forward": 0, "mixture": 0, "build": 0}
@@ -354,12 +354,12 @@ def test_generate_phrase_forwards_distinct_candidates(
         events.append(("score",))
         return score(self, degrees)
 
-    def drawing(xt, t, p_hat, sched, m, config, rng, score_candidates=None, tables=None):
+    def drawing(xt, t, p_hat, sched, m, config, rng, score_candidates=None):
         def scorer(cands):
             distinct[t - 1] = {c.tobytes() for c in cands}
             return score_candidates(cands)
 
-        return step(xt, t, p_hat, sched, m, config, rng, scorer, tables)
+        return step(xt, t, p_hat, sched, m, config, rng, scorer)
 
     monkeypatch.setattr(Denoiser, "forward", recording)
     monkeypatch.setattr(RuleContext, "score", scoring)

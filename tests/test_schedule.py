@@ -85,27 +85,40 @@ def test_transition_tables_match_builders(corpus_marginal, monkeypatch):
     # marginal gets its own tables, built once.
     sched = NoiseSchedule()
     other = np.random.default_rng(5).dirichlet(np.ones(18))
-    kept = {}
+    kept = []
     for m in (corpus_marginal, other):
-        tables = kept[m.tobytes()] = sched.transitions(m)
+        tables = sched.transitions(m)
+        kept.append(tables)
         assert len(tables.qbar) == sched.T + 1 and len(tables.q_step) == sched.T
         for t in range(sched.T + 1):
             assert np.array_equal(tables.qbar[t], qbar(float(sched.alpha_bar[t]), m))
         for t in range(1, sched.T + 1):
             assert np.array_equal(tables.q_step[t - 1], q_step(sched.alpha_at(t), m))
-    a, b = kept.values()
+    a, b = kept
     assert a is not b
     assert not np.array_equal(a.qbar[50], b.qbar[50])
-    calls = {"build": 0}
+    calls = {"build": 0, "validate": 0}
     monkeypatch.setattr(
         schedule_module, "transition_matrix",
         counting(calls, "build", schedule_module.transition_matrix),
     )
-    for m in (corpus_marginal, other, list(other)):
-        assert sched.transitions(m) is kept[np.asarray(m, dtype=float).tobytes()]
-    assert calls["build"] == 0
-    with pytest.raises(PhraseValidationError):
-        sched.transitions(np.array([0.5, 0.6]))
+    monkeypatch.setattr(
+        schedule_module, "validate_marginal",
+        counting(calls, "validate", schedule_module.validate_marginal),
+    )
+    # A kept marginal, passed again as an array, a copy or a list, is a hit
+    # that neither validates nor builds.
+    for m, tables in ((corpus_marginal, a), (corpus_marginal.copy(), a), (other, b), (list(other), b)):
+        assert sched.transitions(m) is tables
+    assert calls == {"build": 0, "validate": 0}
+    # Only a validated marginal is kept: an invalid one is refused every
+    # time, and a kept marginal's bytes under another shape or dtype are
+    # validated as new input, and refused.
+    bad = np.array([0.5, 0.6])
+    for m in (bad, bad, corpus_marginal.reshape(2, 9), corpus_marginal[None], corpus_marginal.view(np.int64)):
+        with pytest.raises(PhraseValidationError):
+            sched.transitions(m)
+    assert calls == {"build": 0, "validate": 5}
 
 
 def test_chapman_kolmogorov(schedule):
