@@ -14,9 +14,12 @@ parameters as one flat buffer.
 
 Training allocates nothing per parameter per step: ``backward``
 accumulates into views of one flat gradient buffer that ``train`` zeroes
-before each batch and ``Adam.step`` reads in place. Validation draws its
-(t, noise) pairs once per run and forwards them as stacks of candidates,
-each with its own step.
+before each batch and ``Adam.step`` reads in place. ``backward`` takes
+its loss from the row maxima and exp-sums of its own forward pass, and
+sums each edge class's bias gradient over the graph's ``ec_groups``, the
+flat indices of that class's node pairs, made once per graph. Validation
+draws its (t, noise) pairs once per run and forwards each graph's draws
+as one stack of candidates, each with its own step.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ from .schedule import NoiseSchedule, forward_sample
 _LN_EPS = 1e-5
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-# Validation forwards each graph's draws in stacks of at most this many
-# candidates, the example config's guidance stack; larger stacks cost
-# peak memory for little further speed.
-_VAL_STACK = 8
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,15 @@ class DenoiserHyperparams:
     mlp_ratio: int = 4
 
     def __post_init__(self):
+        if self.layers < 0:
+            raise PhraseValidationError(f"layers must be at least 0, not {self.layers}")
         for name in ("heads", "hidden_dim", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise PhraseValidationError(f"{name} must be at least 1, not {getattr(self, name)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise PhraseValidationError(
+                f"learning_rate must be a finite positive number, not {self.learning_rate}"
+            )
         if self.hidden_dim % self.heads != 0:
             raise PhraseValidationError("hidden_dim must be divisible by heads")
         if not 0.0 < self.val_split < 1.0:
@@ -373,28 +378,31 @@ class Denoiser:
 
         zf, lnf_c = _layer_norm(H, params["out.ln.g"], params["out.ln.b"])
         logits = _per_candidate(zf, params["out.w"], K) + params["out.b"]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exps = np.exp(shifted)
-        p_hat = exps / exps.sum(axis=1, keepdims=True)
+        top = logits.max(axis=1, keepdims=True)
+        p_hat = np.exp(logits - top)
+        exp_sums = p_hat.sum(axis=1, keepdims=True)
+        p_hat /= exp_sums
         out_shape = graph.x.shape + (logits.shape[1],)
         output = DenoiserOutput(logits=logits.reshape(out_shape), p_hat=p_hat.reshape(out_shape))
         if want_cache:
             cache["zf"] = zf
             cache["lnf"] = lnf_c
             cache["p_hat"] = p_hat
+            cache["softmax"] = (top, exp_sums)
             return output, cache
         return output
 
     # -- loss and gradients ---------------------------------------------
 
     @staticmethod
-    def loss(output: DenoiserOutput, x0: np.ndarray) -> float:
-        """Sum over nodes of categorical cross-entropy against classes x0."""
+    def loss(output: DenoiserOutput, x0: np.ndarray) -> float | np.ndarray:
+        """Sum over nodes of categorical cross-entropy against classes x0:
+        a float for one graph's (n, C) output, or, for a (K, n, C) stack
+        against one x0, the K per-candidate sums, each with the bits of
+        the loss of that candidate alone."""
         logits = output.logits
-        logz = np.log(np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1))
-        logz += logits.max(axis=1)
-        true_logit = logits[np.arange(len(x0)), x0]
-        return float(np.sum(logz - true_logit))
+        top = logits.max(axis=-1, keepdims=True)
+        return _summed_nll(logits, top, np.exp(logits - top).sum(axis=-1, keepdims=True), x0)
 
     def backward(
         self,
@@ -408,12 +416,11 @@ class Denoiser:
         every parameter tensor, added (+=) into ``grads`` and returned."""
         hp = self.hp
         output, cache = self.forward(graph, t, params, want_cache=True)
-        loss = self.loss(output, x0)
+        loss = _summed_nll(output.logits, *cache["softmax"], x0)
         n = len(x0)
         h = hp.hidden_dim
         heads, dh = hp.heads, h // hp.heads
         scale = 1.0 / math.sqrt(dh)
-        ec = graph.ec
 
         dlogits = cache["p_hat"].copy()
         dlogits[np.arange(n), x0] -= 1.0
@@ -449,11 +456,11 @@ class Denoiser:
             dheads = (dattn_out @ params[pre + "attn.wo"].T).reshape(n, heads, dh).transpose(1, 0, 2)
             dP = dheads @ v.transpose(0, 2, 1)
             dS = attn * (dP - (dP * attn).sum(axis=2, keepdims=True))
-            eb_grad = grads[pre + "attn.eb"]
-            for e in range(NUM_EDGE_CLASSES):
-                mask = ec == e
-                if mask.any():
-                    eb_grad[:, e] += dS[:, mask].sum(axis=1)
+            # Per edge class, the sum of dS over its node pairs, taken in
+            # row-major order as a boolean mask of ec would take them.
+            eb_grad, dS_pairs = grads[pre + "attn.eb"], dS.reshape(heads, n * n)
+            for e, idx in graph.ec_groups:
+                eb_grad[:, e] += dS_pairs[:, idx].sum(axis=1)
             dq = (dS @ k * scale).transpose(1, 0, 2).reshape(n, h)
             dk = (dS.transpose(0, 2, 1) @ q * scale).transpose(1, 0, 2).reshape(n, h)
             dv = (attn.transpose(0, 2, 1) @ dheads).transpose(1, 0, 2).reshape(n, h)
@@ -478,6 +485,15 @@ class Denoiser:
         grads["time.w"] += np.outer(time_embedding(t, hp.T, 2 * (h // 2)), dtvec)
         grads["time.b"] += dtvec
         return loss, grads
+
+
+def _summed_nll(logits: np.ndarray, top: np.ndarray, exp_sums: np.ndarray, x0: np.ndarray):
+    """``Denoiser.loss`` from the logits' row maxima, ``top``, and the row
+    sums of exp(logits - top), ``exp_sums``, both kept as (..., 1)."""
+    nll = np.log(exp_sums[..., 0])
+    nll += top[..., 0]
+    nll -= logits[..., np.arange(len(x0)), x0]
+    return float(nll.sum()) if nll.ndim == 1 else nll.sum(axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -568,10 +584,13 @@ def train(
     node matrix is corrupted through the schedule, and the summed node
     cross-entropy is minimized with Adam. The gradients of a batch add up
     in one flat buffer, zeroed before the batch and divided by its size.
-    Validation uses (t, noise) draws fixed once per run, so its loss is
-    comparable across epochs. Reported losses are per node.
+    Validation uses ``val_draws`` (t, noise) draws per graph, fixed once
+    per run, so its loss is comparable across epochs, and forwards each
+    graph's draws as one stack. Reported losses are per node.
     """
     hp = denoiser.hp
+    if val_draws < 1:
+        raise PhraseValidationError(f"val_draws must be at least 1, not {val_draws}")
     if not graphs:
         raise PhraseValidationError("empty corpus")
     for g in graphs:
@@ -593,18 +612,16 @@ def train(
     grads = FlatGrads(params)
 
     # Every validation (t, x_t) pair, drawn once in graph-then-draw order,
-    # as (clean x, stacked graph, steps) per stack of one graph's draws.
+    # as (clean x, stacked graph, steps) per validation graph.
     vrng = np.random.default_rng(val_seed)
     val_stacks = []
     for gi in val_idx:
         g = graphs[gi]
-        draws = []
+        steps, draws = [], []
         for _ in range(val_draws):
-            t = int(vrng.integers(1, hp.T + 1))
-            draws.append((t, forward_sample(g.x, t, schedule, marginal, vrng)))
-        for start in range(0, val_draws, _VAL_STACK):
-            chunk = draws[start : start + _VAL_STACK]
-            val_stacks.append((g.x, g.with_x(np.stack([xt for _, xt in chunk])), [t for t, _ in chunk]))
+            steps.append(int(vrng.integers(1, hp.T + 1)))
+            draws.append(forward_sample(g.x, steps[-1], schedule, marginal, vrng))
+        val_stacks.append((g.x, g.with_x(np.stack(draws)), steps))
     val_nodes = val_draws * sum(graphs[gi].n for gi in val_idx)
 
     def validation_loss() -> float:
@@ -612,9 +629,10 @@ def train(
             return float("nan")
         total = 0.0
         for x0, stack, steps in val_stacks:
-            out = denoiser.forward(stack, steps, params)
-            for logits, p_hat in zip(out.logits, out.p_hat):
-                total += denoiser.loss(DenoiserOutput(logits, p_hat), x0)
+            # One draw at a time, in order: a sum of the stack's losses
+            # would round differently.
+            for loss in denoiser.loss(denoiser.forward(stack, steps, params), x0).tolist():
+                total += loss
         return total / val_nodes
 
     history: list[tuple[int, float, float]] = []
@@ -631,7 +649,8 @@ def train(
                 loss, _ = denoiser.backward(g.with_x(xt), t, params, g.x, grads)
                 total += loss
                 nodes += g.n
-            grads.flat /= len(batch)
+            if len(batch) > 1:  # x / 1 is x
+                grads.flat /= len(batch)
             opt.step(params, grads)
         history.append((epoch, total / nodes, validation_loss()))
     return TrainResult(params=params, history=history)

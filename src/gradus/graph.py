@@ -9,7 +9,7 @@ sounding event, one node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -74,6 +74,15 @@ class ScoreGraph:
     R: np.ndarray  # (n, |features|), durations and offsets in bars
     r_names: tuple[str, ...]
     nodes: tuple[GraphNode, ...]
+    # Per edge class present, in class order: (class, the row-major flat
+    # indices of its node pairs in ec). Made once from ec; with_x carries
+    # it along.
+    ec_groups: tuple[tuple[int, np.ndarray], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        flat = self.ec.ravel()
+        groups = ((e, np.flatnonzero(flat == e)) for e in range(NUM_EDGE_CLASSES))
+        object.__setattr__(self, "ec_groups", tuple((e, idx) for e, idx in groups if idx.size))
 
     @property
     def n(self) -> int:

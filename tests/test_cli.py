@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,11 +105,19 @@ _PROFILE = {"voice": 0, "central": "E4", "low": "C4", "high": "G5"}
             for key in ("heads", "hidden_dim", "batch_size", "epochs")
         ),
         (lambda c: {**c, "schedule_s": -1}, "schedule_s must not be -1"),
+        (lambda c: {**c, "layers": -1}, "layers must be at least 0, not -1"),
+        *(
+            (lambda c, rate=rate: {**c, "learning_rate": rate},
+             f"learning_rate must be a finite positive number, not {float(rate)}")
+            for rate in (-1, 0, math.nan, math.inf)
+        ),
     ],
     ids=[
         "list", "string-seed", "negative-master-seed", "negative-train-seed", "float-layers", "misspelt-epochs", "unknown-feature", "unknown-rule", "string-threshold",
         "no-tonic", "empty-tonic", "no-central", "no-low", "no-high",
         "zero-heads", "zero-hidden-dim", "zero-batch-size", "zero-epochs", "schedule-s-minus-one",
+        "negative-layers", "negative-learning-rate", "zero-learning-rate", "nan-learning-rate",
+        "infinite-learning-rate",
     ],
 )
 def test_bad_config_exits_validation(tmp_path, capsys, edit, message):

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,11 @@ from gradus.denoiser import (
     write_loss_csv,
 )
 from gradus.errors import CheckpointError, PhraseValidationError
-from gradus.graph import build_graph
-from gradus.phrase import strip_to_skeleton
+from gradus.graph import NUM_EDGE_CLASSES, build_graph
+from gradus.phrase import _derived, strip_to_skeleton
 from gradus.pitch import NUM_DEGREE_CLASSES
 
-from conftest import make_phrase
+from conftest import make_phrase, random_degree_phrase
 from denoiser_oracle import EinsumDenoiser, PerTensorAdam, reference_train
 
 HP_SMALL = DenoiserHyperparams(layers=2, hidden_dim=8, heads=2, T=10, epochs=1)
@@ -84,8 +85,6 @@ def test_forward_dimension_mismatch(four_node_graph):
 
 
 def test_permutation_equivariance(four_node_graph):
-    from dataclasses import replace
-
     g = _noisy(four_node_graph, [4, 0, 17, 9])
     den = Denoiser(HP_SMALL)
     params = den.init_params(np.random.default_rng(2), g.R.shape[1])
@@ -289,12 +288,12 @@ def test_train_flat_adam_matches_per_tensor_reference(
         assert flat.params[k].tobytes() == ref.params[k].tobytes(), k
 
 
-@pytest.mark.parametrize("val_draws", [16, 5])
+@pytest.mark.parametrize("val_draws", [16, 5, 1])
 @pytest.mark.parametrize("batch_size", [1, 4, 8])
 def test_train_matches_reference_loop(corpus, schedule, corpus_marginal, batch_size, val_draws):
-    # The flat gradient buffer and the stacked validation draws made once
-    # give the plain loop's history and parameters, bit for bit; 5 draws
-    # leave a partial stack.
+    # The flat gradient buffer and the validation draws made once, each
+    # graph's draws forwarded as one stack, give the plain per-draw loop's
+    # history and parameters, bit for bit, whatever the stack's height.
     hp = DenoiserHyperparams(
         layers=1, hidden_dim=16, heads=2, epochs=3, batch_size=batch_size, val_split=0.25
     )
@@ -308,6 +307,13 @@ def test_train_matches_reference_loop(corpus, schedule, corpus_marginal, batch_s
     assert list(got.params) == list(ref.params)
     for k in ref.params:
         assert got.params[k].tobytes() == ref.params[k].tobytes(), k
+
+
+@pytest.mark.parametrize("val_draws", [0, -1])
+def test_train_refuses_fewer_than_one_validation_draw(corpus, schedule, corpus_marginal, val_draws):
+    graphs = [build_graph(p) for p in corpus[:4]]
+    with pytest.raises(PhraseValidationError, match=f"^val_draws must be at least 1, not {val_draws}$"):
+        train(Denoiser(HP_SMALL), graphs, schedule, corpus_marginal, np.random.default_rng(0), val_draws)
 
 
 _TRAIN_GOLDEN = Path(__file__).resolve().parent / "data" / "train_golden.json"
@@ -325,6 +331,71 @@ def test_train_golden(corpus, schedule, corpus_marginal, seed):
     assert repr(result.history) == want["history"]
     digest = hashlib.sha256(b"".join(result.params[k].tobytes() for k in sorted(result.params)))
     assert digest.hexdigest() == want["params_sha256"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=st.integers(min_value=0),
+    kind=st.sampled_from(["corpus", "random phrase", "random edge classes"]),
+    t=st.integers(min_value=1, max_value=100),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_edge_bias_gradients_are_the_boolean_mask_sums(corpus, source, kind, t, seed):
+    # A graph's index groups list the edge classes it holds, with the
+    # row-major flat indices of their node pairs; with_x carries them.
+    # backward's edge-bias gradients, summed over those groups, are bit for
+    # bit the sums over boolean masks of ec (the same backward given one
+    # mask per class, all seven), and zero for a class the graph lacks.
+    # Random phrases have one to three voices, so a one-voice phrase has no
+    # bass-voice pairs; random edge classes draw from a random subset.
+    rng = np.random.default_rng(seed)
+    if kind == "corpus":
+        graph = build_graph(strip_to_skeleton(corpus[source % len(corpus)]))
+    else:
+        graph = build_graph(random_degree_phrase(rng, int(rng.integers(1, 4))))
+    if kind == "random edge classes":
+        present = rng.choice(NUM_EDGE_CLASSES, size=int(rng.integers(1, NUM_EDGE_CLASSES + 1)), replace=False)
+        graph = replace(graph, ec=rng.choice(present, size=(graph.n, graph.n)))
+    flat = graph.ec.ravel()
+    assert [e for e, _ in graph.ec_groups] == sorted(set(flat.tolist()))
+    for e, idx in graph.ec_groups:
+        assert np.array_equal(idx, np.flatnonzero(flat == e))
+    noised = graph.with_x(_classes(rng, graph.n))
+    assert noised.ec_groups is graph.ec_groups
+    masked = _derived(noised, ec_groups=tuple((e, flat == e) for e in range(NUM_EDGE_CLASSES)))
+    hp = DenoiserHyperparams.toy()
+    params = _perturbed_params(Denoiser(hp), graph, rng)
+    x0 = _classes(rng, graph.n)
+    loss, grads = Denoiser(hp).backward(noised, t, params, x0, FlatGrads(params))
+    ref_loss, ref = Denoiser(hp).backward(masked, t, params, x0, FlatGrads(params))
+    assert loss == ref_loss
+    assert grads.flat.tobytes() == ref.flat.tobytes()
+    absent = sorted(set(range(NUM_EDGE_CLASSES)) - set(flat.tolist()))
+    for i in range(hp.layers):
+        assert not grads[f"l{i}.attn.eb"][:, absent].any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source=st.integers(min_value=0),
+    K=st.sampled_from([1, 2, 16]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_loss_of_a_stack_is_each_candidates_loss(corpus, source, K, seed):
+    # Against one clean x0, a (K, n, C) stack's losses are, bit for bit,
+    # the losses of its candidates one at a time, and a single graph's loss
+    # is a float.
+    graph = build_graph(corpus[source % len(corpus)])
+    hp = DenoiserHyperparams.toy()
+    rng = np.random.default_rng(seed)
+    params = _perturbed_params(Denoiser(hp), graph, rng)
+    stack = _classes(rng, (K, graph.n))
+    steps = rng.integers(1, hp.T + 1, size=K).tolist()
+    losses = Denoiser.loss(Denoiser(hp).forward(graph.with_x(stack), steps, params), graph.x)
+    assert losses.shape == (K,)
+    for k, t in enumerate(steps):
+        alone = Denoiser.loss(Denoiser(hp).forward(graph.with_x(stack[k]), t, params), graph.x)
+        assert type(alone) is float and alone == losses[k]
 
 
 def test_backward_accumulates_into_given_grads(four_node_graph):
@@ -571,6 +642,17 @@ _BROKEN_CHECKPOINTS = {
         _edit_meta(lambda meta: {**meta, "hyperparams": {**meta["hyperparams"], "heads": 0}}),
         "bad hyperparameters: heads must be at least 1, not 0",
     ),
+    "negative-layers": (
+        _edit_meta(lambda meta: {**meta, "hyperparams": {**meta["hyperparams"], "layers": -1}}),
+        "bad hyperparameters: layers must be at least 0, not -1",
+    ),
+    **{
+        f"{name}-learning-rate": (
+            _edit_meta(lambda meta, rate=rate: {**meta, "hyperparams": {**meta["hyperparams"], "learning_rate": rate}}),
+            f"bad hyperparameters: learning_rate must be a finite positive number, not {rate}",
+        )
+        for name, rate in (("negative", -1.0), ("zero", 0.0), ("nan", math.nan), ("infinite", math.inf))
+    },
     "no-marginal": (lambda a: a.pop("__marginal__"), "is not a recognized checkpoint"),
     "cut-weight": (_cut("w::l0.attn.wq", (8, 4)), "'l0.attn.wq' has shape (8, 4), not (8, 8)"),
     "cut-marginal": (_cut("__marginal__", (17,)), "'__marginal__' has shape (17,), not (18,)"),
