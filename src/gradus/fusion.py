@@ -7,13 +7,15 @@ previous slot's final harmony in the new local key and demanding the
 next phrase start on a grammar successor of that pivot. Each slot
 state's candidate list comes from one pass over the library, once per
 library and template (``PhraseLibrary.layers``). The assembled degree
-score is re-checked against the hard rules before realization, from
-the library's per-entry nodes on integer ticks.
+score is re-checked against the hard rules before realization, on the
+entries' own grid rows stacked in order, each entry's laid once per
+library (``PhraseLibrary.rows``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,9 +39,12 @@ from .pitch import (
     parse_key,
     realize_degree,
 )
-from .rules import CatalogEntry, NodeTicks, ProgressionGrammar, RuleConfig, cadence_satisfies, tick_loss
+from .rules import (
+    CatalogEntry, GridRows, ProgressionGrammar, RuleConfig, _check_ticks, _grid, _strong_beats,
+    cadence_satisfies, rows_loss,
+)
 
-# The plan check reads tick arrays, not phrases; rule_loss stays importable
+# The plan check reads grid rows, not phrases; rule_loss stays importable
 # from here, as perfbench/tracer.py wraps it here.
 from .rules import rule_loss  # noqa: F401
 
@@ -409,20 +414,35 @@ def _home_classes(home: KeyContext, local_root: int) -> np.ndarray:
     return table
 
 
-def _join_ties(plan: NodeTicks, classes, tied) -> tuple[NodeTicks, np.ndarray]:
-    """``merge_tied`` on nodes given on ticks, with their classes: a node
-    whose head event is tied joins the node before it in its voice when
-    that one ends where it starts, and the joined node keeps the first
-    node's start and class and takes the last one's end. The nodes come
-    out by voice, then time."""
-    order = np.lexsort((plan.start, plan.voice))
-    v, s, e = plan.voice[order], plan.start[order], plan.end[order]
-    joins = np.zeros(len(order), dtype=bool)
-    joins[1:] = tied[order][1:] & (v[1:] == v[:-1]) & (e[:-1] == s[1:])
-    heads = np.flatnonzero(~joins)
-    last = np.append(heads[1:] - 1, len(order) - 1)
-    kept = order[heads]
-    return plan._replace(voice=plan.voice[kept], start=plan.start[kept], end=e[last]), classes[kept]
+# What a silent voice sounds in an entry's stored rows: past every node
+# index plus any plan's node offset, so that once the offsets are added,
+# np.minimum maps each silence to the plan's node count.
+_SILENT = np.iinfo(np.int64).max // 2
+
+
+def _entry_rows(
+    ticks: EntryTicks, meter: tuple[int, int], n_voices: int, cutoff: float
+) -> tuple[GridRows, int]:
+    """The entry's grid rows, in n_voices voices under this strong-beat
+    cutoff, through its last bar line, and how many of them its own grid
+    has. The beats past its span follow as silent rows, which a plan
+    keeps after every entry but its last. A silent voice sounds
+    ``_SILENT``, and the arrays are read-only, as every plan shares them."""
+    nodes = ticks.nodes
+    _, own = _grid(nodes, meter, n_voices, cutoff)
+    pad = ticks.beats - nodes.n_beats
+    rows = GridRows(
+        sounding=np.vstack([
+            np.where(own.sounding == len(nodes.voice), _SILENT, own.sounding),
+            np.full((pad, n_voices), _SILENT),
+        ]),
+        attacked=np.vstack([own.attacked, np.zeros((pad, n_voices), dtype=bool)]),
+        on_beat=np.append(own.on_beat, np.ones(pad, dtype=bool)),
+        strong=np.append(own.strong, _strong_beats(np.arange(nodes.n_beats, ticks.beats), meter, cutoff)),
+    )
+    for array in rows:
+        array.flags.writeable = False
+    return rows, len(own.on_beat)
 
 
 def _plan_loss(
@@ -434,11 +454,23 @@ def _plan_loss(
 ) -> Optional[int]:
     """``rule_loss(concatenate_degrees(...))`` of the entries at indices in
     the local keys, or None where ``concatenate_degrees`` refuses them.
-    The entries' nodes are laid end to end at their bar offsets on the lcm
-    of their ticks, their classes mapped into the home frame and ties
-    across a seam joined, so no phrase is built. An entry with no
-    ``EntryTicks`` has a placeholder event or a pitch with no degree in
-    its key, which ``concatenate_degrees`` refuses, so its plans get None."""
+
+    No phrase is built and no plan grid is laid. Each entry sits at a bar
+    offset, no node runs past its last bar line and beat strength repeats
+    every bar, so the plan's grid rows are the entries' own rows
+    (``_entry_rows``, laid once per library) stacked in order, each entry
+    through its last bar line but the last one, which ends at its own last
+    beat. Their node indices move by the nodes before them, and their
+    classes reach the home frame. A tie across a seam joins the node that
+    starts the later entry to the one ending there in its voice, as
+    ``merge_tied`` does: the joined node sounds as the earlier one, keeping
+    its class, and does not attack at the seam. ``rows_loss`` then counts
+    the violations on the grid of ``build_rule_context``.
+
+    An entry with no ``EntryTicks`` has a placeholder event or a pitch with
+    no degree in its key, which ``concatenate_degrees`` refuses, so its
+    plans get None. A plan whose grid would not fit int64 ticks is refused
+    as ``rule_loss`` refuses it."""
     parts: list[Optional[EntryTicks]] = [library.ticks[i] for i in indices]
     if any(part is None for part in parts):
         return None
@@ -448,26 +480,45 @@ def _plan_loss(
     for phrase, part, table in zip(phrases, parts, maps):
         if phrase.meter != meter or part.n_voices > n_voices or (table[part.event_classes] < 0).any():
             return None
-    nodes = [part.nodes for part in parts]
-    tick = math.lcm(*(n.tick for n in nodes))
-    scales = [tick // n.tick for n in nodes]
-    offsets = [0]
-    for part, scale in zip(parts, scales):
-        offsets.append(offsets[-1] + part.length * scale)
     # Bar offsets are whole beats, so the last entry's beats end the plan.
-    n_beats = offsets[-2] // tick + nodes[-1].n_beats
-    voice = np.concatenate([n.voice for n in nodes])
-    try:
-        start = np.concatenate([n.start * k + o for n, k, o in zip(nodes, scales, offsets)])
-        end = np.concatenate([n.end * k + o for n, k, o in zip(nodes, scales, offsets)])
-    except OverflowError:  # a scale or an offset past int64: tick_loss refuses this grid
-        start = end = np.zeros_like(voice)
-    plan = NodeTicks(tick, voice, start, end, n_beats)
+    _check_ticks(
+        math.lcm(*(part.nodes.tick for part in parts)),
+        sum(part.beats for part in parts[:-1]) + parts[-1].nodes.n_beats,
+    )
+    cutoff = rule_config.strong_beat_cutoff
+    grids = []
+    for i, part in zip(indices, parts):
+        grid = library.rows.get((i, n_voices, cutoff))
+        if grid is None:
+            grid = library.rows[i, n_voices, cutoff] = _entry_rows(part, meter, n_voices, cutoff)
+        grids.append(grid)
+    last, cut = grids[-1]
+    stored = [rows for rows, _ in grids[:-1]] + [GridRows(*(array[:cut] for array in last))]
+    offsets = [0, *itertools.accumulate(len(part.classes) for part in parts)]
+    counts = [len(rows.on_beat) for rows in stored]
+    sounding, attacked, on_beat, strong = map(np.concatenate, zip(*stored))
+    sounding += np.repeat(offsets[:-1], counts)[:, None]
+    np.minimum(sounding, offsets[-1], out=sounding)
+    voice = np.concatenate([part.nodes.voice for part in parts])
     classes = np.concatenate([table[part.classes] for part, table in zip(parts, maps)])
-    tied = np.concatenate([part.tied for part in parts])
-    if tied.any():
-        plan, classes = _join_ties(plan, classes, tied)
-    return tick_loss(classes, plan, meter, n_voices, rule_config)
+    seams = [
+        (row, v, offsets[k] + node, offsets[k - 1] + parts[k - 1].tails[v])
+        for k, row in enumerate(itertools.accumulate(counts[:-1]), 1)
+        for v, node in parts[k].heads
+        if v in parts[k - 1].tails
+    ]
+    if seams:
+        # Joined nodes leave the plan; seams in order resolve a node that
+        # joins one joined at the seam before.
+        kept = np.ones(offsets[-1] + 1, dtype=bool)
+        kept[[node for _, _, node, _ in seams]] = False
+        remap = np.cumsum(kept) - 1
+        for row, v, node, earlier in seams:
+            remap[node] = remap[earlier]
+            attacked[row, v] = False
+        sounding = remap[sounding]
+        voice, classes = voice[kept[:-1]], classes[kept[:-1]]
+    return rows_loss(classes, voice, GridRows(sounding, attacked, on_beat, strong), rule_config)
 
 
 def _slot_layers(
@@ -537,12 +588,14 @@ def fuse(
     error reports the deepest slot whose candidates all ran out, 1-based
     as in template prose.
 
-    The final rule check of a filled template is ``_plan_loss`` on the
-    library's per-entry tick arrays alone: the verdict of ``rule_loss`` on
-    the ``concatenate_degrees`` phrase, without building it. An entry
-    without tick arrays fails that check in every plan, and each local
-    key's classes reach the home frame through a table built once per
-    key pair.
+    The final rule check of a filled template is ``_plan_loss``: the
+    verdict of ``rule_loss`` on the ``concatenate_degrees`` phrase, from
+    the entries' grid rows stacked in order, without building the phrase
+    or laying its grid. Each entry's rows are laid once per library for
+    each voice count and strong-beat cutoff and kept in ``library.rows``.
+    An entry without tick arrays fails that check in every plan, and each
+    local key's classes reach the home frame through a table built once
+    per key pair.
 
     A chosen phrase's transposition and pitch realization depend only on
     its entry, the transposition and the profiles, so each is realized

@@ -5,15 +5,17 @@ diffusion step; the draw also takes a (K, n) block of uniforms, for K
 draws per node from one cumsum.
 
 ``violation_masks`` is the one statement of the hard counterpoint rules.
-It reads a skeleton's grid as ``SkeletonArrays``, which ``rules._grid``
-builds for every rule reader (once per skeleton, and once per plan that
-fusion checks), and looks up what a pair of degree classes means to a
-rule in ``PairTables``, built once from the classes' letter and semitone
-offsets, so scoring a degree assignment takes gathers and comparisons,
-with no interval arithmetic. Guidance scores its candidates with
-``count_violations``, the sum of the masks (the first-drawn candidate
-each step, and the others only when that one breaks a rule), and
-``rules.all_violations`` turns the same masks into located reports.
+It reads a skeleton's grid as ``SkeletonArrays``, which
+``rules._skeleton_arrays`` derives from grid rows for every rule reader
+(once per skeleton, and once per plan that fusion checks, from the rows
+of its entries, each laid once per library), and looks up what a pair of
+degree classes means to a rule in ``PairTables``, built once from the
+classes' letter and semitone offsets, so scoring a degree assignment
+takes gathers and comparisons, with no interval arithmetic. Guidance
+scores its candidates with ``count_violations``, the sum of the masks
+(the first-drawn candidate each step, and the others only when that one
+breaks a rule), and ``rules.all_violations`` turns the same masks into
+located reports.
 """
 
 from __future__ import annotations

@@ -18,15 +18,16 @@ from .rules import (
 
 
 class EntryTicks(NamedTuple):
-    """An entry's merged nodes on integer ticks, in the form fusion lays
-    them end to end: no phrase is rebuilt."""
+    """An entry's merged nodes on integer ticks, with what fusion needs to
+    stack entries' grid rows in order: no phrase is rebuilt."""
 
     nodes: NodeTicks
     classes: np.ndarray  # per node: the degree class of its head event, in the entry's key
-    tied: np.ndarray  # per node: its head event is tied, so it joins a node ending where it starts
+    heads: tuple[tuple[int, int], ...]  # (voice, node) of each node that starts the entry with a tied note
+    tails: dict  # voice -> its node that ends on the entry's last bar line
     event_classes: np.ndarray  # the distinct degree classes of all events, tied continuations included
     n_voices: int  # one more than the highest voice with an event
-    length: int  # bar-aligned length, in ticks
+    beats: int  # bar-aligned length, in beats
 
 
 def entry_ticks(phrase: Phrase) -> Optional[EntryTicks]:
@@ -41,13 +42,18 @@ def entry_ticks(phrase: Phrase) -> Optional[EntryTicks]:
         return None
     nodes = merge_tied(phrase)
     ticks = _node_ticks(nodes, phrase.span)
+    beats = phrase.n_bars * phrase.meter[0]
+    tied = np.array([phrase.events[nd.event_indices[0]].tie for nd in nodes])
+    heads = np.flatnonzero(tied & (ticks.start == 0))
+    tails = np.flatnonzero(ticks.end == beats * ticks.tick)
     return EntryTicks(
         nodes=ticks,
         classes=np.array([DEGREE_INDEX[nd.degree] for nd in nodes]),
-        tied=np.array([phrase.events[nd.event_indices[0]].tie for nd in nodes]),
+        heads=tuple(zip(ticks.voice[heads].tolist(), heads.tolist())),
+        tails=dict(zip(ticks.voice[tails].tolist(), tails.tolist())),
         event_classes=np.array(sorted({DEGREE_INDEX[d] for d in degrees})),
         n_voices=int(ticks.voice.max()) + 1,
-        length=phrase.n_bars * phrase.meter[0] * ticks.tick,
+        beats=beats,
     )
 
 
@@ -65,11 +71,15 @@ class PhraseLibrary:
     # (entry index, transposition, profile items) -> the realized phrase
     # and its ``midi.PhraseTracks``, or None where it cannot be encoded:
     realized: dict = field(init=False, repr=False, compare=False)
+    # (entry index, voice count, strong-beat cutoff) -> the entry's grid
+    # rows for fusion's plan check (``fusion._entry_rows``):
+    rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ticks", tuple(entry_ticks(p) for p, _ in self.entries))
         object.__setattr__(self, "layers", {})
         object.__setattr__(self, "realized", {})
+        object.__setattr__(self, "rows", {})
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -1,20 +1,22 @@
 """Counterpoint and harmony engine.
 
 Both rule families read one time grid per phrase. The tied notes are
-merged once and laid on integer ticks as ``NodeTicks``, and ``_grid``
-lays those nodes once on a grid with a row at every attack onset and
-every integer beat; ``build_rule_context`` does both for a phrase, and
-``tick_loss`` runs ``_grid`` on nodes already on ticks, as fusion
-concatenates its phrases' nodes. The hard rules' one evaluator,
-``kernels.violation_masks``, reads the attack and strong-beat rows:
-guidance counts a candidate's violations with ``RuleContext.score``,
-``all_violations`` locates them for rejection reports and ``tick_loss``
-counts them for fusion's plan check. ``_segment_readings`` reads the
-integer-beat rows of a context: per beat, the legal chords that can
-read it, from a per-mode table of chord tone classes. The best readings
-(a beam search) and the exact boundary roots (reachability over root
-sets) both come from that one pass, in ``reject`` and in the analysis
-calls ``analyze_harmony`` and ``feasible_boundary_roots`` alike.
+merged once and laid on integer ticks as ``NodeTicks``; ``_grid`` lays
+those nodes once as ``GridRows``, a row at every attack onset and every
+integer beat, and ``_skeleton_arrays`` derives the evaluators' arrays
+from the rows. ``build_rule_context`` does all three for a phrase.
+Fusion lays each library entry's rows once and stacks them in order for
+each plan it checks, and ``rows_loss`` derives the arrays of the stacked
+rows. The hard rules' one evaluator, ``kernels.violation_masks``, reads
+the attack and strong-beat rows: guidance counts a candidate's
+violations with ``RuleContext.score``, ``all_violations`` locates them
+for rejection reports and ``rows_loss`` counts them for fusion's plan
+check. ``_segment_readings`` reads the integer-beat rows of a context:
+per beat, the legal chords that can read it, from a per-mode table of
+chord tone classes. The best readings (a beam search) and the exact
+boundary roots (reachability over root sets) both come from that one
+pass, in ``reject`` and in the analysis calls ``analyze_harmony`` and
+``feasible_boundary_roots`` alike.
 
 Interval classes are computed from scale degrees modulo octave, so the
 checks apply equally to degree-encoded and realized phrases.
@@ -68,8 +70,7 @@ class RuleConfig:
 class NodeTicks(NamedTuple):
     """Merged nodes on integer ticks, ``tick`` to the beat, in a phrase
     whose span reaches n_beats integer beats: the one layout the grid is
-    built from, for a phrase's own nodes and for fusion's concatenated
-    plans alike."""
+    built from, for a phrase's own nodes and a library entry's alike."""
 
     tick: int
     voice: np.ndarray  # per node
@@ -90,24 +91,39 @@ def _node_ticks(nodes: Sequence[GraphNode], span: Fraction) -> NodeTicks:
     return NodeTicks(tick, voice, start, end, n_beats)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _check_ticks(tick: int, n_beats: int) -> None:
     """Refuse a grid of n_beats beats whose ticks would not fit int64."""
-    if tick * n_beats > np.iinfo(np.int64).max:  # int64 tick arithmetic would wrap
+    if tick * n_beats > _INT64_MAX:  # int64 tick arithmetic would wrap
         raise PhraseValidationError(f"onsets and durations too fine for the rule grid (1/{tick} beat)")
+
+
+class GridRows(NamedTuple):
+    """Nodes laid on a grid with a row at every attack onset and every
+    integer beat, in time order: the layout ``_skeleton_arrays`` derives
+    the evaluators' arrays from."""
+
+    sounding: np.ndarray  # (rows, v): node sounding in each voice, the node count where silent
+    attacked: np.ndarray  # (rows, v): the voice attacks the node it sounds
+    on_beat: np.ndarray  # (rows,): the row is an integer beat
+    strong: np.ndarray  # (rows,): the row is a beat whose metric strength reaches the cutoff
+
+
+def _strong_beats(beats: np.ndarray, meter: tuple[int, int], cutoff: float) -> np.ndarray:
+    """Per integer beat, whether its metric strength reaches cutoff."""
+    # Metric strength repeats every bar.
+    bar = np.array([metric_strength(k, meter) >= cutoff for k in range(meter[0])])
+    return bar[beats % meter[0]]
 
 
 def _grid(
     ticks: NodeTicks, meter: tuple[int, int], n_voices: int, cutoff: float
-) -> tuple[np.ndarray, kernels.SkeletonArrays]:
+) -> tuple[np.ndarray, GridRows]:
     """The nodes laid once on a grid with a row at every attack onset and
-    every integer beat, a beat being strong where its metric strength
-    reaches cutoff. Returns the times, in ticks, of the hard rules' rows
-    (attacks and strong beats) and the evaluators' arrays: those rows for
-    the hard rules, the integer-beat rows for the harmony pass."""
+    every integer beat: the rows' times, in ticks, and the rows."""
     tick, voice, start, end, n_beats = ticks
-    # Metric strength repeats every bar.
-    bar = np.array([metric_strength(k, meter) >= cutoff for k in range(meter[0])])
-    strong = bar[np.arange(n_beats) % meter[0]]
     times = np.union1d(start, np.arange(n_beats) * tick)
     # A node covers the run of rows from its onset up to its end.
     lo, hi = np.searchsorted(times, start), np.searchsorted(times, end)
@@ -118,25 +134,33 @@ def _grid(
     attacked = np.zeros(sounding.shape, dtype=bool)
     attacked[lo, voice] = True
     on_beat = times % tick == 0
-    strong_row = on_beat & strong[times // tick]
-    beat_sounding = sounding[on_beat]
-    hard = attacked.any(axis=1) | strong_row
-    sounding, attacked, strong_row = sounding[hard], attacked[hard], strong_row[hard]
-    upper, lower = kernels.voice_pairs(n_voices)
+    return times, GridRows(sounding, attacked, on_beat, on_beat & _strong_beats(times // tick, meter, cutoff))
+
+
+def _skeleton_arrays(rows: GridRows, voice: np.ndarray) -> tuple[np.ndarray, kernels.SkeletonArrays]:
+    """The evaluators' arrays of the nodes, in these voices, laid as rows:
+    the rows with an attack or a strong beat for the hard rules, the
+    integer-beat rows for the harmony pass. Also returns the mask of the
+    hard rules' rows."""
+    sounding, attacked, on_beat, strong = rows
+    hard = attacked.any(axis=1) | strong
+    beat_sounding, beat_strong = sounding[on_beat], strong[on_beat]
+    sounding, attacked, strong = sounding[hard], attacked[hard], strong[hard]
+    upper, lower = kernels.voice_pairs(sounding.shape[1])
     chains = np.argsort(voice, kind="stable")
     chain_voices = voice[chains]
-    return times[hard], kernels.SkeletonArrays(
+    return hard, kernels.SkeletonArrays(
         sounding=sounding,
         attacked=attacked,
         pair_upper=sounding[:, upper],
         pair_lower=sounding[:, lower],
         pair_attacked=attacked[1:, upper] & attacked[1:, lower],
-        strong_upper=np.where(strong_row[:, None], sounding[:, :-1], len(voice)),
+        strong_upper=np.where(strong[:, None], sounding[:, :-1], len(voice)),
         strong_bass=sounding[:, -1:],
         chains=chains,
         voice_starts=np.flatnonzero(chain_voices[1:] != chain_voices[:-1]) + 1,
         beat_sounding=beat_sounding,
-        beat_strong=strong,
+        beat_strong=beat_strong,
     )
 
 
@@ -185,27 +209,23 @@ class RuleContext:
 def build_rule_context(skeleton: Phrase, config: RuleConfig = RuleConfig()) -> RuleContext:
     nodes = merge_tied(skeleton)
     ticks = _node_ticks(nodes, skeleton.span)
-    times, arrays = _grid(ticks, skeleton.meter, len(skeleton.voices), config.strong_beat_cutoff)
+    times, rows = _grid(ticks, skeleton.meter, len(skeleton.voices), config.strong_beat_cutoff)
+    hard, arrays = _skeleton_arrays(rows, ticks.voice)
     return RuleContext(
         arrays=arrays,
         config=config,
-        grid=tuple(times.tolist()),
+        grid=tuple(times[hard].tolist()),
         tick=ticks.tick,
         nodes=tuple(nodes),
         mode=skeleton.key.mode,
     )
 
 
-def tick_loss(
-    classes: np.ndarray, ticks: NodeTicks, meter: tuple[int, int], n_voices: int,
-    config: RuleConfig = RuleConfig(),
-) -> int:
-    """``rule_loss`` of merged nodes laid on integer ticks, with their
-    degree classes, in a phrase of the meter with n_voices voices. It
-    reads the grid of ``build_rule_context`` and needs no phrase, and
-    refuses a grid too fine for int64 with the error ``rule_loss`` raises."""
-    _check_ticks(ticks.tick, ticks.n_beats)
-    _, arrays = _grid(ticks, meter, n_voices, config.strong_beat_cutoff)
+def rows_loss(classes: np.ndarray, voice: np.ndarray, rows: GridRows, config: RuleConfig) -> int:
+    """``rule_loss`` of nodes with these degree classes and voices, laid
+    as these grid rows: the grid of ``build_rule_context``, with no
+    phrase."""
+    _, arrays = _skeleton_arrays(rows, voice)
     return kernels.count_violations(classes, arrays, _PAIR_TABLES, config)
 
 

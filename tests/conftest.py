@@ -15,17 +15,18 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def make_phrase(events, key=("C", "major"), meter=(4, 4), voices=("treble", "bass")):
-    """events: (voice, onset, duration, degree-string-or-None) tuples."""
+    """events: (voice, onset, duration, degree-string-or-None[, tied]) tuples."""
     from gradus.pitch import parse_degree
 
     evs = []
-    for voice, onset, dur, deg in events:
+    for voice, onset, dur, deg, *tied in events:
         evs.append(
             NoteEvent(
                 voice=voice,
                 onset=Fraction(onset),
                 duration=Fraction(dur),
                 degree=parse_degree(deg) if deg is not None else None,
+                tie=bool(tied and tied[0]),
             )
         )
     return Phrase(

@@ -12,6 +12,7 @@ import pytest
 
 from gradus import fusion
 from gradus import pitch as pitch_module
+from gradus import rules as rules_module
 from gradus.cli import main
 from gradus.errors import FusionInfeasibleError, PhraseValidationError, SpellingError
 from gradus.fusion import (
@@ -1151,6 +1152,135 @@ def test_plan_check_refuses_entries_without_ticks(corpus):
     with pytest.raises(PhraseValidationError) as want:
         reject(too_fine)
     assert str(got.value) == str(want.value)
+
+
+def _assert_plan_grid(library, plan, config, loss, monkeypatch):
+    """The plan, with every slot in the home key, counts loss violations,
+    as the oracle does, on the grid rows, node voices and classes that
+    ``build_rule_context`` lays for the concatenated phrase."""
+    home, local_keys = parse_key("C", "major"), [1] * len(plan)
+    seen = []
+
+    def spy(classes, voice, rows, cfg):
+        seen.append((classes, voice, rows))
+        return rules_module.rows_loss(classes, voice, rows, cfg)
+
+    monkeypatch.setattr(fusion, "rows_loss", spy)
+    assert _loss_by_phrase(library, plan, home, local_keys, config) == loss, plan
+    assert fusion._plan_loss(library, plan, home, local_keys, config) == loss, plan
+    full = concatenate_degrees([library[i][0] for i in plan], home, local_keys)
+    nodes = merge_tied(full)
+    ticks = rules_module._node_ticks(nodes, full.span)
+    _, want = rules_module._grid(ticks, full.meter, len(full.voices), config.strong_beat_cutoff)
+    (classes, voice, rows), = seen
+    assert classes.tolist() == [DEGREE_INDEX[nd.degree] for nd in nodes], plan
+    assert voice.tolist() == ticks.voice.tolist(), plan
+    for got, expected in zip(rows, want):
+        assert got.tolist() == expected.tolist(), plan
+
+
+def test_plan_check_seam_tie_sounds_the_first_note_after_the_seam(monkeypatch):
+    # The treble's tied 3 joins the 2 that ends on the bar line and lasts
+    # past the next entry's first row: at its beat 2 (strong at cutoff
+    # 0.5) the bass moves to 1 under it, a second above the bass, where
+    # the 3 the entry spells would be a third. A tie over a whole entry
+    # joins again at the next seam, so the 2 sounds on through it.
+    opening = make_phrase([(0, 0, 4, "2"), (1, 0, 4, "5")])
+    tied = make_phrase([(0, 0, 4, "3", True), (1, 0, 2, "5"), (1, 2, 2, "1")])
+    untied = make_phrase([(0, 0, 4, "3"), (1, 0, 2, "5"), (1, 2, 2, "1")])
+    library = PhraseLibrary(tuple((p, _ANY_ENTRY) for p in (opening, tied, untied)))
+    home = parse_key("C", "major")
+    for plan, loss, joins in (((0, 1), 1, 1), ((0, 1, 1), 2, 2), ((0, 2), 0, 0), ((1, 0), 0, 0)):
+        assert _seam_joins(library, plan, home, [1] * len(plan)) == joins, plan
+        _assert_plan_grid(library, plan, RuleConfig(), loss, monkeypatch)
+
+
+def test_plan_check_silent_beats_before_a_bar_line(monkeypatch):
+    # The first entry stops at beat 2 of its bar, on a fifth that the next
+    # entry moves in parallel. Beat 2 is strong at cutoff 0.5 and silent,
+    # so a hard row falls between the two fifths; at cutoff 1.0 neither
+    # beat 2 nor beat 3 is strong and the fifths meet across the seam.
+    # Rests in place of the silence are attacked, so break them at both.
+    # Twice over, the bass holds four 1s in a row.
+    short = make_phrase([(0, 0, 1, "3"), (1, 0, 1, "1"), (0, 1, 1, "5"), (1, 1, 1, "1")])
+    rests = make_phrase([
+        (0, 0, 1, "3"), (1, 0, 1, "1"), (0, 1, 1, "5"), (1, 1, 1, "1"), (0, 2, 2, "rest"), (1, 2, 2, "rest")
+    ])
+    fifths = make_phrase([(0, 0, 4, "6"), (1, 0, 4, "2")])
+    library = PhraseLibrary(tuple((p, _ANY_ENTRY) for p in (short, rests, fifths)))
+    cases = {  # (plan, cutoff): violations
+        ((0, 2), 0.5): 0, ((0, 2), 1.0): 1, ((0, 2), 0.25): 0,
+        ((1, 2), 0.5): 0, ((1, 2), 1.0): 0,
+        ((2, 0), 0.5): 0, ((0, 0, 2), 1.0): 2,
+    }
+    for (plan, cutoff), loss in cases.items():
+        _assert_plan_grid(library, plan, RuleConfig(strong_beat_cutoff=cutoff), loss, monkeypatch)
+
+
+def test_plan_check_triplet_entry_beside_duplet_ones(monkeypatch):
+    # Ticks of 3 and 2 to the beat: the fifth struck on the last triplet
+    # moves in parallel into the next entry's first eighth, and again into
+    # its second, whichever entry's ticks the plan would be laid on; the
+    # second pair lies within the duplet entry, so it counts on its own.
+    triplets = make_phrase([
+        (0, 0, "11/3", "3"), (0, "11/3", "1/3", "5"), (1, 0, "11/3", "1"), (1, "11/3", "1/3", "1")
+    ])
+    eighths = make_phrase([
+        (0, 0, "1/2", "6"), (0, "1/2", "7/2", "5"), (1, 0, "1/2", "2"), (1, "1/2", "7/2", "1")
+    ])
+    library = PhraseLibrary(tuple((p, _ANY_ENTRY) for p in (triplets, eighths)))
+    assert [library.ticks[i].nodes.tick for i in (0, 1)] == [3, 2]
+    for plan, loss in (((0, 1), 2), ((1, 0), 1), ((0, 1, 0, 1), 4), ((1, 1), 3)):
+        _assert_plan_grid(library, plan, RuleConfig(), loss, monkeypatch)
+
+
+def test_plan_check_last_entry_ending_mid_bar(monkeypatch):
+    # The entry ends half a beat past beat 2, on a second above the bass
+    # struck on that strong beat. Last in a plan, its grid stops at beat
+    # 3; before another entry, its silent beat 3 stays. Twice over, its
+    # bass holds four 1s in a row.
+    mid = make_phrase([(0, 0, 2, "3"), (1, 0, 2, "1"), (0, 2, "1/2", "2"), (1, 2, "1/2", "1")])
+    whole = make_phrase([(0, 0, 4, "6"), (1, 0, 4, "2")])
+    library = PhraseLibrary(tuple((p, _ANY_ENTRY) for p in (mid, whole)))
+    assert library.ticks[0].nodes.n_beats == 3 and library.ticks[0].beats == 4
+    for plan, cutoff, loss in (((1, 0), 0.5, 1), ((0, 0), 0.5, 3), ((1, 0), 1.0, 0), ((0,), 0.5, 1)):
+        _assert_plan_grid(library, plan, RuleConfig(strong_beat_cutoff=cutoff), loss, monkeypatch)
+
+
+def test_entry_rows_are_laid_once_per_voice_count_and_cutoff(corpus, monkeypatch):
+    # One library answers 2- and 3-voice plans under three strong-beat
+    # cutoffs, one plan of each kind in turn, in both orders; a two-voice
+    # entry in a three-voice plan is laid in three voices. Each entry is
+    # laid once per (voice count, cutoff) that a plan brings, and the
+    # store, like the other memos, is neither compared nor hashed.
+    two, three = list(corpus[:5]), [_three_voices(p) for p in corpus[5:8]]
+    entries = tuple((p, _ANY_ENTRY) for p in two + three)
+    kinds = [(v, RuleConfig(strong_beat_cutoff=c)) for c in (0.25, 0.5, 1.0) for v in (2, 3)]
+    home = parse_key("C", "major")
+    calls = Counter()
+    monkeypatch.setattr(fusion, "_entry_rows", counting(calls, "rows", fusion._entry_rows))
+    for order in (kinds, kinds[::-1]):
+        library = PhraseLibrary(entries)
+        fresh = PhraseLibrary(entries)
+        rng = np.random.default_rng(len(calls))
+        calls.clear()
+        keys = set()
+        for _ in range(8):
+            for voices, config in order:
+                first = int(rng.integers(len(two)) if voices == 2 else len(two) + rng.integers(len(three)))
+                later = rng.integers(len(two) if voices == 2 else len(entries), size=int(rng.integers(1, 4)))
+                plan = [first, *map(int, later)]
+                local_keys = [int(k) for k in rng.integers(1, 8, size=len(plan))]
+                want = _loss_by_phrase(library, plan, home, local_keys, config)
+                assert fusion._plan_loss(library, plan, home, local_keys, config) == want, plan
+                if want is not None:
+                    keys.update((i, voices, config.strong_beat_cutoff) for i in plan)
+        assert set(library.rows) == keys and calls["rows"] == len(keys)
+        assert {(i, v) for i, v, _ in keys} >= {(i, v) for i in range(len(two)) for v in (2, 3)}
+        for rows, _ in library.rows.values():
+            assert not any(array.flags.writeable for array in rows)
+        assert library == fresh and hash(library) == hash(fresh) and repr(library) == repr(fresh)
+        assert "rows" not in repr(library) and not fresh.rows
 
 
 # -- realization against its reference ---------------------------------------
